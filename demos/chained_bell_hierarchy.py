@@ -40,12 +40,12 @@ def main():
     for name, result in rows:
         print(f"   {name:26s} I = {result.i_value:.6f}  [{result.classification.value}]")
     print(f"   {'best deterministic':26s} I = {lhv.value:.6f}  "
-          f"(exhaustive over {lhv.n_strategies} strategies)")
+          f"(parity bound over {lhv.n_strategies} strategies)")
     print(f"   quantum value 2 - sqrt(2) = {2 - math.sqrt(2):.6f}")
 
     print()
     print("=" * 64)
-    print("2. Local bound by brute force, N = 2..8")
+    print("2. Local bound (parity: differing ends need an odd number of flips), N = 2..8")
     print("=" * 64)
     print("   N   strategies      min I")
     for n in range(2, 9):

@@ -8,11 +8,11 @@ while the closing pair realizes (2N-1)*Theta/2N.  The figure of merit
 
 satisfies I >= 1 for every locally deterministic assignment; I < 1 certifies
 nonlocality, and I = 0 at finite N would be maximal nonlocality.  Provided
-models: the quantum fringe law, a sign-box that is maximally nonlocal on
-pi-chains, the product-of-marginals model with all correlations suppressed,
-and explicit deterministic strategies.  A brute-force enumeration over all
-deterministic strategies serves as the independent oracle for the local
-bound.
+models, all array rules: the quantum fringe law, a sign-box that is
+maximally nonlocal on pi-chains, the product-of-marginals model with all
+correlations suppressed, and explicit deterministic strategies.  The local
+bound I >= 1 follows from parity; the tests confirm it by enumerating every
+deterministic strategy.
 """
 
 from __future__ import annotations
@@ -20,28 +20,19 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .entangle import JointDistribution, ideal_joint_distribution
+from .entangle import CorrelationModel, ideal_joint_probabilities, joint_probabilities
 
-_LHV_ENUMERATION_CAP = 12  # 2^(2N) strategies; 12 -> 16.7M, seconds of work
-_CHUNK = 1 << 20
+BATCH = 1 << 16  # terms per rule evaluation; bounds each temporary at 512 KiB
 
 
 class Classification(str, enum.Enum):
     LOCAL_COMPATIBLE = "local_compatible"
     BOUNDED_NONLOCAL = "bounded_nonlocal"
     MAXIMAL_NONLOCAL = "maximal_nonlocal"
-
-
-@dataclass(frozen=True)
-class CorrelationModel:
-    """A named rule mapping a pair of setting phases to joint probabilities."""
-
-    name: str
-    rule: Callable[[float, float], JointDistribution]
 
 
 @dataclass(frozen=True)
@@ -67,7 +58,7 @@ class ChainedConfig:
 @dataclass(frozen=True)
 class ChainedResult:
     i_value: float
-    contributions: tuple[float, ...]  # closing concordance first, then adjacents
+    contributions: np.ndarray  # read-only; closing concordance first, then adjacents
     classification: Classification
 
 
@@ -99,10 +90,10 @@ def classify(i_value: float) -> Classification:
 def quantum_model(visibility: float = 1.0) -> CorrelationModel:
     """Fringe-law correlations, phase = difference of the setting phases."""
 
-    def rule(phi_a: float, phi_b: float) -> JointDistribution:
-        return ideal_joint_distribution(phi_a - phi_b, visibility)
+    def probabilities(phi_a: np.ndarray, phi_b: np.ndarray) -> np.ndarray:
+        return ideal_joint_probabilities(phi_a - phi_b, visibility)
 
-    return CorrelationModel(name="quantum", rule=rule)
+    return CorrelationModel(name="quantum", probabilities=probabilities)
 
 
 def pr_box_model() -> CorrelationModel:
@@ -113,21 +104,21 @@ def pr_box_model() -> CorrelationModel:
     nonlocality with uniform marginals.
     """
 
-    def rule(phi_a: float, phi_b: float) -> JointDistribution:
-        equal = 0.5 if math.cos(phi_a - phi_b) >= 0.0 else 0.0
+    def probabilities(phi_a: np.ndarray, phi_b: np.ndarray) -> np.ndarray:
+        equal = np.where(np.cos(phi_a - phi_b) >= 0.0, 0.5, 0.0)
         differ = 0.5 - equal
-        return JointDistribution(p_pp=equal, p_pm=differ, p_mp=differ, p_mm=equal)
+        return np.stack((equal, differ, differ, equal))
 
-    return CorrelationModel(name="pr_box", rule=rule)
+    return CorrelationModel(name="pr_box", probabilities=probabilities)
 
 
 def suppressed_nonlocality_model() -> CorrelationModel:
     """Product of the uniform marginals: all correlations removed."""
 
-    def rule(phi_a: float, phi_b: float) -> JointDistribution:
-        return JointDistribution(p_pp=0.25, p_pm=0.25, p_mp=0.25, p_mm=0.25)
+    def probabilities(phi_a: np.ndarray, phi_b: np.ndarray) -> np.ndarray:
+        return np.full((4, phi_a.size), 0.25)
 
-    return CorrelationModel(name="suppressed_nonlocality", rule=rule)
+    return CorrelationModel(name="suppressed_nonlocality", probabilities=probabilities)
 
 
 def deterministic_strategy_model(
@@ -147,48 +138,57 @@ def deterministic_strategy_model(
     if cfg.theta <= 0.0:
         raise ValueError("setting phases are degenerate at theta = 0")
     step = cfg.theta / (2 * cfg.n)
+    plus = np.array(outcomes) == 1
 
-    def index_of(phi: float) -> int:
-        i = round(phi / step)
-        if not 0 <= i < 2 * cfg.n or abs(phi - i * step) > 1e-9 * max(step, 1.0):
+    def index_of(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        i = np.rint(phi / step)  # round half to even, like round()
+        bad = ~((i >= 0) & (i < 2 * cfg.n) & (np.abs(phi - i * step) <= 1e-9 * max(step, 1.0)))
+        return np.where(bad, 0, i).astype(np.intp), bad
+
+    def probabilities(phi_a: np.ndarray, phi_b: np.ndarray) -> np.ndarray:
+        ia, bad_a = index_of(phi_a)
+        ib, bad_b = index_of(phi_b)
+        bad = bad_a | bad_b
+        if bad.any():
+            m = int(np.argmax(bad))
+            phi = float(phi_a[m] if bad_a[m] else phi_b[m])
             raise ValueError(f"phase {phi!r} is not one of the chain settings")
-        return i
+        a, b = plus[ia], plus[ib]
+        return np.stack((a & b, a & ~b, ~a & b, ~a & ~b)).astype(float)
 
-    def rule(phi_a: float, phi_b: float) -> JointDistribution:
-        a = outcomes[index_of(phi_a)]
-        b = outcomes[index_of(phi_b)]
-        p = {(x, y): 0.0 for x in (1, -1) for y in (1, -1)}
-        p[(a, b)] = 1.0
-        return JointDistribution(p_pp=p[(1, 1)], p_pm=p[(1, -1)],
-                                 p_mp=p[(-1, 1)], p_mm=p[(-1, -1)])
-
-    return CorrelationModel(name="local_deterministic", rule=rule)
+    return CorrelationModel(name="local_deterministic", probabilities=probabilities)
 
 
 def chained_I(model, cfg: ChainedConfig) -> ChainedResult:
     """Evaluate the chained figure of merit on a correlation model.
 
-    The model's rule is called once per term; a rule producing an invalid
-    distribution is rejected with the underlying diagnostic.
+    Term 0 is the closing pair (settings 0 and 2N-1), term k >= 1 the
+    adjacent pair (k-1, k); the even setting of a pair is side A's.  The
+    terms are evaluated by :func:`~bellsim.entangle.joint_probabilities` in
+    batches of at most :data:`BATCH`, so an invalid distribution is rejected
+    with the diagnostic of the first invalid term.
     """
-    rule = getattr(model, "rule", model)
-    settings = cfg.settings
-    last = 2 * cfg.n - 1
-
-    def term(i: int, j: int) -> JointDistribution:
-        # even index = side A, odd = side B
-        if i % 2 == 0:
-            return rule(settings[i], settings[j])
-        return rule(settings[j], settings[i])
-
-    contributions = [term(0, last).p_equal]
-    for i in range(last):
-        contributions.append(term(i, i + 1).p_differ)
+    terms = 2 * cfg.n
+    step = cfg.theta / terms
+    contributions = np.empty(terms)
+    for start in range(0, terms, BATCH):
+        k = np.arange(start, min(start + BATCH, terms))
+        low = np.maximum(k - 1, 0)
+        odd = low % 2
+        side_a = low + odd
+        side_b = low + 1 - odd
+        if start == 0:
+            side_b[0] = terms - 1
+        p = joint_probabilities(model, side_a * step, side_b * step)
+        contributions[start:start + k.size] = p[1] + p[2]
+        if start == 0:
+            contributions[0] = p[0, 0] + p[3, 0]
+    contributions.flags.writeable = False
     # fsum: plain accumulation loses ~2e-12 against the closed form at N = 10^4
     i_value = math.fsum(contributions)
     return ChainedResult(
         i_value=i_value,
-        contributions=tuple(contributions),
+        contributions=contributions,
         classification=classify(i_value),
     )
 
@@ -211,6 +211,15 @@ def quantum_I_closed_form(n: int, theta: float) -> float:
     return closing * closing + (2 * n - 1) * adjacent * adjacent
 
 
+def quantum_I_closed_form_array(ns: np.ndarray, theta: float) -> np.ndarray:
+    """:func:`quantum_I_closed_form` at every chain length of the integer
+    array ``ns`` (each >= 2), with the same formula."""
+    half_adj = theta / (4 * ns)
+    closing = np.cos((2 * ns - 1) * half_adj)
+    adjacent = np.sin(half_adj)
+    return closing * closing + (2 * ns - 1) * adjacent * adjacent
+
+
 def deterministic_strategy_value(outcomes: Sequence[int]) -> float:
     """Chained value of a fixed +-1 assignment: closing agreement indicator
     plus the number of adjacent sign flips.  Always an integer >= 1."""
@@ -225,40 +234,18 @@ def deterministic_strategy_value(outcomes: Sequence[int]) -> float:
 
 
 def lhv_minimum_I(n: int, theta: float = math.pi) -> LhvMinimum:
-    """Exhaustive minimum of the chained value over deterministic strategies.
+    """Minimum of the chained value over the 4^N deterministic strategies.
 
     Deterministic outcomes make every term an indicator, so the value does
-    not depend on theta; the parameter is kept for interface symmetry.
-    Enumeration covers all 2^(2N) assignments (bit i of the strategy word is
-    setting l_i, set bit = +1) and reports the first minimizer in ascending
-    word order.
+    not depend on theta; the parameter is kept for interface symmetry.  The
+    minimum is 1 by parity: endpoints that agree score the closing term,
+    endpoints that differ need an odd number of adjacent flips.  The
+    reported strategy, all -1, is the first minimizer in ascending word
+    order (bit i of the word is setting l_i, set bit = +1).
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n!r}")
-    if n > _LHV_ENUMERATION_CAP:
-        raise ValueError(
-            f"n = {n} exceeds the enumeration bound {_LHV_ENUMERATION_CAP} "
-            f"(2^(2n) = {2 ** (2 * n)} strategies)"
-        )
-    bits = 2 * n
-    total = 1 << bits
-    adj_mask = np.uint64((1 << (bits - 1)) - 1)
-    closing_shift = np.uint64(bits - 1)
-    one = np.uint64(1)
-
-    best_value = bits + 2  # above any attainable value
-    best_word = 0
-    for lo in range(0, total, _CHUNK):
-        words = np.arange(lo, min(lo + _CHUNK, total), dtype=np.uint64)
-        flips = np.bitwise_count((words ^ (words >> one)) & adj_mask)
-        closing_equal = one - ((words ^ (words >> closing_shift)) & one)
-        values = flips + closing_equal
-        idx = int(np.argmin(values))
-        if int(values[idx]) < best_value:
-            best_value = int(values[idx])
-            best_word = int(words[idx])
-    strategy = tuple(1 if (best_word >> i) & 1 else -1 for i in range(bits))
-    return LhvMinimum(value=float(best_value), strategy=strategy, n_strategies=total)
+    return LhvMinimum(value=1.0, strategy=(-1,) * (2 * n), n_strategies=4 ** n)
 
 
 def boundedness_check(n_max: int) -> BoundednessReport:

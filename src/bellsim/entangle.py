@@ -6,7 +6,9 @@ interferometer.  Of the four two-photon path classes (ll, ss, ls, sl) only
 ll and ss arrive coincident when the delays are matched, and their
 interference carries the nonlocal fringe.  The module provides
 
-* the idealized maximally-entangled joint distribution,
+* the idealized maximally-entangled joint distribution, pointwise and as
+  an array,
+* correlation models: array rules validated once per batch,
 * the full four-path spectral model with per-pair coherence factors and
   coincidence-window post-selection,
 * the coherence-ratio checks that the ideal limit requires,
@@ -27,12 +29,13 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .measurement import MeasurementMatrix
+from .probability import check_batch, check_distribution
 from .spectra import Spectrum, integrate_over_spectrum
 
-_SUM_TOL = 1e-12
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 Rule = Callable[[float, float], "JointDistribution"]
+ArrayRule = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 class PathPair(str, enum.Enum):
@@ -68,13 +71,10 @@ class JointDistribution:
     p_mm: float
 
     def __post_init__(self):
-        entries = (self.p_pp, self.p_pm, self.p_mp, self.p_mm)
-        for p in entries:
-            if p < -1e-15 or p > 1.0 + 1e-15:
-                raise ValueError(f"probability {p!r} outside [0, 1]")
-        total = sum(entries)
-        if abs(total - 1.0) > _SUM_TOL:
-            raise ValueError(f"joint probabilities sum to {total!r}, not 1")
+        check_distribution((self.p_pp, self.p_pm, self.p_mp, self.p_mm), "joint probabilities")
+
+    def as_tuple(self) -> tuple[float, float, float, float]:
+        return (self.p_pp, self.p_pm, self.p_mp, self.p_mm)
 
     def prob(self, a: int, b: int) -> float:
         key = {(1, 1): self.p_pp, (1, -1): self.p_pm,
@@ -91,6 +91,24 @@ class JointDistribution:
     @property
     def p_differ(self) -> float:
         return self.p_pm + self.p_mp
+
+
+@dataclass(frozen=True)
+class CorrelationModel:
+    """A named array rule mapping pairs of setting phases to joint probabilities.
+
+    ``probabilities(phi_a, phi_b)`` takes two float arrays of shape (M,) and
+    returns the (4, M) array of p(+,+), p(+,-), p(-,+), p(-,-) per pair;
+    :func:`joint_probabilities` validates it.  :meth:`rule` is the scalar
+    view of one pair.
+    """
+
+    name: str
+    probabilities: ArrayRule
+
+    def rule(self, phi_a: float, phi_b: float) -> JointDistribution:
+        p = self.probabilities(np.array([phi_a], dtype=float), np.array([phi_b], dtype=float))
+        return JointDistribution(*p[:, 0].tolist())
 
 
 @dataclass(frozen=True)
@@ -194,13 +212,40 @@ def ideal_joint_distribution(phi: float, visibility: float = 1.0) -> JointDistri
 
     Concordance (1 + V cos(phi))/2 and discordance (1 - V cos(phi))/2 are
     split symmetrically over the outcome pairs so both marginals are 1/2.
+    No digits cancel near phi = 0 or pi: where cos(phi) > 1/2 the
+    discordance is evaluated as (1 - V)/2 + V sin^2(phi/2), and where
+    cos(phi) < -1/2 the concordance as (1 - V)/2 + V sin^2((pi - |phi|)/2),
+    which is exactly 0 at V = 1, phi = pi.
     """
     if not 0.0 <= visibility <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {visibility!r}")
-    c = visibility * math.cos(phi)
-    equal = 0.25 * (1.0 + c)
-    differ = 0.25 * (1.0 - c)
+    cos_phi = math.cos(phi)
+    if cos_phi < -0.5:
+        half = math.sin(0.5 * (math.pi - abs(phi)))
+        equal = 0.25 * (1.0 - visibility) + 0.5 * visibility * half * half
+    else:
+        equal = 0.25 * (1.0 + visibility * cos_phi)
+    if cos_phi > 0.5:
+        half = math.sin(0.5 * phi)
+        differ = 0.25 * (1.0 - visibility) + 0.5 * visibility * half * half
+    else:
+        differ = 0.25 * (1.0 - visibility * cos_phi)
     return JointDistribution(p_pp=equal, p_pm=differ, p_mp=differ, p_mm=equal)
+
+
+def ideal_joint_probabilities(phi: np.ndarray, visibility: float = 1.0) -> np.ndarray:
+    """:func:`ideal_joint_distribution` at every phase of ``phi``, as a
+    (4, M) array (pp, pm, mp, mm) with the same formulas."""
+    if not 0.0 <= visibility <= 1.0:
+        raise ValueError(f"visibility must lie in [0, 1], got {visibility!r}")
+    cos_phi = np.cos(phi)
+    # one half-angle sine per phase: sin(phi/2) serves the discordance
+    # branch, sin((pi - |phi|)/2) the concordance branch
+    half = np.sin(np.where(cos_phi >= 0.0, 0.5 * phi, 0.5 * (math.pi - np.abs(phi))))
+    half_angle_form = 0.25 * (1.0 - visibility) + 0.5 * visibility * half * half
+    equal = np.where(cos_phi < -0.5, half_angle_form, 0.25 * (1.0 + visibility * cos_phi))
+    differ = np.where(cos_phi > 0.5, half_angle_form, 0.25 * (1.0 - visibility * cos_phi))
+    return np.stack((equal, differ, differ, equal))
 
 
 def marginal(dist: JointDistribution, side: str) -> float:
@@ -212,26 +257,50 @@ def marginal(dist: JointDistribution, side: str) -> float:
     raise ValueError(f"side must be 'A' or 'B', got {side!r}")
 
 
+def joint_probabilities(model, phi_a: np.ndarray, phi_b: np.ndarray) -> np.ndarray:
+    """Validated (4, M) probabilities (pp, pm, mp, mm) of ``model`` at the
+    M phase pairs (phi_a[m], phi_b[m]).
+
+    A :class:`CorrelationModel` is evaluated by one call of its array rule.
+    Any other ``model`` is a rule callable (phi_a, phi_b) -> JointDistribution,
+    or an object exposing one as ``.rule``, and is called pair by pair.  An
+    invalid distribution is rejected with the diagnostic of the first
+    invalid pair.
+    """
+    phi_a = np.asarray(phi_a, dtype=float)
+    phi_b = np.asarray(phi_b, dtype=float)
+    if isinstance(model, CorrelationModel):
+        p = np.asarray(model.probabilities(phi_a, phi_b), dtype=float)
+        if p.shape != (4, phi_a.size):
+            raise ValueError(f"model {model.name!r} returned shape {p.shape}, "
+                             f"expected (4, {phi_a.size})")
+    else:
+        rule: Rule = getattr(model, "rule", model)
+        p = np.array([rule(a, b).as_tuple() for a, b in zip(phi_a.tolist(), phi_b.tolist())],
+                     dtype=float).reshape(-1, 4).T
+    check_batch(p, "joint probabilities")
+    return p
+
+
 def no_signaling_residual(
     model, phi_a_grid: Iterable[float], phi_b_grid: Iterable[float]
 ) -> float:
     """Largest change of either side's marginal under the remote setting.
 
-    ``model`` may be a rule callable (phi_a, phi_b) -> JointDistribution or
-    any object exposing one as ``.rule``.
+    ``model`` is evaluated once over the whole grid by
+    :func:`joint_probabilities`, so it may be a :class:`CorrelationModel`, a
+    rule callable (phi_a, phi_b) -> JointDistribution or any object exposing
+    one as ``.rule``.
     """
-    rule: Rule = getattr(model, "rule", model)
-    phi_a = list(phi_a_grid)
-    phi_b = list(phi_b_grid)
-    if not phi_a or not phi_b:
+    phi_a = np.fromiter(phi_a_grid, dtype=float)
+    phi_b = np.fromiter(phi_b_grid, dtype=float)
+    if not phi_a.size or not phi_b.size:
         raise ValueError("setting grids must be nonempty")
-    marg_a = np.empty((len(phi_a), len(phi_b)))
-    marg_b = np.empty((len(phi_a), len(phi_b)))
-    for i, pa in enumerate(phi_a):
-        for j, pb in enumerate(phi_b):
-            dist = rule(pa, pb)
-            marg_a[i, j] = marginal(dist, "A")
-            marg_b[i, j] = marginal(dist, "B")
+    grid_a, grid_b = np.meshgrid(phi_a, phi_b, indexing="ij")
+    p = joint_probabilities(model, grid_a.ravel(), grid_b.ravel())
+    pp, pm, mp, _ = p.reshape(4, phi_a.size, phi_b.size)
+    marg_a = pp + pm
+    marg_b = pp + mp
     dev_a = float(np.max(marg_a.max(axis=1) - marg_a.min(axis=1)))
     dev_b = float(np.max(marg_b.max(axis=0) - marg_b.min(axis=0)))
     return max(dev_a, dev_b)

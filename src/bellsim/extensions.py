@@ -15,14 +15,20 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .bell import (
+    BATCH,
     ChainedConfig,
     CorrelationModel,
     chained_I,
     quantum_I_closed_form,
+    quantum_I_closed_form_array,
     quantum_model,
 )
-from .entangle import JointDistribution, marginal
+from .entangle import marginal
+
+_FIRST_CHUNK = 64  # chain lengths in the first scan chunk; later chunks double
 
 
 class FalsificationCapError(RuntimeError):
@@ -96,30 +102,38 @@ def find_falsifying_N(
 ) -> FalsificationWitness:
     """Smallest N whose quantum bound 1.5 * I(N, theta) drops below D.
 
-    Scans upward from N = 2 with the closed form; reports the bound on
-    either side of the crossing.  Raises :class:`FalsificationCapError`
-    (carrying the bound at the cap) if the cap is reached first -- which
-    cannot happen for theta = pi and D > 0, but guards misuse at other
-    angles.
+    Scans upward from N = 2 over chunks of the array closed form (64 chain
+    lengths at first, doubling up to :data:`~bellsim.bell.BATCH`).  A chain
+    length whose array bound is below D * (1 + 1e-12) is a candidate, and
+    the first candidate whose scalar :func:`quantum_I_closed_form` bound is
+    below D is the witness, so the result is that of a scalar scan from
+    N = 2.  Reports the bound on either side of the crossing.  Raises
+    :class:`FalsificationCapError` (carrying the bound at the cap) if the
+    cap is reached first -- which cannot happen for theta = pi and D > 0,
+    but guards misuse at other angles.
     """
     if not 0.0 < distance <= 1.0:
         raise ValueError(f"distance must lie in (0, 1], got {distance!r}")
     if n_cap < 2:
         raise ValueError(f"n_cap must be >= 2, got {n_cap!r}")
-    previous_i: float | None = None
-    for n in range(2, n_cap + 1):
-        i_value = quantum_I_closed_form(n, theta)
-        bound = 1.5 * i_value
-        if bound < distance:
-            return FalsificationWitness(
-                n=n, bound=bound, i_value=i_value,
-                previous_bound=None if previous_i is None else 1.5 * previous_i,
-                previous_i=previous_i,
-                distance=distance,
-            )
-        previous_i = i_value
-    assert previous_i is not None
-    raise FalsificationCapError(distance, n_cap, 1.5 * previous_i)
+    start, size = 2, _FIRST_CHUNK
+    while start <= n_cap:
+        ns = np.arange(start, min(start + size, n_cap + 1))
+        near = 1.5 * quantum_I_closed_form_array(ns, theta) < distance * (1.0 + 1e-12)
+        for n in ns[near].tolist():
+            i_value = quantum_I_closed_form(n, theta)
+            bound = 1.5 * i_value
+            if bound < distance:
+                previous_i = quantum_I_closed_form(n - 1, theta) if n > 2 else None
+                return FalsificationWitness(
+                    n=n, bound=bound, i_value=i_value,
+                    previous_bound=None if previous_i is None else 1.5 * previous_i,
+                    previous_i=previous_i,
+                    distance=distance,
+                )
+        start += size
+        size = min(2 * size, BATCH)
+    raise FalsificationCapError(distance, n_cap, 1.5 * quantum_I_closed_form(n_cap, theta))
 
 
 @dataclass(frozen=True)
@@ -144,33 +158,24 @@ class BiasedMarginalModel:
             raise ValueError(f"subensemble index must be 0 or 1, got {k!r}")
         sign = 1.0 if k == 0 else -1.0
         factor = 2.0 * self.bias * sign
+        # rows pp, pm (a = +1) and mp, mm (a = -1)
+        weights = np.array([[1.0 + factor], [1.0 + factor], [1.0 - factor], [1.0 - factor]])
+        base = self.base.probabilities
 
-        def rule(phi_a: float, phi_b: float) -> JointDistribution:
-            d = self.base.rule(phi_a, phi_b)
-            return JointDistribution(
-                p_pp=d.p_pp * (1.0 + factor),
-                p_pm=d.p_pm * (1.0 + factor),
-                p_mp=d.p_mp * (1.0 - factor),
-                p_mm=d.p_mm * (1.0 - factor),
-            )
+        def probabilities(phi_a: np.ndarray, phi_b: np.ndarray) -> np.ndarray:
+            return base(phi_a, phi_b) * weights
 
-        return CorrelationModel(name=f"{self.base.name}_biased_{k}", rule=rule)
+        return CorrelationModel(name=f"{self.base.name}_biased_{k}", probabilities=probabilities)
 
     def ensemble_rule(self) -> CorrelationModel:
-        sub0 = self.subensemble_rule(0)
-        sub1 = self.subensemble_rule(1)
+        sub0 = self.subensemble_rule(0).probabilities
+        sub1 = self.subensemble_rule(1).probabilities
 
-        def rule(phi_a: float, phi_b: float) -> JointDistribution:
-            d0 = sub0.rule(phi_a, phi_b)
-            d1 = sub1.rule(phi_a, phi_b)
-            return JointDistribution(
-                p_pp=0.5 * (d0.p_pp + d1.p_pp),
-                p_pm=0.5 * (d0.p_pm + d1.p_pm),
-                p_mp=0.5 * (d0.p_mp + d1.p_mp),
-                p_mm=0.5 * (d0.p_mm + d1.p_mm),
-            )
+        def probabilities(phi_a: np.ndarray, phi_b: np.ndarray) -> np.ndarray:
+            return 0.5 * (sub0(phi_a, phi_b) + sub1(phi_a, phi_b))
 
-        return CorrelationModel(name=f"{self.base.name}_biased_mixture", rule=rule)
+        return CorrelationModel(name=f"{self.base.name}_biased_mixture",
+                                probabilities=probabilities)
 
     def subensemble_marginal(self, k: int, phi_a: float = 0.0, phi_b: float = 0.0) -> tuple[float, float]:
         """A-side outcome distribution (+1, -1) of subensemble k."""

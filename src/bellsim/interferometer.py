@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .probability import check_distribution
 from .spectra import Spectrum, coherence_time, integrate_over_spectrum
-
-_SUM_TOL = 1e-12
 
 
 class InterferenceRegime(str, enum.Enum):
@@ -53,13 +52,7 @@ class DetectionDistribution:
     p_null: float
 
     def __post_init__(self):
-        entries = (self.p_plus, self.p_minus, self.p_double, self.p_null)
-        for p in entries:
-            if p < -1e-15 or p > 1.0 + 1e-15:
-                raise ValueError(f"probability {p!r} outside [0, 1]")
-        total = sum(entries)
-        if abs(total - 1.0) > _SUM_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
+        check_distribution((self.p_plus, self.p_minus, self.p_double, self.p_null))
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.p_plus, self.p_minus, self.p_double, self.p_null)

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from bellsim.bell import (
+    BATCH,
     ChainedConfig,
     Classification,
+    CorrelationModel,
     boundedness_check,
     chained_I,
     classify,
@@ -64,6 +66,75 @@ def test_closed_form_values():
         quantum_I_closed_form(1, PI)
 
 
+def test_quantum_chain_matches_mpmath_at_large_n():
+    # the fringe law takes its small probabilities from half-angle sines, so
+    # the chained sum keeps full precision; 1 -+ cos(phi) lost 3e-7 at N = 1e5
+    for n in (4962, 10 ** 4, 10 ** 5):
+        with mpmath.workdps(40):
+            a = mpmath.pi / (2 * n)
+            exact = float((1 + mpmath.cos((2 * n - 1) * a)) / 2
+                          + (2 * n - 1) * (1 - mpmath.cos(a)) / 2)
+        got = chained_I(quantum_model(), ChainedConfig(n=n, theta=PI)).i_value
+        assert got == pytest.approx(exact, rel=1e-12, abs=0.0), n
+
+
+def test_contributions_are_a_read_only_array():
+    result = chained_I(quantum_model(), ChainedConfig(n=3, theta=PI))
+    assert result.contributions.dtype == np.float64
+    assert result.contributions.shape == (6,)
+    with pytest.raises(ValueError):
+        result.contributions[0] = 1.0
+
+
+def test_chain_pairs_settings_across_batches():
+    # 2N terms span two rule batches; each term must pair the right settings,
+    # with the even setting on side A
+    n = BATCH // 2 + 3
+    cfg = ChainedConfig(n=n, theta=PI)
+    seen = []
+
+    def recorder(phi_a, phi_b):
+        seen.append((phi_a.copy(), phi_b.copy()))
+        return np.full((4, phi_a.size), 0.25)
+
+    chained_I(CorrelationModel("recorder", recorder), cfg)
+    assert len(seen) == 2
+    low = np.arange(2 * n - 1)
+    want_a = np.concatenate(([0], low + low % 2))
+    want_b = np.concatenate(([2 * n - 1], low + 1 - low % 2))
+    settings = np.array(cfg.settings)
+    assert np.array_equal(np.concatenate([a for a, _ in seen]), settings[want_a])
+    assert np.array_equal(np.concatenate([b for _, b in seen]), settings[want_b])
+
+    rng = np.random.default_rng(5)
+    outcomes = tuple(int(x) for x in rng.choice([-1, 1], size=2 * n))
+    result = chained_I(deterministic_strategy_model(outcomes, cfg), cfg)
+    o = np.array(outcomes)
+    assert result.contributions[0] == float(o[0] == o[-1])
+    assert np.array_equal(result.contributions[1:], (o[:-1] != o[1:]).astype(float))
+    assert result.i_value == deterministic_strategy_value(outcomes)
+
+
+def test_invalid_term_beyond_first_batch_gets_scalar_diagnostic():
+    # term k >= 1 pairs settings k - 1 and k; every term from k = BATCH + 2
+    # on (in the second batch) is skewed by its lower setting index
+    n = BATCH // 2 + 3
+    step = PI / (2 * n)
+    first_bad = BATCH + 2
+
+    def probabilities(phi_a, phi_b):
+        low = np.rint(np.minimum(phi_a, phi_b) / step)
+        p = np.full((4, phi_a.size), 0.25)
+        p[0] += np.where(low >= first_bad - 1, low / 2 ** 20, 0.0)
+        return p
+
+    with pytest.raises(ValueError) as batch:
+        chained_I(CorrelationModel("skewed", probabilities), ChainedConfig(n=n, theta=PI))
+    with pytest.raises(ValueError) as scalar:
+        JointDistribution(0.25 + (first_bad - 1) / 2 ** 20, 0.25, 0.25, 0.25)
+    assert str(batch.value) == str(scalar.value)
+
+
 def test_quantum_theta_zero_is_local_boundary():
     for n in (2, 17, 10 ** 6):
         assert quantum_I_closed_form(n, 0.0) == 1.0
@@ -78,14 +149,31 @@ def test_limit_reached_beyond_minimal_chain_length():
     assert quantum_I_closed_form(1_233_700, PI) > 1e-6 >= quantum_I_closed_form(1_233_701, PI)
 
 
+def enumerated_lhv_minimum(n: int) -> tuple[float, tuple[int, ...], int]:
+    """Brute-force oracle: the chained value of all 2^(2n) deterministic
+    strategies (bit i of the word is setting l_i, set bit = +1), and the
+    first minimizer in ascending word order."""
+    bits = 2 * n
+    words = np.arange(1 << bits, dtype=np.uint64)
+    one = np.uint64(1)
+    flips = np.bitwise_count((words ^ (words >> one)) & np.uint64((1 << (bits - 1)) - 1))
+    closing_equal = one - ((words ^ (words >> np.uint64(bits - 1))) & one)
+    values = flips + closing_equal
+    best = int(np.argmin(values))
+    strategy = tuple(1 if (best >> i) & 1 else -1 for i in range(bits))
+    return float(values[best]), strategy, int(words.size)
+
+
 def test_lhv_minimum_is_one():
-    for n in range(2, 9):
+    for n in range(2, 11):
         result = lhv_minimum_I(n)
+        assert (result.value, result.strategy, result.n_strategies) == enumerated_lhv_minimum(n)
         assert result.value == 1.0
         assert result.n_strategies == 2 ** (2 * n)
         assert result.strategy == tuple([-1] * (2 * n))
-    with pytest.raises(ValueError):
-        lhv_minimum_I(13)
+    # the parity bound holds for every n, not only where enumeration is feasible
+    assert lhv_minimum_I(13).value == 1.0
+    assert lhv_minimum_I(10 ** 6).n_strategies == 4 ** (10 ** 6)
     with pytest.raises(ValueError):
         lhv_minimum_I(1)
 
@@ -159,6 +247,19 @@ def test_chained_rejects_invalid_model_distribution():
 
     with pytest.raises(ValueError):
         chained_I(broken, ChainedConfig(n=2, theta=PI))
+
+    # an array rule gets the diagnostic JointDistribution would give
+    def broken_array(phi_a, phi_b):
+        return np.full((4, phi_a.size), 0.5)
+
+    with pytest.raises(ValueError, match=r"joint probabilities sum to 2\.0, not 1"):
+        chained_I(CorrelationModel("broken", broken_array), ChainedConfig(n=2, theta=PI))
+    with pytest.raises(ValueError, match=r"probability -0\.5 outside \[0, 1\]"):
+        chained_I(CorrelationModel("negative", lambda a, b: np.tile([[1.0], [0.5], [0.0], [-0.5]], a.size)),
+                  ChainedConfig(n=2, theta=PI))
+    with pytest.raises(ValueError, match="shape"):
+        chained_I(CorrelationModel("flat", lambda a, b: np.full(a.size, 0.25)),
+                  ChainedConfig(n=2, theta=PI))
 
 
 def test_classification_thresholds():

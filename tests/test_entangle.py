@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from bellsim.entangle import (
     check_entanglement_conditions,
     downconverted_frequencies,
     ideal_joint_distribution,
+    ideal_joint_probabilities,
     marginal,
     no_signaling_residual,
     path_pair_phase,
@@ -135,6 +137,25 @@ def test_ideal_distribution_values():
     assert dist_map(mid) == {k: 0.25 for k in dist_map(mid)}
     with pytest.raises(ValueError):
         ideal_joint_distribution(0.0, visibility=1.5)
+
+
+def test_ideal_small_probabilities_keep_full_precision():
+    # near phi = 0 the discordance, near phi = pi the concordance is tiny;
+    # both come from half-angle sines, not from 1 -+ V cos(phi).  Near pi the
+    # distance is taken from math.pi (so p_equal(math.pi) is exactly 0),
+    # which costs 1.2e-16 / (pi - |phi|) relative: test at 1e-3 from pi
+    phis = [1e-7, 1e-5, -3e-4, math.pi - 1e-3, -math.pi + 3e-3]
+    for v in (1.0, 0.999999):
+        batch = ideal_joint_probabilities(np.array(phis), v)
+        for m, phi in enumerate(phis):
+            with mpmath.workdps(40):
+                c = mpmath.mpf(v) * mpmath.cos(mpmath.mpf(phi))
+                want_equal, want_differ = float((1 + c) / 2), float((1 - c) / 2)
+            d = ideal_joint_distribution(phi, v)
+            for got_equal, got_differ in ((d.p_equal, d.p_differ),
+                                          (batch[0, m] + batch[3, m], batch[1, m] + batch[2, m])):
+                assert got_equal == pytest.approx(want_equal, rel=1e-12, abs=0.0), phi
+                assert got_differ == pytest.approx(want_differ, rel=1e-12, abs=0.0), phi
 
 
 def test_ideal_marginals_uniform():
