@@ -157,10 +157,8 @@ def _wavepacket_probabilities(phi: float, dphi: float, tol: float) -> tuple[floa
         path_delay_tau=1.0,
         source=Spectrum(shape="rectangular", center=phi + turns * _TWO_PI, bandwidth=dphi),
     )
-    return (
-        interferometer.probability_wavepacket(+1, cfg, tol),
-        interferometer.probability_wavepacket(-1, cfg, tol),
-    )
+    p_plus = interferometer.probability_wavepacket(+1, cfg, tol)
+    return p_plus, 1.0 - p_plus
 
 
 def _row_interf(spec: ScanSpec, index: int, point: dict) -> dict:

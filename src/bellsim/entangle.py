@@ -10,7 +10,8 @@ interference carries the nonlocal fringe.  The module provides
   an array,
 * correlation models: array rules validated once per batch,
 * the full four-path spectral model with per-pair coherence factors and
-  coincidence-window post-selection,
+  coincidence-window post-selection; each factor is a product of real
+  envelopes, because every spectral density is even about its center,
 * the coherence-ratio checks that the ideal limit requires,
 * no-signaling diagnostics on arbitrary correlation rules, and
 * the two-photon counterpart of the beam-splitter unitarity condition.
@@ -327,24 +328,29 @@ def _arrival_offset(name: str, tau_a: float, tau_b: float) -> float:
     return (tau_a if a_long else 0.0) - (tau_b if b_long else 0.0)
 
 
-def _class_linear_phase(name: str, tau_a: float, tau_b: float) -> tuple[float, float]:
-    """Coefficients (alpha, beta) of the class phase alpha*w + beta*w_off."""
-    a_long, b_long = _CLASSES[name]
-    ta = tau_a if a_long else 0.0
-    tb = tau_b if b_long else 0.0
-    return (0.5 * (ta + tb), ta - tb)
+def _pair_linear_phase(u: str, v: str, tau_a: float, tau_b: float) -> tuple[float, float]:
+    """Coefficients (alpha, beta) of the phase difference alpha*w + beta*w_off
+    between classes u and v.
+
+    Formed from the exact arm-delay differences, so pairs whose |alpha| or
+    |beta| agree in exact arithmetic also agree in floating point.
+    """
+    (ua, ub), (va, vb) = _CLASSES[u], _CLASSES[v]
+    d_a = (tau_a if ua else 0.0) - (tau_a if va else 0.0)
+    d_b = (tau_b if ub else 0.0) - (tau_b if vb else 0.0)
+    return (0.5 * (d_a + d_b), d_a - d_b)
 
 
-def _complex_envelope(spectrum: Spectrum, gamma: float, tol: float) -> complex:
-    """K * integral of exp(i*gamma*(w - center)) against the density.
+def _envelope(spectrum: Spectrum, gamma: float, tol: float) -> float:
+    """K * integral of cos(gamma*(w - center)) against the density.
 
     Centering removes the fast carrier so the quadrature only sees the
-    envelope oscillation across the bandwidth.
+    envelope oscillation across the bandwidth.  Every density is even about
+    its center on a symmetric support, so the matching sine integral is
+    exactly zero and the envelope is real and even in gamma.
     """
     c = spectrum.center
-    re = integrate_over_spectrum(spectrum, lambda w: np.cos(gamma * (w - c)), tol)
-    im = integrate_over_spectrum(spectrum, lambda w: np.sin(gamma * (w - c)), tol)
-    return complex(re, im)
+    return integrate_over_spectrum(spectrum, lambda w: np.cos(gamma * (w - c)), tol)
 
 
 def physical_joint_distribution(cfg: FransonConfig, tol: float = 1e-10) -> FransonResult:
@@ -352,10 +358,12 @@ def physical_joint_distribution(cfg: FransonConfig, tol: float = 1e-10) -> Frans
 
     Sums the surviving path-class populations and every interference term
     between kept classes, each weighted by the pump/offset coherence factor
-    obtained by integrating the relative phase over both spectra.  Classes
-    whose arrival-time offset exceeds the coincidence window are discarded
-    and the result renormalized.  The fringe visibility is extracted exactly
-    from the concordance probability's single-harmonic dependence on a
+    obtained by integrating the relative phase over both spectra.  The
+    factor is a product of real envelopes, one cosine integral per distinct
+    |gamma| and spectrum (see :func:`_envelope`).  Classes whose
+    arrival-time offset exceeds the coincidence window are discarded and the
+    result renormalized.  The fringe visibility is extracted exactly from
+    the concordance probability's single-harmonic dependence on a
     carrier-phase sweep.
     """
     w_a, w_b = downconverted_frequencies(cfg)
@@ -382,23 +390,23 @@ def physical_joint_distribution(cfg: FransonConfig, tol: float = 1e-10) -> Frans
         return ka * kb
 
     # Spectral coherence factor for each unordered kept pair, with envelope
-    # integrals cached by their linear coefficient.
-    env_pump: dict[float, complex] = {}
-    env_off: dict[float, complex] = {}
+    # integrals cached by |gamma|.
+    env_pump: dict[float, float] = {}
+    env_off: dict[float, float] = {}
 
-    def envelope(spectrum: Spectrum, cache: dict[float, complex], gamma: float) -> complex:
+    def envelope(spectrum: Spectrum, cache: dict[float, float], gamma: float) -> float:
+        gamma = abs(gamma)
         if gamma not in cache:
-            cache[gamma] = _complex_envelope(spectrum, gamma, tol)
+            cache[gamma] = _envelope(spectrum, gamma, tol)
         return cache[gamma]
 
     pairs = []
     for i, u in enumerate(kept):
         for v in kept[i + 1:]:
-            au, bu = _class_linear_phase(u, tau_a, tau_b)
-            av, bv = _class_linear_phase(v, tau_a, tau_b)
+            alpha, beta = _pair_linear_phase(u, v, tau_a, tau_b)
             coherence = (
-                envelope(cfg.pump, env_pump, au - av)
-                * envelope(cfg.photon_offset, env_off, bu - bv)
+                envelope(cfg.pump, env_pump, alpha)
+                * envelope(cfg.photon_offset, env_off, beta)
             )
             pairs.append((u, v, coherence))
 
@@ -416,8 +424,8 @@ def physical_joint_distribution(cfg: FransonConfig, tol: float = 1e-10) -> Frans
             total = sum(abs(coeff(name, a, b)) ** 2 for name in kept)
             for u, v, coherence in pairs:
                 cross = (coeff(u, a, b) * coeff(v, a, b).conjugate()
-                         * phase[u] * phase[v].conjugate() * coherence)
-                total += 2.0 * cross.real
+                         * phase[u] * phase[v].conjugate())
+                total += 2.0 * cross.real * coherence
             probs[(a, b)] = total
         return probs
 
@@ -432,11 +440,12 @@ def physical_joint_distribution(cfg: FransonConfig, tol: float = 1e-10) -> Frans
 
     # p_equal(chi) = u0 + A cos(chi) + B sin(chi): three samples pin the
     # harmonic, and the fringe contrast is sqrt(A^2+B^2)/u0.
-    def p_equal(chi: float) -> float:
-        p = raw_probabilities(chi)
+    def p_equal(p: dict[tuple[int, int], float]) -> float:
         return (p[(1, 1)] + p[(-1, -1)]) / weight
 
-    pe_0, pe_quarter, pe_half = p_equal(0.0), p_equal(0.5 * math.pi), p_equal(math.pi)
+    pe_0 = p_equal(raw)
+    pe_quarter = p_equal(raw_probabilities(0.5 * math.pi))
+    pe_half = p_equal(raw_probabilities(math.pi))
     u0 = 0.5 * (pe_0 + pe_half)
     a_cos = 0.5 * (pe_0 - pe_half)
     b_sin = pe_quarter - u0

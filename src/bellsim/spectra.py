@@ -5,7 +5,10 @@ characteristic bandwidth.  Everything downstream (wave-packet interference,
 two-photon coherence factors) reduces to weighted integrals of smooth
 oscillatory functions against these densities, so the one numerical
 primitive exported here is :func:`integrate_over_spectrum`: adaptive
-panel-based Gauss-Legendre quadrature with a hard node budget.
+panel-based Gauss-Legendre quadrature with a hard node budget.  Its nodes
+are offsets from the spectrum's center, at which the density is evaluated,
+so a narrow spectrum keeps full resolution at an optical center frequency;
+the integrand receives the absolute frequencies center + offset.
 
 All functions are pure; there is no shared mutable state.
 """
@@ -78,11 +81,15 @@ class Spectrum:
             )
 
     @property
-    def support(self) -> tuple[float, float]:
+    def half_width(self) -> float:
+        """Half the width of the support, which is symmetric about the center."""
         if self.shape is SpectrumShape.RECTANGULAR:
-            half = self.bandwidth / 2.0
-        else:
-            half = GAUSSIAN_TRUNCATION * self.bandwidth
+            return self.bandwidth / 2.0
+        return GAUSSIAN_TRUNCATION * self.bandwidth
+
+    @property
+    def support(self) -> tuple[float, float]:
+        half = self.half_width
         return (self.center - half, self.center + half)
 
     @property
@@ -95,11 +102,14 @@ class Spectrum:
         full = math.sqrt(math.pi / a) * math.erf(GAUSSIAN_TRUNCATION * self.bandwidth * math.sqrt(a))
         return 1.0 / full
 
-    def density(self, omega: np.ndarray) -> np.ndarray:
-        """Unnormalized density evaluated inside the support."""
+    def density(self, offset: np.ndarray) -> np.ndarray:
+        """Unnormalized density at ``offset`` = w - center inside the support.
+
+        Both shapes are even in the offset.
+        """
         if self.shape is SpectrumShape.RECTANGULAR:
-            return np.ones_like(omega)
-        x = (omega - self.center) / self.bandwidth
+            return np.ones_like(offset)
+        x = offset / self.bandwidth
         return np.exp(-4.0 * math.log(2.0) * x * x)
 
 
@@ -149,25 +159,31 @@ def integrate_over_spectrum(
 ) -> float:
     """Integral of f(w) against the normalized density, to absolute error <= tol.
 
-    ``f`` must accept numpy arrays and be bounded on the support.  Panels are
-    doubled until two successive refinements agree within ``tol``; exceeding
-    ``node_budget`` nodes in a single pass raises :class:`IntegrationError`
-    with the achieved error estimate.  Fixed panel/node layout keeps results
-    deterministic.
+    ``f`` must accept a 1-D numpy array of absolute frequencies and be
+    bounded on the support.  The Gauss-Legendre nodes are built as offsets
+    u in [-half_width, half_width] from the center; the density is evaluated
+    at u (a gaussian one folded into the weights, a rectangular one skipped)
+    and ``f`` at center + u.  Panels are doubled until two successive
+    refinements agree within ``tol``; exceeding ``node_budget`` nodes in a
+    single pass raises :class:`IntegrationError` with the achieved error
+    estimate.  Fixed panel/node layout keeps results deterministic.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    lo, hi = spectrum.support
+    half = spectrum.half_width
+    center = spectrum.center
     k = spectrum.normalization
+    weighted = spectrum.shape is not SpectrumShape.RECTANGULAR
 
     def one_pass(n_panels: int) -> float:
-        edges = np.linspace(lo, hi, n_panels + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        halves = 0.5 * (edges[1:] - edges[:-1])
-        nodes = mids[:, None] + halves[:, None] * _GL_NODES[None, :]
-        weights = halves[:, None] * _GL_WEIGHTS[None, :]
-        vals = np.asarray(f(nodes)) * spectrum.density(nodes)
-        return k * float(np.sum(weights * vals))
+        # Equal panels of half-width h centered at h*(1 - n), h*(3 - n), ...,
+        # h*(n - 1): the nodes are exactly symmetric about the center.
+        h = half / n_panels
+        offsets = h * (np.arange(1 - n_panels, n_panels, 2.0)[:, None] + _GL_NODES).ravel()
+        weights = np.tile(h * _GL_WEIGHTS, n_panels)
+        if weighted:
+            weights *= spectrum.density(offsets)
+        return k * float(np.dot(weights, f(center + offsets)))
 
     n_panels = 4
     previous = one_pass(n_panels)

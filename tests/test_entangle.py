@@ -312,6 +312,97 @@ def test_physical_matches_dense_grid_oracle_no_postselection():
     assert max(abs(oracle[k] - model[k]) for k in oracle) <= 1e-6
 
 
+def mp_envelope(shape: str, bandwidth: float, gamma):
+    """Mean of exp(i*gamma*x) over the centered density: a sinc for the
+    rectangular one, the complex-erf form of the gaussian truncated at 5
+    bandwidths."""
+    if gamma == 0:
+        return mpmath.mpf(1)
+    b = mpmath.mpf(bandwidth)
+    if shape == "rectangular":
+        return mpmath.sin(gamma * b / 2) / (gamma * b / 2)
+    root_a = 2 * mpmath.sqrt(mpmath.log(2)) / b  # density exp(-(root_a x)^2)
+    edge = 5 * b * root_a
+    shifted = mpmath.erf(mpmath.mpc(edge, gamma / (2 * root_a)))
+    return mpmath.exp(-(gamma / (2 * root_a)) ** 2) * shifted.real / mpmath.erf(edge)
+
+
+def mp_physical_franson(shape, pump_center, pump_bandwidth, offset_bandwidth,
+                        tau_a, tau_b, window):
+    """Joint probabilities, visibility and ll-ss carrier phase of the
+    four-path model, in 50-digit arithmetic from closed-form envelopes.
+
+    Each photon crosses two symmetric splitters (1/sqrt2)[[1, i], [i, 1]]
+    entering port 0; outcome +1 is output port 1.  A class (ta, tb) of long
+    (delay) or short (0) arms has phase w_a*ta + w_b*tb, that is pump offset
+    times (ta + tb)/2 plus photon offset times (ta - tb) around the carrier.
+    The fringe is the first harmonic in an extra phase chi on side A's long
+    arm: p_equal(chi) = const + Re(h exp(i chi)), visibility |h|/const.
+    """
+    with mpmath.workdps(50):
+        split = mpmath.matrix([[1, 1j], [1j, 1]]) / mpmath.sqrt(2)
+        port = {+1: 1, -1: 0}
+
+        def amplitude(long_arm, outcome):
+            arm = 0 if long_arm else 1
+            return split[port[outcome], arm] * split[arm, 0]
+
+        w = mpmath.mpf(pump_center)
+        w_a = w_b = w / 2
+        t_a, t_b = mpmath.mpf(tau_a), mpmath.mpf(tau_b)
+        classes = []
+        for a_long in (True, False):
+            for b_long in (True, False):
+                ta, tb = (t_a if a_long else 0), (t_b if b_long else 0)
+                if window is None or abs(ta - tb) <= window:
+                    classes.append((a_long, b_long, ta, tb))
+        const, harmonic = {}, {}
+        for a in (1, -1):
+            for b in (1, -1):
+                amps = [amplitude(al, a) * amplitude(bl, b) * mpmath.expj(w_a * ta + w_b * tb)
+                        for al, bl, ta, tb in classes]
+                const[a, b] = sum(abs(x) ** 2 for x in amps)
+                harmonic[a, b] = mpmath.mpc(0)
+                for i, (al, _, ta, tb) in enumerate(classes):
+                    for j, (al2, _, ta2, tb2) in enumerate(classes[:i]):
+                        term = amps[i] * mpmath.conj(amps[j]) * (
+                            mp_envelope(shape, pump_bandwidth, (ta + tb - ta2 - tb2) / 2)
+                            * mp_envelope(shape, offset_bandwidth, (ta - tb) - (ta2 - tb2)))
+                        step = int(al) - int(al2)
+                        if step == 0:
+                            const[a, b] += 2 * term.real
+                        else:
+                            harmonic[a, b] += 2 * (term if step == 1 else mpmath.conj(term))
+        total = sum(const[k] + harmonic[k].real for k in const)
+        probs = {k: (const[k] + harmonic[k].real) / total for k in const}
+        visibility = (abs(harmonic[1, 1] + harmonic[-1, -1])
+                      / (const[1, 1] + const[-1, -1]))
+        return probs, visibility, w_a * t_a + w_b * t_b
+
+
+@pytest.mark.parametrize("shape", ["rectangular", "gaussian"])
+@pytest.mark.parametrize("window", [None, 0.5e-9])
+@pytest.mark.parametrize("tau_b", [1e-9, 1.0005e-9])
+def test_physical_matches_mpmath_oracle_at_readme_setup(shape, window, tau_b):
+    """The README set-up (pump 2.4e15 rad/s wide 6.28e3, offset width
+    6.28e12, tau_a = 1 ns), with and without post-selection.  The carrier
+    phase of 2.4e6 rad held in a double is uncertain by a few ulps, which
+    moves the probabilities by up to that many radians."""
+    cfg = FransonConfig(
+        pump=Spectrum(shape, 2.4e15, 6.28e3),
+        photon_offset=Spectrum(shape, 0.0, 6.28e12, signed=True),
+        tau_a=1e-9, tau_b=tau_b, coincidence_window=window,
+    )
+    result = physical_joint_distribution(cfg, 1e-10)
+    want, visibility, phase = mp_physical_franson(
+        shape, 2.4e15, 6.28e3, 6.28e12, 1e-9, tau_b, window)
+    tol = 1e-10 + 4 * math.ulp(float(phase))
+    got = dist_map(result.distribution)
+    assert max(abs(got[k] - float(want[k])) for k in got) <= tol
+    assert abs(result.visibility - float(visibility)) <= tol
+    assert abs(result.mean_phase - float(phase)) <= 4 * math.ulp(float(phase))
+
+
 def test_no_signaling_residuals():
     grid = np.linspace(0.0, TWO_PI, 16)
     assert no_signaling_residual(quantum_model(), grid, grid) <= 1e-12

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellsim.spectra import (
     PLANCK_CONSTANT,
@@ -71,6 +73,43 @@ def test_gaussian_fringe_matches_transform():
         got = integrate_over_spectrum(s, lambda om: np.cos(gamma * (om - 100.0)), tol=1e-10)
         expected = math.exp(-(gamma * w) ** 2 / (16.0 * math.log(2.0)))
         assert abs(got - expected) <= 1e-8
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-9, 1e-6, 3e-5, 5e-5])
+def test_narrow_gaussian_at_optical_center_keeps_full_precision(gamma):
+    """A 6.28e3 rad/s gaussian pump at 2.4e15 rad/s, where one ulp of the
+    absolute frequency (0.5) is 8e-5 of the bandwidth: the density is
+    evaluated at offsets from the center, so both integrals reach 1e-10."""
+    center, bandwidth = 2.4e15, 6.28e3
+    s = Spectrum(shape="gaussian", center=center, bandwidth=bandwidth)
+    assert abs(integrate_over_spectrum(s, np.ones_like, tol=1e-10) - 1.0) <= 1e-10
+    got = integrate_over_spectrum(s, lambda w: np.cos(gamma * (w - center)), tol=1e-10)
+    # truncation at 5 bandwidths drops erfc(5*sqrt(4 ln 2)) ~ 1e-31 of the mass
+    expected = math.exp(-(gamma * bandwidth) ** 2 / (16.0 * math.log(2.0)))
+    assert abs(got - expected) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["rectangular", "gaussian"]),
+    st.floats(min_value=-3.0, max_value=12.0),   # log10 of the bandwidth
+    st.floats(min_value=0.0, max_value=50.0),    # center in bandwidths
+    st.floats(min_value=0.0, max_value=300.0),   # gamma * bandwidth
+)
+def test_envelopes_are_real_and_even(shape, log_bandwidth, center_factor, gamma_bandwidth):
+    """Both densities are even about their center on a symmetric support:
+    the sine integral vanishes and the cosine envelope is even in gamma."""
+    bandwidth = 10.0 ** log_bandwidth
+    center = center_factor * bandwidth
+    s = Spectrum(shape=shape, center=center, bandwidth=bandwidth, signed=True)
+    gamma = gamma_bandwidth / bandwidth
+    tol = 1e-10
+
+    def envelope(f, g):
+        return integrate_over_spectrum(s, lambda w: f(g * (w - center)), tol=tol)
+
+    assert abs(envelope(np.sin, gamma)) <= tol
+    assert abs(envelope(np.cos, -gamma) - envelope(np.cos, gamma)) <= 4 * 2.0 ** -52
 
 
 def test_integration_failure_reports_estimate():
