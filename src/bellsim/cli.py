@@ -4,10 +4,11 @@ Subcommands: ``interf``, ``unitarity``, ``franson``, ``chained``,
 ``extensions``, ``sample``.  Each scan takes one or more named value grids,
 evaluates one row per grid point (cartesian product, declaration order),
 and writes CSV or JSON.  Scans are configured by flags, by a JSON config
-document, or both (flags win).  Outputs are byte-identical for identical
-spec and seed, independent of the worker count: rows are pure functions of
-the grid point (plus a per-row stream index for sampling) and are written
-in grid order.
+document, or both (flags win).  Rows run one after another in grid order on
+the calling thread; ``--workers`` is still accepted and validated (>= 1) but
+changes nothing, and the JSON artifact leaves it out of its ``spec``.
+Outputs are byte-identical for identical spec and seed: rows are pure
+functions of the grid point (plus a per-row stream index for sampling).
 
 Exit codes: 0 success, 1 any row failed numerically (the row's ``error``
 column carries the diagnostic and the scan continues), 2 usage or config
@@ -17,10 +18,10 @@ error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -401,20 +402,18 @@ def validate_spec(spec: ScanSpec) -> None:
             raise ConfigError(
                 f"unknown sample model {model!r}; expected one of {sorted(_SAMPLE_MODELS)}"
             )
+    if isinstance(spec.tolerance, bool) or not isinstance(spec.tolerance, (int, float)):
+        raise ConfigError(f"tolerance must be a real number, got {spec.tolerance!r}")
     if not spec.tolerance > 0.0:
         raise ConfigError(f"tolerance must be positive, got {spec.tolerance!r}")
-    if spec.workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {spec.workers!r}")
-    if spec.seed is not None and not 0 <= spec.seed < 2 ** 64:
+    if not _is_int(spec.workers) or spec.workers < 1:
+        raise ConfigError(f"workers must be an integer >= 1, got {spec.workers!r}")
+    if spec.seed is not None and not (_is_int(spec.seed) and 0 <= spec.seed < 2 ** 64):
         raise ConfigError(f"seed must be a non-negative 64-bit integer, got {spec.seed!r}")
 
 
-def _grid_points(spec: ScanSpec) -> tuple[tuple[str, ...], list[dict]]:
-    names = tuple(spec.grids)
-    points: list[dict] = [{}]
-    for name in names:
-        points = [dict(p, **{name: v}) for p in points for v in spec.grids[name]]
-    return names, points
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _format_cell(value) -> str:
@@ -430,8 +429,26 @@ def _format_cell(value) -> str:
     return text
 
 
+# Cell writers by exact type; every other type (bool, numpy scalars,
+# strings) goes through _format_cell, the one place that knows the quoting.
+_CELL_FORMATS = {float: float.__repr__, int: int.__repr__}
+
+# One row of the JSON artifact at its depth in the indent=2 document.  With
+# indent=None the encoder runs in C; the item separator supplies the line
+# breaks and indentation that indent=2 would.
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+
+
+def _json_row(row: dict) -> str:
+    return "{\n      " + _ROW_ENCODER.encode(row)[1:-1] + "\n    }"
+
+
 def run_scan(spec: ScanSpec) -> int:
-    """Execute the scan and write its artifact; returns the exit status."""
+    """Execute the scan and write its artifact; returns the exit status.
+
+    Rows run in grid order on the calling thread and are formatted as they
+    complete; ``spec.workers`` does not change how they run.
+    """
     validate_spec(spec)
     sub = _SUBCOMMANDS[spec.subcommand]
     params = dict(sub.defaults)
@@ -439,41 +456,41 @@ def run_scan(spec: ScanSpec) -> int:
     spec = ScanSpec(**{**spec.to_dict(), "params": params,
                        "grids": spec.grids})
 
-    input_names, points = _grid_points(spec)
+    input_names = tuple(spec.grids)
     output_names = tuple(sub.output_columns(spec))
-
-    def compute(task: tuple[int, dict]) -> tuple[dict, str]:
-        index, point = task
+    columns = input_names + output_names + ("error",)
+    blank = dict.fromkeys(output_names, "")
+    csv = spec.format == "csv"
+    cell = _CELL_FORMATS.get
+    parts = [",".join(columns) + "\n"] if csv else []
+    failed = False
+    for index, values in enumerate(itertools.product(*spec.grids.values())):
+        point = dict(zip(input_names, values))
         try:
-            return sub.row(spec, index, point), ""
+            outputs, error = sub.row(spec, index, point), ""
         except (ValueError, KeyError, IntegrationError,
                 extensions.FalsificationCapError) as e:
-            return {name: "" for name in output_names}, f"{type(e).__name__}: {e}"
+            outputs, error = blank, f"{type(e).__name__}: {e}"
+            failed = True
+        row = {**point, **outputs, "error": error}
+        if csv:
+            parts.append(",".join([cell(type(v), _format_cell)(v)
+                                   for v in map(row.__getitem__, columns)]) + "\n")
+        else:
+            parts.append(_json_row(row))
 
-    tasks = list(enumerate(points))
-    if spec.workers == 1:
-        results = [compute(t) for t in tasks]
+    if csv:
+        text = "".join(parts)
     else:
-        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            results = list(pool.map(compute, tasks))
-
-    rows = []
-    failed = False
-    for (index, point), (outputs, error) in zip(tasks, results):
-        row = {name: point[name] for name in input_names}
-        row.update(outputs)
-        row["error"] = error
-        rows.append(row)
-        failed = failed or bool(error)
-
-    columns = input_names + output_names + ("error",)
-    if spec.format == "csv":
-        text = ",".join(columns) + "\n"
-        for row in rows:
-            text += ",".join(_format_cell(row[c]) for c in columns) + "\n"
-    else:
-        text = json.dumps({"spec": spec.to_dict(), "rows": rows},
-                          indent=2, sort_keys=True) + "\n"
+        # The worker count stays out of the artifact, which must not depend
+        # on it.  Spliced so that text == json.dumps({"spec": doc_spec,
+        # "rows": rows}, indent=2, sort_keys=True) + "\n"; rows are never
+        # empty because every grid is nonempty.
+        doc_spec = spec.to_dict()
+        del doc_spec["workers"]
+        spec_text = json.dumps(doc_spec, indent=2, sort_keys=True)
+        text = ('{\n  "rows": [\n    ' + ",\n    ".join(parts) + "\n  ],\n"
+                '  "spec": ' + spec_text.replace("\n", "\n  ") + "\n}\n")
 
     if spec.output == "-":
         sys.stdout.write(text)
@@ -518,7 +535,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", help="output path, '-' for stdout (default)")
     common.add_argument("--format", choices=["csv", "json"], help="output format")
     common.add_argument("--tolerance", type=float, help="numeric tolerance")
-    common.add_argument("--workers", type=int, help="concurrent row evaluation")
+    common.add_argument("--workers", type=int,
+                        help="accepted for compatibility (>= 1); rows always run "
+                             "in grid order on one thread")
     common.add_argument("--seed", type=int, help="RNG seed (required for sample)")
 
     sub = parser.add_subparsers(dest="subcommand")
@@ -595,9 +614,14 @@ def _spec_from_args(args: argparse.Namespace) -> ScanSpec:
             spec.params[name] = value
     window = spec.params.get("coincidence_window")
     if isinstance(window, str) and window not in ("auto",):
-        spec.params["coincidence_window"] = (
-            None if window.lower() == "none" else float(window)
-        )
+        try:
+            spec.params["coincidence_window"] = (
+                None if window.lower() == "none" else float(window)
+            )
+        except ValueError:
+            raise ConfigError(
+                f"coincidence_window must be seconds, 'none' or 'auto', got {window!r}"
+            ) from None
     return spec
 
 

@@ -414,11 +414,15 @@ def physical_joint_distribution(cfg: FransonConfig, tol: float = 1e-10) -> Frans
 
     def raw_probabilities(chi: float) -> dict[tuple[int, int], float]:
         """Un-normalized joint probabilities with an extra phase chi on the
-        long arm at side A (a sub-wavelength delay tweak)."""
+        long arm at side A (a sub-wavelength delay tweak).
+
+        chi multiplies in as its own factor: added to a carrier of up to
+        1e10 rad it would be rounded to that carrier's ulp."""
+        sweep = cmath.exp(1j * chi)
         phase = {}
         for name in kept:
             a_long, _ = _CLASSES[name]
-            phase[name] = cmath.exp(1j * (carrier(name) + (chi if a_long else 0.0)))
+            phase[name] = cmath.exp(1j * carrier(name)) * (sweep if a_long else 1.0)
         probs = {}
         for a, b in outcomes:
             total = sum(abs(coeff(name, a, b)) ** 2 for name in kept)

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from bellsim.bell import quantum_I_closed_form
-from bellsim.cli import ConfigError, ScanSpec, load_config, main, run_scan
+from bellsim.cli import ConfigError, ScanSpec, _json_row, load_config, main, run_scan
 
 PI = math.pi
 
@@ -224,3 +224,98 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert out.read_text().startswith("phi,p_plus,p_minus,error")
+
+
+def test_json_artifact_does_not_depend_on_workers(tmp_path):
+    args = ["chained", "--grid", "n=2,3,4", "--format", "json",
+            "--output", str(tmp_path / "out.json")]
+    blobs = []
+    for workers in ("1", "4"):
+        assert main(args + ["--workers", workers]) == 0
+        blobs.append((tmp_path / "out.json").read_bytes())
+    assert blobs[0] == blobs[1]
+    assert "workers" not in json.loads(blobs[0])["spec"]
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["franson", "--grid", "phi=0", "--coincidence-window", "abc"], None),
+    (["interf"], {"subcommand": "interf", "grids": {"phi": [0]}, "workers": "2"}),
+    (["interf"], {"subcommand": "interf", "grids": {"phi": [0]}, "tolerance": "x"}),
+    (["interf"], {"subcommand": "interf", "grids": {"phi": [0]}, "seed": "1"}),
+], ids=["coincidence_window", "workers", "tolerance", "seed"])
+def test_malformed_option_values_exit_two(tmp_path, capsys, argv, config):
+    if config is not None:
+        path = tmp_path / "scan.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    assert main(argv + ["--output", str(tmp_path / "out.csv")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+FRANSON_PHYSICAL = ["--mode", "physical", "--pump-center", "2.4e15",
+                    "--pump-bandwidth", "6.28e3", "--offset-bandwidth", "6.28e12",
+                    "--tau-a", "1e-9"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["interf", "--grid", "phi=nan,inf,-0.0,1e-300"],
+    ["interf", "--grid", "phi=0,1", "--grid", "dphi=0,3.14"],
+    ["unitarity", "--grid", "reflection_phase=0.5,1.5707963267948966", "--grid", "phi=0,1"],
+    ["franson", "--grid", "phi=0,1.5,3.141592653589793"],
+    ["franson", "--grid", "tau_b=1e-9,1.0005e-9", *FRANSON_PHYSICAL],
+    ["chained", "--grid", "n=2,3,2.5", "--model", "pr_box"],
+    ["extensions", "--grid", "d=0.9,1e-9", "--n-cap", "50"],
+    ["sample", "--grid", "phi=0,1", "--seed", "5", "--n", "1000"],
+], ids=lambda argv: argv[0])
+def test_json_artifact_is_the_indented_document(tmp_path, argv):
+    out = tmp_path / "out.json"
+    assert main(argv + ["--format", "json", "--output", str(out)]) in (0, 1)
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def test_json_row_encoder_matches_json_dumps():
+    rows = [
+        {"nan": math.nan, "inf": math.inf, "ninf": -math.inf, "zero": -0.0,
+         "tiny": 5e-324, "flag": True, "off": False, "none": None, "count": 7},
+        {"accent": "é", "quote": '"', "backslash": "\\", "newline": "\n",
+         "error": "ValueError: a, b"},
+        {"error": ""},
+    ]
+    for row in rows:
+        want = json.dumps({"rows": [row]}, indent=2, sort_keys=True)
+        assert '{\n  "rows": [\n    ' + _json_row(row) + "\n  ]\n}" == want
+
+
+# Artifacts recorded before the writer was rewritten: a bool column
+# (valid), int columns (counts, witness_n), empty cells and quoted errors.
+GOLDEN_CSV = [
+    (["unitarity", "--grid", "reflection_phase=0.7853981633974483,1.5707963267948966",
+      "--grid", "phi=0.5"],
+     "reflection_phase,phi,residual,valid,p_plus,p_minus,total,error\n"
+     "0.7853981633974483,0.5,0.7071067811865475,0,0.938791280945186,"
+     "0.7397127693021013,1.6785040502472874,\n"
+     "1.5707963267948966,0.5,6.123233995736765e-17,1,0.9387912809451858,"
+     "0.06120871905481365,0.9999999999999994,\n"),
+    (["sample", "--grid", "phi=0,3.141592653589793", "--seed", "3", "--n", "1000"],
+     "phi,n_plus,n_minus,n_double,n_null,error\n"
+     "0.0,1000,0,0,0,\n"
+     "3.141592653589793,0,1000,0,0,\n"),
+    (["chained", "--grid", "n=2,3,2.5", "--model", "pr_box"],
+     "n,theta,model,i_value,i_closed_form,classification,error\n"
+     "2.0,3.141592653589793,pr_box,0.0,,maximal_nonlocal,\n"
+     "3.0,3.141592653589793,pr_box,0.0,,maximal_nonlocal,\n"
+     '2.5,,,,,,"ValueError: n must be an integer, got 2.5"\n'),
+    (["extensions", "--grid", "d=0.9,1e-9", "--n-cap", "50"],
+     "d,witness_n,bound_at_witness,i_at_witness,bound_at_prev,error\n"
+     "0.9,2,0.8786796564403574,0.585786437626905,,\n"
+     "1e-09,,,,,FalsificationCapError: no N <= 50 with bound < 1e-09: "
+     "bound at the cap is 0.037007972570133225\n"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN_CSV, ids=[a[0] for a, _ in GOLDEN_CSV])
+def test_csv_artifact_bytes(tmp_path, argv, expected):
+    out = tmp_path / "out.csv"
+    main(argv + ["--output", str(out)])
+    assert out.read_bytes() == expected.encode()

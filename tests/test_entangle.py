@@ -403,6 +403,24 @@ def test_physical_matches_mpmath_oracle_at_readme_setup(shape, window, tau_b):
     assert abs(result.mean_phase - float(phase)) <= 4 * math.ulp(float(phase))
 
 
+@pytest.mark.parametrize("shape", ["rectangular", "gaussian"])
+@pytest.mark.parametrize("tau", [1e-7, 1e-6, 1e-5])
+def test_physical_visibility_matches_mpmath_oracle_at_long_delays(shape, tau):
+    """Microsecond delays put the carrier phase at 2.4e8-2.4e10 rad.  The
+    post-selected visibility does not depend on the carrier, so the
+    visibility sweep must not round with it."""
+    pump_bandwidth = TWO_PI / (100.0 * tau)
+    cfg = FransonConfig(
+        pump=Spectrum(shape, 2.4e15, pump_bandwidth),
+        photon_offset=Spectrum(shape, 0.0, 6.28e12, signed=True),
+        tau_a=tau, tau_b=tau, coincidence_window=0.5 * tau,
+    )
+    result = physical_joint_distribution(cfg, 1e-10)
+    _, visibility, _ = mp_physical_franson(
+        shape, 2.4e15, pump_bandwidth, 6.28e12, tau, tau, 0.5 * tau)
+    assert abs(result.visibility - float(visibility)) <= 1e-9
+
+
 def test_no_signaling_residuals():
     grid = np.linspace(0.0, TWO_PI, 16)
     assert no_signaling_residual(quantum_model(), grid, grid) <= 1e-12
