@@ -4,11 +4,20 @@ Subcommands: ``interf``, ``unitarity``, ``franson``, ``chained``,
 ``extensions``, ``sample``.  Each scan takes one or more named value grids,
 evaluates one row per grid point (cartesian product, declaration order),
 and writes CSV or JSON.  Scans are configured by flags, by a JSON config
-document, or both (flags win).  Rows run one after another in grid order on
-the calling thread; ``--workers`` is still accepted and validated (>= 1) but
-changes nothing, and the JSON artifact leaves it out of its ``spec``.
-Outputs are byte-identical for identical spec and seed: rows are pure
-functions of the grid point (plus a per-row stream index for sampling).
+document, or both (flags win).
+
+Every parameter is declared once, as a ``_Param`` entry: scan parameters
+and grid axes in ``_SUBCOMMANDS``, common options on their ``ScanSpec``
+field.  The argparse parser, the copy of flags into the spec, the
+defaults and :func:`validate_spec` derive from the entries, so flags,
+config documents and ``ScanSpec`` objects are checked alike and a wrongly
+typed config value exits 2.
+
+Rows run one after another in grid order on the calling thread;
+``--workers`` is still accepted and validated (>= 1) but changes nothing,
+and the JSON artifact leaves it out of its ``spec``.  Outputs are
+byte-identical for identical spec and seed: rows are pure functions of the
+grid point (plus a per-row stream index for sampling).
 
 Exit codes: 0 success, 1 any row failed numerically (the row's ``error``
 column carries the diagnostic and the scan continues), 2 usage or config
@@ -22,7 +31,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -34,10 +43,95 @@ USAGE_ERROR = 2
 ROW_ERROR = 1
 
 _TWO_PI = 2.0 * math.pi
+_REQUIRED = object()  # default of a parameter that must be given where it applies
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _where(test: Callable[[object], bool]) -> Callable[[object], object]:
+    def accept(value):
+        if not test(value):
+            raise ValueError(value)
+        return value
+    return accept
+
+
+def _window(value):
+    """Seconds, ``None`` or 'none' (no post-selection), or 'auto'."""
+    if isinstance(value, str) and value != "auto":
+        value = None if value.lower() == "none" else float(value)
+    if value is None or value == "auto" or _is_real(value):
+        return value
+    raise TypeError(value)
+
+
+@dataclass(frozen=True)
+class _Kind:
+    noun: str                           # "<name> must be <noun>"
+    parse: Callable[[str], object]      # argparse type of the flag
+    accept: Callable[[object], object]  # checked value; raises TypeError/ValueError
+
+
+_REAL = _Kind("a real number", float, _where(_is_real))
+_INT = _Kind("an integer", int, _where(_is_int))
+_TEXT = _Kind("a string", str, _where(lambda v: isinstance(v, str)))
+_WINDOW = _Kind("seconds, 'none' or 'auto'", str, _window)
+_TOLERANCE = _Kind("a positive real number", float, _where(lambda v: _is_real(v) and v > 0.0))
+_WORKERS = _Kind("an integer >= 1", int, _where(lambda v: _is_int(v) and v >= 1))
+_SEED = _Kind("a non-negative 64-bit integer", int,
+              _where(lambda v: v is None or _is_int(v) and 0 <= v < 2 ** 64))
+
+
+@dataclass(frozen=True)
+class _Param:
+    """One parameter or grid axis.
+
+    Without a default it is required wherever it applies; ``when`` =
+    (parameter, value) limits it to one mode or model.
+    """
+
+    name: str
+    kind: _Kind = _REAL
+    help: str | None = None
+    default: object = _REQUIRED
+    choices: tuple = ()
+    when: tuple = ()
+
+    def check(self, value):
+        try:
+            value = self.kind.accept(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{self.name!r} must be {self.kind.noun}, got {value!r}") from None
+        if self.choices and value not in self.choices:
+            raise ConfigError(
+                f"{self.name!r} must be one of {list(self.choices)}, got {value!r}")
+        return value
+
+    def applies(self, params: dict) -> bool:
+        return not self.when or params.get(self.when[0]) == self.when[1]
+
+    def missing(self, subcommand: str, what: str) -> ConfigError:
+        when = f" when {self.when[0]} is {self.when[1]!r}" if self.when else ""
+        return ConfigError(f"subcommand {subcommand!r} requires {what}{when}")
+
+    def add_to(self, parser: argparse.ArgumentParser) -> None:
+        parser.add_argument("--" + self.name.replace("_", "-"), type=self.kind.parse,
+                            choices=self.choices or None, help=self.help)
+
+
+def _option(default, kind: _Kind, help: str, choices: tuple = ()):
+    """A ScanSpec field that is also an option of every subcommand."""
+    return field(default=default, metadata={"kind": kind, "help": help, "choices": choices})
 
 
 @dataclass
@@ -45,48 +139,39 @@ class ScanSpec:
     subcommand: str
     grids: dict[str, tuple[float, ...]]
     params: dict = field(default_factory=dict)
-    output: str = "-"
-    format: str = "csv"
-    seed: int | None = None
-    tolerance: float = 1e-10
-    workers: int = 1
+    output: str = _option("-", _TEXT, "output path, '-' for stdout (default)")
+    format: str = _option("csv", _TEXT, "output format", ("csv", "json"))
+    tolerance: float = _option(1e-10, _TOLERANCE, "numeric tolerance")
+    workers: int = _option(1, _WORKERS, "accepted for compatibility (>= 1); rows always "
+                                        "run in grid order on one thread")
+    seed: int | None = _option(None, _SEED, "RNG seed (required for sample)")
 
     def to_dict(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "grids": {name: list(values) for name, values in self.grids.items()},
-            "params": dict(self.params),
-            "output": self.output,
-            "format": self.format,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "workers": self.workers,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["grids"] = {name: list(values) for name, values in self.grids.items()}
+        data["params"] = dict(self.params)
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScanSpec":
         if not isinstance(data, dict):
             raise ConfigError(f"config root must be an object, got {type(data).__name__}")
-        allowed = {"subcommand", "grids", "params", "output", "format",
-                   "seed", "tolerance", "workers"}
+        allowed = {f.name for f in fields(cls)}
         for key in data:
             if key not in allowed:
                 raise ConfigError(f"unknown config key: {key!r}")
         if "subcommand" not in data:
             raise ConfigError("config is missing 'subcommand'")
-        grids = {}
-        for name, value in (data.get("grids") or {}).items():
-            grids[name] = _resolve_grid(name, value)
-        return cls(
-            subcommand=data["subcommand"],
-            grids=grids,
-            params=dict(data.get("params") or {}),
-            output=data.get("output", "-"),
-            format=data.get("format", "csv"),
-            seed=data.get("seed"),
-            tolerance=data.get("tolerance", 1e-10),
-            workers=data.get("workers", 1),
-        )
+        grids, params = data.get("grids") or {}, data.get("params") or {}
+        if not isinstance(grids, dict) or not isinstance(params, dict):
+            raise ConfigError("config 'grids' and 'params' must be objects")
+        grids = {name: _resolve_grid(name, value) for name, value in grids.items()}
+        return cls(**{**data, "grids": grids, "params": dict(params)})
+
+
+# The common options, in flag order.
+_OPTIONS = tuple(_Param(f.name, default=f.default, **f.metadata)
+                 for f in fields(ScanSpec) if f.metadata)
 
 
 def _resolve_grid(name: str, value) -> tuple[float, ...]:
@@ -97,14 +182,17 @@ def _resolve_grid(name: str, value) -> tuple[float, ...]:
             raise ConfigError(f"grid {name!r}: unknown key {sorted(extra)[0]!r}")
         if "linspace" not in value:
             raise ConfigError(f"grid {name!r}: expected a 'linspace' entry")
-        spec = value["linspace"]
-        if len(spec) != 3:
-            raise ConfigError(f"grid {name!r}: linspace needs [start, stop, num]")
-        start, stop, num = float(spec[0]), float(spec[1]), int(spec[2])
-        if num < 1:
-            raise ConfigError(f"grid {name!r}: linspace num must be >= 1")
-        return tuple(float(x) for x in np.linspace(start, stop, num))
+        try:
+            start, stop, num = value["linspace"]
+            start, stop, count = float(start), float(stop), int(num)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"grid {name!r}: linspace needs [start, stop, num]") from None
+        if count < 1 or count != float(num):
+            raise ConfigError(f"grid {name!r}: linspace num must be an integer >= 1")
+        return tuple(float(x) for x in np.linspace(start, stop, count))
     try:
+        if isinstance(value, str):
+            raise TypeError(value)
         values = tuple(float(x) for x in value)
     except (TypeError, ValueError):
         raise ConfigError(f"grid {name!r}: expected a list of numbers") from None
@@ -132,14 +220,13 @@ def load_config(path: str) -> ScanSpec:
 
 @dataclass(frozen=True)
 class _Subcommand:
-    name: str
-    grid_axes: tuple[str, ...]           # allowed grid names
-    required_axes: tuple[str, ...]
-    param_names: tuple[str, ...]
-    defaults: dict
-    output_columns: Callable[[ScanSpec], tuple[str, ...]]
-    # row(spec, index, point) -> dict of output column values
-    row: Callable[[ScanSpec, int, dict], dict]
+    help: str
+    grids: tuple[_Param, ...]        # the axes it may scan
+    params: tuple[_Param, ...]       # a `when` gate precedes the entries it gates
+    columns: tuple[str, ...]         # output columns after the grid values
+    # row(spec, index, point) -> the output values, in column order
+    row: Callable[[ScanSpec, int, dict], tuple]
+    seeded: bool = False
 
 
 def _wavepacket_probabilities(phi: float, dphi: float, tol: float) -> tuple[float, float]:
@@ -153,6 +240,8 @@ def _wavepacket_probabilities(phi: float, dphi: float, tol: float) -> tuple[floa
     if dphi == 0.0:
         p_plus = interferometer.probability_monochromatic(+1, phi)
         return p_plus, 1.0 - p_plus
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi!r}")
     turns = math.ceil((dphi / 2.0 - phi) / _TWO_PI) + 1
     cfg = interferometer.InterferometerConfig(
         path_delay_tau=1.0,
@@ -162,40 +251,29 @@ def _wavepacket_probabilities(phi: float, dphi: float, tol: float) -> tuple[floa
     return p_plus, 1.0 - p_plus
 
 
-def _row_interf(spec: ScanSpec, index: int, point: dict) -> dict:
-    p_plus, p_minus = _wavepacket_probabilities(
-        point["phi"], point.get("dphi", 0.0), spec.tolerance
-    )
-    return {"p_plus": p_plus, "p_minus": p_minus}
+def _row_interf(spec: ScanSpec, index: int, point: dict) -> tuple:
+    return _wavepacket_probabilities(point["phi"], point["dphi"], spec.tolerance)
 
 
-def _row_unitarity(spec: ScanSpec, index: int, point: dict) -> dict:
+def _row_unitarity(spec: ScanSpec, index: int, point: dict) -> tuple:
     m = measurement.mach_zehnder_effective(point["reflection_phase"])
     validation = measurement.is_valid_quantum_measurement(m, spec.tolerance)
     outcome = measurement.outcome_distribution(
         m, measurement.PathAmplitudes.balanced(), point["phi"]
     )
-    return {
-        "residual": validation.residual,
-        "valid": validation.valid,
-        "p_plus": outcome.p_plus,
-        "p_minus": outcome.p_minus,
-        "total": outcome.total,
-    }
+    return (validation.residual, validation.valid, outcome.p_plus, outcome.p_minus,
+            outcome.total)
 
 
 def _franson_physical_config(spec: ScanSpec, tau_b: float) -> entangle.FransonConfig:
     p = spec.params
-    window = p.get("coincidence_window", "auto")
+    window = p["coincidence_window"]
     if window == "auto":
         window = 0.5 * min(p["tau_a"], tau_b)
-    elif window is not None:
-        window = float(window)
     return entangle.FransonConfig(
-        pump=Spectrum(shape=p.get("shape", "rectangular"),
-                      center=p["pump_center"], bandwidth=p["pump_bandwidth"]),
-        photon_offset=Spectrum(shape=p.get("shape", "rectangular"),
-                               center=p.get("offset_center", 0.0),
+        pump=Spectrum(shape=p["shape"], center=p["pump_center"],
+                      bandwidth=p["pump_bandwidth"]),
+        photon_offset=Spectrum(shape=p["shape"], center=p["offset_center"],
                                bandwidth=p["offset_bandwidth"], signed=True),
         tau_a=p["tau_a"],
         tau_b=tau_b,
@@ -203,75 +281,45 @@ def _franson_physical_config(spec: ScanSpec, tau_b: float) -> entangle.FransonCo
     )
 
 
-def _row_franson(spec: ScanSpec, index: int, point: dict) -> dict:
-    mode = spec.params.get("mode", "ideal")
-    if mode == "ideal":
-        dist = entangle.ideal_joint_distribution(
-            point["phi"], spec.params.get("visibility", 1.0)
-        )
-        phase, visibility = point["phi"], spec.params.get("visibility", 1.0)
+def _row_franson(spec: ScanSpec, index: int, point: dict) -> tuple:
+    if spec.params["mode"] == "ideal":
+        phase, visibility = point["phi"], spec.params["visibility"]
+        dist = entangle.ideal_joint_distribution(phase, visibility)
     else:
         result = entangle.physical_joint_distribution(
             _franson_physical_config(spec, point["tau_b"]), spec.tolerance
         )
         dist, phase, visibility = result.distribution, result.mean_phase, result.visibility
-    return {
-        "phase": phase,
-        "visibility": visibility,
-        "p_equal": dist.p_equal,
-        "p_differ": dist.p_differ,
-        "p_pp": dist.p_pp,
-        "p_pm": dist.p_pm,
-        "p_mp": dist.p_mp,
-        "p_mm": dist.p_mm,
-        "marginal_a": entangle.marginal(dist, "A"),
-        "marginal_b": entangle.marginal(dist, "B"),
-    }
-
-
-def _franson_columns(spec: ScanSpec) -> tuple[str, ...]:
-    return ("phase", "visibility", "p_equal", "p_differ", "p_pp", "p_pm",
-            "p_mp", "p_mm", "marginal_a", "marginal_b")
+    return (phase, visibility, dist.p_equal, dist.p_differ, dist.p_pp, dist.p_pm,
+            dist.p_mp, dist.p_mm, entangle.marginal(dist, "A"), entangle.marginal(dist, "B"))
 
 
 _CHAINED_MODELS = {
-    "quantum": lambda spec: bell.quantum_model(spec.params.get("visibility", 1.0)),
+    "quantum": lambda spec: bell.quantum_model(spec.params["visibility"]),
     "pr_box": lambda spec: bell.pr_box_model(),
     "suppressed": lambda spec: bell.suppressed_nonlocality_model(),
 }
 
 
-def _row_chained(spec: ScanSpec, index: int, point: dict) -> dict:
+def _row_chained(spec: ScanSpec, index: int, point: dict) -> tuple:
     n = point["n"]
     if n != int(n):
         raise ValueError(f"n must be an integer, got {n!r}")
     n = int(n)
-    theta = spec.params.get("theta", math.pi)
-    model_name = spec.params.get("model", "quantum")
+    theta = spec.params["theta"]
+    model_name = spec.params["model"]
     model = _CHAINED_MODELS[model_name](spec)
     result = bell.chained_I(model, bell.ChainedConfig(n=n, theta=theta))
     closed = bell.quantum_I_closed_form(n, theta) if model_name == "quantum" else ""
-    return {
-        "theta": theta,
-        "model": model_name,
-        "i_value": result.i_value,
-        "i_closed_form": closed,
-        "classification": result.classification.value,
-    }
+    return theta, model_name, result.i_value, closed, result.classification.value
 
 
-def _row_extensions(spec: ScanSpec, index: int, point: dict) -> dict:
+def _row_extensions(spec: ScanSpec, index: int, point: dict) -> tuple:
     witness = extensions.find_falsifying_N(
-        point["d"],
-        theta=spec.params.get("theta", math.pi),
-        n_cap=int(spec.params.get("n_cap", 1_000_000)),
+        point["d"], theta=spec.params["theta"], n_cap=spec.params["n_cap"]
     )
-    return {
-        "witness_n": witness.n,
-        "bound_at_witness": witness.bound,
-        "i_at_witness": witness.i_value,
-        "bound_at_prev": "" if witness.previous_bound is None else witness.previous_bound,
-    }
+    previous = "" if witness.previous_bound is None else witness.previous_bound
+    return witness.n, witness.bound, witness.i_value, previous
 
 
 _SAMPLE_MODELS = {
@@ -280,140 +328,141 @@ _SAMPLE_MODELS = {
 }
 
 
-def _row_sample(spec: ScanSpec, index: int, point: dict) -> dict:
-    dist = _SAMPLE_MODELS[spec.params.get("model", "quantum")](point["phi"])
-    counts = interferometer.sample_events(
-        dist, int(spec.params.get("n", 1_000_000)), spec.seed, stream=index
-    )
-    return {
-        "n_plus": counts.n_plus,
-        "n_minus": counts.n_minus,
-        "n_double": counts.n_double,
-        "n_null": counts.n_null,
-    }
+def _row_sample(spec: ScanSpec, index: int, point: dict) -> tuple:
+    dist = _SAMPLE_MODELS[spec.params["model"]](point["phi"])
+    counts = interferometer.sample_events(dist, spec.params["n"], spec.seed, stream=index)
+    return counts.n_plus, counts.n_minus, counts.n_double, counts.n_null
 
+
+_IDEAL = ("mode", "ideal")
+_PHYSICAL = ("mode", "physical")
 
 _SUBCOMMANDS: dict[str, _Subcommand] = {
     "interf": _Subcommand(
-        name="interf",
-        grid_axes=("phi", "dphi"), required_axes=("phi",),
-        param_names=(), defaults={},
-        output_columns=lambda spec: ("p_plus", "p_minus"),
+        help="fringe probabilities over phase (and bandwidth-delay) grids",
+        grids=(_Param("phi"), _Param("dphi", default=0.0)),
+        params=(),
+        columns=("p_plus", "p_minus"),
         row=_row_interf,
     ),
     "unitarity": _Subcommand(
-        name="unitarity",
-        grid_axes=("reflection_phase", "phi"),
-        required_axes=("reflection_phase", "phi"),
-        param_names=(), defaults={},
-        output_columns=lambda spec: ("residual", "valid", "p_plus", "p_minus", "total"),
+        help="cross-term residual and port probabilities of "
+             "reflection-phase splitter models",
+        grids=(_Param("reflection_phase"), _Param("phi")),
+        params=(),
+        columns=("residual", "valid", "p_plus", "p_minus", "total"),
         row=_row_unitarity,
     ),
     "franson": _Subcommand(
-        name="franson",
-        grid_axes=("phi", "tau_b"), required_axes=(),
-        param_names=("mode", "visibility", "pump_center", "pump_bandwidth",
-                     "offset_center", "offset_bandwidth", "tau_a",
-                     "coincidence_window", "shape"),
-        defaults={"mode": "ideal"},
-        output_columns=_franson_columns,
+        help="two-photon joint distributions, ideal or spectral",
+        grids=(_Param("phi", when=_IDEAL), _Param("tau_b", when=_PHYSICAL)),
+        params=(
+            _Param("mode", _TEXT, "ideal fringe law or the four-path spectral model",
+                   "ideal", ("ideal", "physical")),
+            _Param("visibility", _REAL, "visibility of the ideal fringe", 1.0, when=_IDEAL),
+            _Param("pump_center", _REAL, "pump center frequency, rad/s", when=_PHYSICAL),
+            _Param("pump_bandwidth", _REAL, "pump bandwidth, rad/s", when=_PHYSICAL),
+            _Param("offset_center", _REAL, "center of the photons' frequency offset, rad/s",
+                   0.0, when=_PHYSICAL),
+            _Param("offset_bandwidth", _REAL, "bandwidth of the frequency offset, rad/s",
+                   when=_PHYSICAL),
+            _Param("tau_a", _REAL, "side A's long-arm delay, s", when=_PHYSICAL),
+            _Param("coincidence_window", _WINDOW,
+                   "seconds, 'none' to disable post-selection, "
+                   "'auto' (default) for half the smaller delay", "auto", when=_PHYSICAL),
+            _Param("shape", _TEXT, "shape of both spectra", "rectangular",
+                   ("rectangular", "gaussian"), when=_PHYSICAL),
+        ),
+        columns=("phase", "visibility", "p_equal", "p_differ", "p_pp", "p_pm",
+                 "p_mp", "p_mm", "marginal_a", "marginal_b"),
         row=_row_franson,
     ),
     "chained": _Subcommand(
-        name="chained",
-        grid_axes=("n",), required_axes=("n",),
-        param_names=("theta", "model", "visibility"),
-        defaults={"theta": math.pi, "model": "quantum"},
-        output_columns=lambda spec: ("theta", "model", "i_value",
-                                     "i_closed_form", "classification"),
+        help="chained inequality values over a settings-count grid",
+        grids=(_Param("n"),),
+        params=(
+            _Param("theta", _REAL, "total phase spread over the chain, rad", math.pi),
+            _Param("model", _TEXT, "correlation model", "quantum",
+                   tuple(sorted(_CHAINED_MODELS))),
+            _Param("visibility", _REAL, "visibility of the quantum model", 1.0,
+                   when=("model", "quantum")),
+        ),
+        columns=("theta", "model", "i_value", "i_closed_form", "classification"),
         row=_row_chained,
     ),
     "extensions": _Subcommand(
-        name="extensions",
-        grid_axes=("d",), required_axes=("d",),
-        param_names=("theta", "n_cap"),
-        defaults={"theta": math.pi, "n_cap": 1_000_000},
-        output_columns=lambda spec: ("witness_n", "bound_at_witness",
-                                     "i_at_witness", "bound_at_prev"),
+        help="falsifying chain length for statistical distances",
+        grids=(_Param("d"),),
+        params=(
+            _Param("theta", _REAL, "total phase spread over the chain, rad", math.pi),
+            _Param("n_cap", _INT, "longest chain searched", 1_000_000),
+        ),
+        columns=("witness_n", "bound_at_witness", "i_at_witness", "bound_at_prev"),
         row=_row_extensions,
     ),
     "sample": _Subcommand(
-        name="sample",
-        grid_axes=("phi",), required_axes=("phi",),
-        param_names=("n", "model"),
-        defaults={"n": 1_000_000, "model": "quantum"},
-        output_columns=lambda spec: ("n_plus", "n_minus", "n_double", "n_null"),
+        help="seeded multinomial detection counts over a phase grid",
+        grids=(_Param("phi"),),
+        params=(
+            _Param("n", _INT, "runs per phase", 1_000_000),
+            _Param("model", _TEXT, "detection model", "quantum", tuple(sorted(_SAMPLE_MODELS))),
+        ),
+        columns=("n_plus", "n_minus", "n_double", "n_null"),
         row=_row_sample,
+        seeded=True,
     ),
 }
 
 
-def validate_spec(spec: ScanSpec) -> None:
-    if spec.subcommand not in _SUBCOMMANDS:
+def validate_spec(spec: ScanSpec) -> tuple[dict, dict]:
+    """Check ``spec`` against the tables; return its row and recorded params.
+
+    The row params add the default of every parameter that applies.  The
+    recorded params, which the JSON artifact's spec carries, add only the
+    defaults of parameters that apply to every row.
+    """
+    sub = _SUBCOMMANDS.get(spec.subcommand)
+    if sub is None:
         raise ConfigError(
             f"unknown subcommand {spec.subcommand!r}; "
             f"expected one of {sorted(_SUBCOMMANDS)}"
         )
-    sub = _SUBCOMMANDS[spec.subcommand]
-    if spec.format not in ("csv", "json"):
-        raise ConfigError(f"unknown format {spec.format!r}; expected 'csv' or 'json'")
+    for option in _OPTIONS:
+        option.check(getattr(spec, option.name))
     if not spec.grids:
         raise ConfigError("at least one grid is required")
+    axes = [axis.name for axis in sub.grids]
     for name, values in spec.grids.items():
-        if name not in sub.grid_axes:
+        if name not in axes:
             raise ConfigError(
-                f"subcommand {sub.name!r} does not scan {name!r}; "
-                f"allowed grids: {list(sub.grid_axes)}"
+                f"subcommand {spec.subcommand!r} does not scan {name!r}; "
+                f"allowed grids: {axes}"
             )
         if not values:
             raise ConfigError(f"grid {name!r} is empty; grids must be nonempty")
-    for name in sub.required_axes:
-        if name not in spec.grids:
-            raise ConfigError(f"subcommand {sub.name!r} requires a {name!r} grid")
+    names = [param.name for param in sub.params]
     for name in spec.params:
-        if name not in sub.param_names:
+        if name not in names:
             raise ConfigError(
-                f"subcommand {sub.name!r} does not take parameter {name!r}; "
-                f"allowed: {list(sub.param_names)}"
+                f"subcommand {spec.subcommand!r} does not take parameter {name!r}; "
+                f"allowed: {names}"
             )
-    if spec.subcommand == "franson":
-        mode = spec.params.get("mode", "ideal")
-        if mode not in ("ideal", "physical"):
-            raise ConfigError(f"franson mode must be 'ideal' or 'physical', got {mode!r}")
-        needed = ("phi",) if mode == "ideal" else ("tau_b",)
-        for name in needed:
-            if name not in spec.grids:
-                raise ConfigError(f"franson mode {mode!r} requires a {name!r} grid")
-        if mode == "physical":
-            for p in ("pump_center", "pump_bandwidth", "offset_bandwidth", "tau_a"):
-                if p not in spec.params:
-                    raise ConfigError(f"franson physical mode requires parameter {p!r}")
-    if spec.subcommand == "chained":
-        model = spec.params.get("model", "quantum")
-        if model not in _CHAINED_MODELS:
-            raise ConfigError(
-                f"unknown chained model {model!r}; expected one of {sorted(_CHAINED_MODELS)}"
-            )
-    if spec.subcommand == "sample":
-        if spec.seed is None:
-            raise ConfigError("subcommand 'sample' requires a seed")
-        model = spec.params.get("model", "quantum")
-        if model not in _SAMPLE_MODELS:
-            raise ConfigError(
-                f"unknown sample model {model!r}; expected one of {sorted(_SAMPLE_MODELS)}"
-            )
-    if isinstance(spec.tolerance, bool) or not isinstance(spec.tolerance, (int, float)):
-        raise ConfigError(f"tolerance must be a real number, got {spec.tolerance!r}")
-    if not spec.tolerance > 0.0:
-        raise ConfigError(f"tolerance must be positive, got {spec.tolerance!r}")
-    if not _is_int(spec.workers) or spec.workers < 1:
-        raise ConfigError(f"workers must be an integer >= 1, got {spec.workers!r}")
-    if spec.seed is not None and not (_is_int(spec.seed) and 0 <= spec.seed < 2 ** 64):
-        raise ConfigError(f"seed must be a non-negative 64-bit integer, got {spec.seed!r}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    params, recorded = {}, {}
+    for param in sub.params:
+        if param.name in spec.params:
+            params[param.name] = recorded[param.name] = param.check(spec.params[param.name])
+        elif param.applies(params):
+            if param.default is _REQUIRED:
+                raise param.missing(spec.subcommand, f"parameter {param.name!r}")
+            params[param.name] = param.default
+            if not param.when:
+                recorded[param.name] = param.default
+    for axis in sub.grids:
+        if axis.name not in spec.grids and axis.default is _REQUIRED and axis.applies(params):
+            raise axis.missing(spec.subcommand, f"a {axis.name!r} grid")
+    if sub.seeded and spec.seed is None:
+        raise ConfigError(f"subcommand {spec.subcommand!r} requires a seed")
+    return params, recorded
 
 
 def _format_cell(value) -> str:
@@ -449,35 +498,33 @@ def run_scan(spec: ScanSpec) -> int:
     Rows run in grid order on the calling thread and are formatted as they
     complete; ``spec.workers`` does not change how they run.
     """
-    validate_spec(spec)
+    params, recorded = validate_spec(spec)
     sub = _SUBCOMMANDS[spec.subcommand]
-    params = dict(sub.defaults)
-    params.update(spec.params)
-    spec = ScanSpec(**{**spec.to_dict(), "params": params,
-                       "grids": spec.grids})
+    spec = replace(spec, params=params)
 
     input_names = tuple(spec.grids)
-    output_names = tuple(sub.output_columns(spec))
-    columns = input_names + output_names + ("error",)
-    blank = dict.fromkeys(output_names, "")
+    # An axis with a default that is not scanned is fixed at its default.
+    fixed = {axis.name: axis.default for axis in sub.grids
+             if axis.name not in spec.grids and axis.default is not _REQUIRED}
+    columns = input_names + sub.columns + ("error",)
+    blank = ("",) * len(sub.columns)
     csv = spec.format == "csv"
     cell = _CELL_FORMATS.get
     parts = [",".join(columns) + "\n"] if csv else []
     failed = False
     for index, values in enumerate(itertools.product(*spec.grids.values())):
-        point = dict(zip(input_names, values))
         try:
+            point = dict(zip(input_names, values), **fixed)
             outputs, error = sub.row(spec, index, point), ""
         except (ValueError, KeyError, IntegrationError,
                 extensions.FalsificationCapError) as e:
             outputs, error = blank, f"{type(e).__name__}: {e}"
             failed = True
-        row = {**point, **outputs, "error": error}
+        cells = (*values, *outputs, error)
         if csv:
-            parts.append(",".join([cell(type(v), _format_cell)(v)
-                                   for v in map(row.__getitem__, columns)]) + "\n")
+            parts.append(",".join([cell(type(v), _format_cell)(v) for v in cells]) + "\n")
         else:
-            parts.append(_json_row(row))
+            parts.append(_json_row(dict(zip(columns, cells))))
 
     if csv:
         text = "".join(parts)
@@ -486,7 +533,7 @@ def run_scan(spec: ScanSpec) -> int:
         # on it.  Spliced so that text == json.dumps({"spec": doc_spec,
         # "rows": rows}, indent=2, sort_keys=True) + "\n"; rows are never
         # empty because every grid is nonempty.
-        doc_spec = spec.to_dict()
+        doc_spec = {**spec.to_dict(), "params": recorded}
         del doc_spec["workers"]
         spec_text = json.dumps(doc_spec, indent=2, sort_keys=True)
         text = ('{\n  "rows": [\n    ' + ",\n    ".join(parts) + "\n  ],\n"
@@ -514,12 +561,7 @@ def _parse_grid_option(text: str) -> tuple[str, tuple[float, ...]]:
         if len(parts) != 3:
             raise ConfigError(f"grid {name!r}: expected linspace:start:stop:num")
         return name, _resolve_grid(name, {"linspace": parts})
-    try:
-        return name, _resolve_grid(name, values.split(","))
-    except ConfigError:
-        raise
-    except ValueError:
-        raise ConfigError(f"grid {name!r}: could not parse values {values!r}") from None
+    return name, _resolve_grid(name, values.split(","))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -532,63 +574,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON scan document; flags override it")
     common.add_argument("--grid", action="append", default=[], metavar="NAME=V1,V2,...",
                         help="value grid (repeatable); also NAME=linspace:start:stop:num")
-    common.add_argument("--output", help="output path, '-' for stdout (default)")
-    common.add_argument("--format", choices=["csv", "json"], help="output format")
-    common.add_argument("--tolerance", type=float, help="numeric tolerance")
-    common.add_argument("--workers", type=int,
-                        help="accepted for compatibility (>= 1); rows always run "
-                             "in grid order on one thread")
-    common.add_argument("--seed", type=int, help="RNG seed (required for sample)")
-
-    sub = parser.add_subparsers(dest="subcommand")
-
-    sub.add_parser("interf", parents=[common],
-                   help="fringe probabilities over phase (and bandwidth-delay) grids")
-    sub.add_parser("unitarity", parents=[common],
-                   help="cross-term residual and port probabilities of "
-                        "reflection-phase splitter models")
-
-    franson = sub.add_parser("franson", parents=[common],
-                             help="two-photon joint distributions, ideal or spectral")
-    franson.add_argument("--mode", choices=["ideal", "physical"])
-    franson.add_argument("--visibility", type=float)
-    franson.add_argument("--pump-center", type=float, dest="pump_center")
-    franson.add_argument("--pump-bandwidth", type=float, dest="pump_bandwidth")
-    franson.add_argument("--offset-center", type=float, dest="offset_center")
-    franson.add_argument("--offset-bandwidth", type=float, dest="offset_bandwidth")
-    franson.add_argument("--tau-a", type=float, dest="tau_a")
-    franson.add_argument("--coincidence-window", dest="coincidence_window",
-                         help="seconds, 'none' to disable post-selection, "
-                              "'auto' (default) for half the smaller delay")
-    franson.add_argument("--shape", choices=["rectangular", "gaussian"])
-
-    chained = sub.add_parser("chained", parents=[common],
-                             help="chained inequality values over a settings-count grid")
-    chained.add_argument("--theta", type=float)
-    chained.add_argument("--model", choices=sorted(_CHAINED_MODELS))
-    chained.add_argument("--visibility", type=float)
-
-    ext = sub.add_parser("extensions", parents=[common],
-                         help="falsifying chain length for statistical distances")
-    ext.add_argument("--theta", type=float)
-    ext.add_argument("--n-cap", type=int, dest="n_cap")
-
-    sample = sub.add_parser("sample", parents=[common],
-                            help="seeded multinomial detection counts over a phase grid")
-    sample.add_argument("--n", type=int)
-    sample.add_argument("--model", choices=sorted(_SAMPLE_MODELS))
-
+    for option in _OPTIONS:
+        option.add_to(common)
+    subparsers = parser.add_subparsers(dest="subcommand")
+    for name, sub in _SUBCOMMANDS.items():
+        sub_parser = subparsers.add_parser(name, parents=[common], help=sub.help)
+        for param in sub.params:
+            param.add_to(sub_parser)
     return parser
-
-
-_PARAM_FLAGS = {
-    "franson": ("mode", "visibility", "pump_center", "pump_bandwidth",
-                "offset_center", "offset_bandwidth", "tau_a",
-                "coincidence_window", "shape"),
-    "chained": ("theta", "model", "visibility"),
-    "extensions": ("theta", "n_cap"),
-    "sample": ("n", "model"),
-}
 
 
 def _spec_from_args(args: argparse.Namespace) -> ScanSpec:
@@ -604,24 +597,14 @@ def _spec_from_args(args: argparse.Namespace) -> ScanSpec:
     for option in args.grid:
         name, values = _parse_grid_option(option)
         spec.grids[name] = values
-    for attr in ("output", "format", "tolerance", "workers", "seed"):
-        value = getattr(args, attr, None)
+    for option in _OPTIONS:
+        value = getattr(args, option.name)
         if value is not None:
-            setattr(spec, attr, value)
-    for name in _PARAM_FLAGS.get(args.subcommand, ()):
-        value = getattr(args, name, None)
+            setattr(spec, option.name, value)
+    for param in _SUBCOMMANDS[args.subcommand].params:
+        value = getattr(args, param.name)
         if value is not None:
-            spec.params[name] = value
-    window = spec.params.get("coincidence_window")
-    if isinstance(window, str) and window not in ("auto",):
-        try:
-            spec.params["coincidence_window"] = (
-                None if window.lower() == "none" else float(window)
-            )
-        except ValueError:
-            raise ConfigError(
-                f"coincidence_window must be seconds, 'none' or 'auto', got {window!r}"
-            ) from None
+            spec.params[param.name] = value
     return spec
 
 

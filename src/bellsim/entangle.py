@@ -29,11 +29,10 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .measurement import MeasurementMatrix
+from .measurement import _INV_SQRT2, STANDARD_PORT_PHASES, MeasurementMatrix
 from .probability import check_batch, check_distribution
 from .spectra import Spectrum, integrate_over_spectrum
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 Rule = Callable[[float, float], "JointDistribution"]
 ArrayRule = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -307,12 +306,12 @@ def no_signaling_residual(
     return max(dev_a, dev_b)
 
 
-# Output-port coefficients of a balanced long/short interferometer with
-# symmetric splitters, split off from the long-arm propagation phase:
+# Output-port coefficients of the standard interferometer (two 1/sqrt2
+# splitter passes), split off from the long-arm propagation phase:
 # amplitude(a via long) = _KAPPA[a] * exp(i * w * tau),
 # amplitude(a via short) = _LAMBDA[a].
-_KAPPA = {+1: 0.5j, -1: 0.5 + 0.0j}
-_LAMBDA = {+1: 0.5j, -1: -0.5 + 0.0j}
+_KAPPA = {a: 0.5 * z for a, z in STANDARD_PORT_PHASES["long"].items()}
+_LAMBDA = {a: 0.5 * z for a, z in STANDARD_PORT_PHASES["short"].items()}
 
 # Path classes: does each photon take its long arm?
 _CLASSES: dict[str, tuple[bool, bool]] = {
@@ -476,8 +475,8 @@ def bob_measurement_rule(m: MeasurementMatrix) -> Rule:
     """
     b_long = {+1: m.a11, -1: m.a12}
     b_short = {+1: m.a21, -1: m.a22}
-    a_long = {+1: 1j * _INV_SQRT2, -1: complex(_INV_SQRT2)}
-    a_short = {+1: 1j * _INV_SQRT2, -1: complex(-_INV_SQRT2)}
+    a_long = {a: z * _INV_SQRT2 for a, z in STANDARD_PORT_PHASES["long"].items()}
+    a_short = {a: z * _INV_SQRT2 for a, z in STANDARD_PORT_PHASES["short"].items()}
 
     def rule(phi_a: float, phi_b: float) -> JointDistribution:
         za = cmath.exp(1j * phi_a)

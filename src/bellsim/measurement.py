@@ -28,6 +28,12 @@ import numpy as np
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
+# The standard interferometer, mach_zehnder_effective(pi/2), is
+# [[i, 1], [i, -1]] / sqrt2.  Its exact port phases by input path and
+# outcome; scaling them (not the rounded 1/sqrt2 entries) keeps derived
+# coefficients exact.
+STANDARD_PORT_PHASES = {"long": {+1: 1j, -1: 1 + 0j}, "short": {+1: 1j, -1: -1 + 0j}}
+
 
 @dataclass(frozen=True)
 class MeasurementMatrix:

@@ -2,11 +2,13 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from bellsim.bell import quantum_I_closed_form
-from bellsim.cli import ConfigError, ScanSpec, _json_row, load_config, main, run_scan
+from bellsim.cli import (ConfigError, ScanSpec, _json_row, _wavepacket_probabilities,
+                         load_config, main, run_scan)
 
 PI = math.pi
 
@@ -237,12 +239,43 @@ def test_json_artifact_does_not_depend_on_workers(tmp_path):
     assert "workers" not in json.loads(blobs[0])["spec"]
 
 
+PHYSICAL_PARAMS = {"mode": "physical", "pump_center": 2.4e15, "pump_bandwidth": 6.28e3,
+                   "offset_bandwidth": 6.28e12, "tau_a": 1e-9}
+
+
 @pytest.mark.parametrize("argv, config", [
     (["franson", "--grid", "phi=0", "--coincidence-window", "abc"], None),
     (["interf"], {"subcommand": "interf", "grids": {"phi": [0]}, "workers": "2"}),
     (["interf"], {"subcommand": "interf", "grids": {"phi": [0]}, "tolerance": "x"}),
     (["interf"], {"subcommand": "interf", "grids": {"phi": [0]}, "seed": "1"}),
-], ids=["coincidence_window", "workers", "tolerance", "seed"])
+    (["franson"], {"subcommand": "franson", "grids": {"phi": [0]},
+                   "params": {"visibility": "0.9"}}),
+    (["chained"], {"subcommand": "chained", "grids": {"n": [2]}, "params": {"theta": "x"}}),
+    (["extensions"], {"subcommand": "extensions", "grids": {"d": [0.5]},
+                      "params": {"n_cap": 2.5}}),
+    (["sample"], {"subcommand": "sample", "grids": {"phi": [0]}, "seed": 1,
+                  "params": {"n": True}}),
+    (["franson"], {"subcommand": "franson", "grids": {"tau_b": [1e-9]},
+                   "params": {**PHYSICAL_PARAMS, "shape": "triangle"}}),
+    (["franson"], {"subcommand": "franson", "grids": {"phi": [0]},
+                   "params": {"mode": "bogus"}}),
+    (["franson", "--grid", "tau_b=1e-9", "--mode", "physical", "--pump-bandwidth", "6.28e3",
+      "--offset-bandwidth", "6.28e12", "--tau-a", "1e-9"], None),
+    (["chained"], {"subcommand": "chained", "grids": {"n": [2]}, "params": {"model": "nope"}}),
+    (["sample"], {"subcommand": "sample", "grids": {"phi": [0]}, "seed": 1,
+                  "params": {"model": "nope"}}),
+    (["interf"], {"subcommand": "interf", "grids": [1]}),
+    (["interf"], {"subcommand": "interf", "grids": {"phi": [0]}, "params": [1]}),
+    (["interf"], {"subcommand": "interf", "grids": {"phi": {"linspace": ["a", 1, 2]}}}),
+    (["interf"], {"subcommand": "interf", "grids": {"phi": {"linspace": 5}}}),
+    (["interf"], {"subcommand": "interf", "grids": {"phi": {"linspace": [0, 1, 2.5]}}}),
+    (["interf"], {"subcommand": "interf", "grids": {"phi": "12"}}),
+    (["interf", "--grid", "phi=linspace:a:1:5"], None),
+], ids=["coincidence_window", "workers", "tolerance", "seed", "visibility_text",
+        "theta_text", "n_cap_fraction", "n_bool", "shape_unknown", "mode_unknown",
+        "pump_center_missing", "chained_model_unknown", "sample_model_unknown",
+        "grids_list", "params_list", "linspace_text", "linspace_scalar",
+        "linspace_fraction", "grid_text", "linspace_flag_text"])
 def test_malformed_option_values_exit_two(tmp_path, capsys, argv, config):
     if config is not None:
         path = tmp_path / "scan.json"
@@ -310,12 +343,136 @@ GOLDEN_CSV = [
      "d,witness_n,bound_at_witness,i_at_witness,bound_at_prev,error\n"
      "0.9,2,0.8786796564403574,0.585786437626905,,\n"
      "1e-09,,,,,FalsificationCapError: no N <= 50 with bound < 1e-09: "
-     "bound at the cap is 0.037007972570133225\n"),
+     "bound at the cap is 0.037007972570133225\n"),    # Physical Franson rows (recorded before the splitter coefficients were
+    # derived from one table): both shapes, with and without post-selection.
+    (["franson", "--grid", "tau_b=1e-9,1.0005e-9", *FRANSON_PHYSICAL,
+      "--shape", "rectangular", "--coincidence-window", "none"],
+     "tau_b,phase,visibility,p_equal,p_differ,p_pp,p_pm,p_mp,p_mm,marginal_a,"
+     "marginal_b,error\n"
+     "1e-09,2400000.0,0.5000022749264348,0.6634605727532595,"
+     "0.33653942724674046,0.33158551998711044,0.16826971362337023,"
+     "0.16826971362337023,0.3318750527661491,0.4998552336104807,"
+     "0.4998552336104807,\n"
+     "1.0005e-09,2400600.0,0.31842476519705815,0.4013507745121735,"
+     "0.5986492254878265,0.2006046084980906,0.29925062511239015,"
+     "0.29939860037543636,0.2007461660140829,0.49985523361048073,"
+     "0.5000032088735269,\n"),
+    (["franson", "--grid", "tau_b=1e-9,1.0005e-9", *FRANSON_PHYSICAL,
+      "--shape", "rectangular", "--coincidence-window", "auto"],
+     "tau_b,phase,visibility,p_equal,p_differ,p_pp,p_pm,p_mp,p_mm,marginal_a,"
+     "marginal_b,error\n"
+     "1e-09,2400000.0,0.9999999999983565,0.8269176661590236,"
+     "0.17308233384097643,0.4134588330795118,0.08654116692048822,"
+     "0.08654116692048822,0.4134588330795118,0.5,0.5,\n"
+     "1.0005e-09,2400600.0,0.6369424732040108,0.3026221075788524,"
+     "0.6973778924211476,0.1513110537894262,0.3486889462105738,"
+     "0.3486889462105738,0.1513110537894262,0.5,0.5,\n"),
+    (["franson", "--grid", "tau_b=1e-9,1.0005e-9", *FRANSON_PHYSICAL,
+      "--shape", "gaussian", "--coincidence-window", "none"],
+     "tau_b,phase,visibility,p_equal,p_differ,p_pp,p_pm,p_mp,p_mm,marginal_a,"
+     "marginal_b,error\n"
+     "1e-09,2400000.0,0.49999999999822264,0.6634588330791998,"
+     "0.33654116692080016,0.33172941653960103,0.16827058346040008,"
+     "0.16827058346040008,0.3317294165395988,0.5000000000000011,"
+     "0.5000000000000011,\n"
+     "1.0005e-09,2400600.0,0.20552821974066895,0.43631021865844105,"
+     "0.563689781341559,0.2181551093292214,0.2818448906707797,"
+     "0.2818448906707793,0.21815510932921964,0.5000000000000011,"
+     "0.5000000000000007,\n"),
+    (["franson", "--grid", "tau_b=1e-9,1.0005e-9", *FRANSON_PHYSICAL,
+      "--shape", "gaussian", "--coincidence-window", "auto"],
+     "tau_b,phase,visibility,p_equal,p_differ,p_pp,p_pm,p_mp,p_mm,marginal_a,"
+     "marginal_b,error\n"
+     "1e-09,2400000.0,0.9999999999964434,0.8269176661583981,"
+     "0.17308233384160193,0.41345883307919906,0.08654116692080097,"
+     "0.08654116692080097,0.41345883307919906,0.5,0.5,\n"
+     "1.0005e-09,2400600.0,0.41105643948115667,0.3726204373170371,"
+     "0.6273795626829629,0.18631021865851854,0.31368978134148146,"
+     "0.31368978134148146,0.18631021865851854,0.5,0.5,\n"),
 ]
 
 
-@pytest.mark.parametrize("argv, expected", GOLDEN_CSV, ids=[a[0] for a, _ in GOLDEN_CSV])
+def _case_id(argv):
+    options = [argv[i + 1] for i, flag in enumerate(argv)
+               if flag in ("--shape", "--coincidence-window")]
+    return "-".join([argv[0]] + options)
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN_CSV, ids=[_case_id(a) for a, _ in GOLDEN_CSV])
 def test_csv_artifact_bytes(tmp_path, argv, expected):
     out = tmp_path / "out.csv"
     main(argv + ["--output", str(out)])
     assert out.read_bytes() == expected.encode()
+
+
+# JSON artifacts recorded before the parameter table: the spec records the
+# defaults of parameters that apply to every row and no others.
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_JSON = [
+    ("franson_ideal", ["franson", "--grid", "phi=0,1.5,3.141592653589793"]),
+    ("franson_physical", ["franson", "--grid", "tau_b=1e-9,1.0005e-9", *FRANSON_PHYSICAL]),
+    ("chained_visibility", ["chained", "--grid", "n=2,3", "--visibility", "0.9"]),
+    ("sample", ["sample", "--grid", "phi=0,1", "--seed", "5", "--n", "1000"]),
+]
+
+
+@pytest.mark.parametrize("name, argv", GOLDEN_JSON, ids=[name for name, _ in GOLDEN_JSON])
+def test_json_artifact_bytes(capsys, name, argv):
+    assert main(argv + ["--format", "json"]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("subcommand, grids, params, message", [
+    ("franson", {"phi": (0.0,)}, {"visibility": "0.9"},
+     "'visibility' must be a real number, got '0.9'"),
+    ("chained", {"n": (2.0,)}, {"visibility": True},
+     "'visibility' must be a real number, got True"),
+    ("extensions", {"d": (0.5,)}, {"n_cap": 2.5}, "'n_cap' must be an integer, got 2.5"),
+    ("franson", {"tau_b": (1e-9,)}, {**PHYSICAL_PARAMS, "coincidence_window": "abc"},
+     "'coincidence_window' must be seconds, 'none' or 'auto', got 'abc'"),
+    ("franson", {"phi": (0.0,)}, {"mode": "bogus"},
+     r"'mode' must be one of \['ideal', 'physical'\], got 'bogus'"),
+    ("chained", {"n": (2.0,)}, {"model": "nope"},
+     r"'model' must be one of \['pr_box', 'quantum', 'suppressed'\], got 'nope'"),
+    ("franson", {"tau_b": (1e-9,)}, {"mode": "physical"},
+     "requires parameter 'pump_center' when mode is 'physical'"),
+    ("franson", {"tau_b": (1e-9,)}, {}, "requires a 'phi' grid when mode is 'ideal'"),
+    ("franson", {"phi": (0.0,)}, {"bogus": 1}, "does not take parameter 'bogus'"),
+], ids=["real", "real_bool", "int", "window", "mode", "model", "required_param",
+        "required_grid", "unknown"])
+def test_direct_spec_is_checked_like_flags_and_config(subcommand, grids, params, message):
+    with pytest.raises(ConfigError, match=message):
+        run_scan(ScanSpec(subcommand=subcommand, grids=grids, params=params))
+
+
+def test_direct_spec_window_text_is_resolved(capsys):
+    spec = ScanSpec(subcommand="franson", grids={"tau_b": (1e-9,)},
+                    params={**PHYSICAL_PARAMS, "coincidence_window": "None"}, format="json")
+    assert run_scan(spec) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["spec"]["params"]["coincidence_window"] is None
+    assert doc["rows"][0]["error"] == ""
+
+
+@pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
+def test_interf_rejects_non_finite_phase_per_row(tmp_path, phi):
+    with pytest.raises(ValueError, match="phi must be finite"):
+        _wavepacket_probabilities(phi, 3.14, 1e-10)
+    out = tmp_path / "out.csv"
+    assert main(["interf", "--grid", f"phi=0,{phi!r},1", "--grid", "dphi=3.14",
+                 "--output", str(out)]) == 1
+    rows = read_rows(out)
+    assert [row["error"] == "" for row in rows] == [True, False, True]
+    assert "phi must be finite" in rows[1]["error"]
+
+
+def test_config_real_parameters_take_ints_and_keep_them(tmp_path):
+    cfg = tmp_path / "scan.json"
+    cfg.write_text(json.dumps({"subcommand": "chained", "grids": {"n": [2]},
+                               "params": {"theta": 3, "visibility": 1}, "format": "json"}))
+    out = tmp_path / "out.json"
+    assert main(["chained", "--config", str(cfg), "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["spec"]["params"] == {"model": "quantum", "theta": 3, "visibility": 1}
+    assert doc["rows"][0]["theta"] == 3
+    assert doc["rows"][0]["i_value"] == pytest.approx(quantum_I_closed_form(2, 3.0), abs=1e-12)

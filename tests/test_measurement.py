@@ -6,6 +6,7 @@ import pytest
 
 from bellsim.interferometer import probability_monochromatic
 from bellsim.measurement import (
+    STANDARD_PORT_PHASES,
     MeasurementMatrix,
     PathAmplitudes,
     hadamard_beam_splitter,
@@ -129,3 +130,13 @@ def test_from_array_round_trip():
     assert m == again
     with pytest.raises(ValueError):
         MeasurementMatrix.from_array(np.eye(3))
+
+
+def test_standard_port_phases_are_the_physical_interferometer():
+    m = mach_zehnder_effective(math.pi / 2)
+    table = STANDARD_PORT_PHASES
+    expected = [[table["long"][+1], table["long"][-1]],
+                [table["short"][+1], table["short"][-1]]]
+    np.testing.assert_allclose(m.as_array() * math.sqrt(2.0), expected, rtol=0, atol=2e-16)
+    for phases in table.values():
+        assert all(abs(z) == 1.0 and z.real * z.imag == 0.0 for z in phases.values())
