@@ -233,12 +233,11 @@ def deterministic_strategy_value(outcomes: Sequence[int]) -> float:
     return closing + flips
 
 
-def lhv_minimum_I(n: int, theta: float = math.pi) -> LhvMinimum:
+def lhv_minimum_I(n: int) -> LhvMinimum:
     """Minimum of the chained value over the 4^N deterministic strategies.
 
     Deterministic outcomes make every term an indicator, so the value does
-    not depend on theta; the parameter is kept for interface symmetry.  The
-    minimum is 1 by parity: endpoints that agree score the closing term,
+    not depend on the phase spread theta.  The minimum is 1 by parity: endpoints that agree score the closing term,
     endpoints that differ need an odd number of adjacent flips.  The
     reported strategy, all -1, is the first minimizer in ascending word
     order (bit i of the word is setting l_i, set bit = +1).

@@ -10,8 +10,9 @@ Every parameter is declared once, as a ``_Param`` entry: scan parameters
 and grid axes in ``_SUBCOMMANDS``, common options on their ``ScanSpec``
 field.  The argparse parser, the copy of flags into the spec, the
 defaults and :func:`validate_spec` derive from the entries, so flags,
-config documents and ``ScanSpec`` objects are checked alike and a wrongly
-typed config value exits 2.
+config documents and ``ScanSpec`` objects are checked alike: a wrongly
+typed config value, or a parameter or grid given where it does not apply,
+exits 2.
 
 Rows run one after another in grid order on the calling thread;
 ``--workers`` is still accepted and validated (>= 1) but changes nothing,
@@ -97,7 +98,8 @@ class _Param:
     """One parameter or grid axis.
 
     Without a default it is required wherever it applies; ``when`` =
-    (parameter, value) limits it to one mode or model.
+    (parameter, value) limits it to one mode or model, and giving it
+    anywhere else is an error.
     """
 
     name: str
@@ -120,9 +122,15 @@ class _Param:
     def applies(self, params: dict) -> bool:
         return not self.when or params.get(self.when[0]) == self.when[1]
 
+    @property
+    def condition(self) -> str:
+        return f" when {self.when[0]} is {self.when[1]!r}" if self.when else ""
+
     def missing(self, subcommand: str, what: str) -> ConfigError:
-        when = f" when {self.when[0]} is {self.when[1]!r}" if self.when else ""
-        return ConfigError(f"subcommand {subcommand!r} requires {what}{when}")
+        return ConfigError(f"subcommand {subcommand!r} requires {what}{self.condition}")
+
+    def inapplicable(self, subcommand: str, what: str) -> ConfigError:
+        return ConfigError(f"subcommand {subcommand!r} takes {what} only{self.condition}")
 
     def add_to(self, parser: argparse.ArgumentParser) -> None:
         parser.add_argument("--" + self.name.replace("_", "-"), type=self.kind.parse,
@@ -175,30 +183,31 @@ _OPTIONS = tuple(_Param(f.name, default=f.default, **f.metadata)
 
 
 def _resolve_grid(name: str, value) -> tuple[float, ...]:
-    """A grid is a nonempty list of numbers or {"linspace": [start, stop, num]}."""
+    """A grid is a nonempty list of real numbers or {"linspace": [start, stop,
+    num]} with real start and stop and an integer num >= 1."""
     if isinstance(value, dict):
         extra = set(value) - {"linspace"}
         if extra:
             raise ConfigError(f"grid {name!r}: unknown key {sorted(extra)[0]!r}")
         if "linspace" not in value:
             raise ConfigError(f"grid {name!r}: expected a 'linspace' entry")
-        try:
-            start, stop, num = value["linspace"]
-            start, stop, count = float(start), float(stop), int(num)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"grid {name!r}: linspace needs [start, stop, num]") from None
-        if count < 1 or count != float(num):
+        linspace = value["linspace"]
+        if not (isinstance(linspace, (list, tuple)) and len(linspace) == 3
+                and _is_real(linspace[0]) and _is_real(linspace[1])):
+            raise ConfigError(f"grid {name!r}: linspace needs [start, stop, num]")
+        start, stop, num = linspace
+        if not (_is_int(num) and num >= 1):
             raise ConfigError(f"grid {name!r}: linspace num must be an integer >= 1")
-        return tuple(float(x) for x in np.linspace(start, stop, count))
-    try:
-        if isinstance(value, str):
-            raise TypeError(value)
-        values = tuple(float(x) for x in value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"grid {name!r}: expected a list of numbers") from None
-    if not values:
+    elif not (isinstance(value, (list, tuple)) and all(_is_real(x) for x in value)):
+        raise ConfigError(f"grid {name!r}: expected a list of real numbers")
+    elif not value:
         raise ConfigError(f"grid {name!r} is empty; grids must be nonempty")
-    return values
+    try:
+        if isinstance(value, dict):
+            value = np.linspace(float(start), float(stop), num)
+        return tuple(float(x) for x in value)
+    except OverflowError:
+        raise ConfigError(f"grid {name!r}: a value is out of float range") from None
 
 
 def load_config(path: str) -> ScanSpec:
@@ -449,16 +458,23 @@ def validate_spec(spec: ScanSpec) -> tuple[dict, dict]:
             )
     params, recorded = {}, {}
     for param in sub.params:
+        applies = param.applies(params)
         if param.name in spec.params:
+            if not applies:
+                raise param.inapplicable(spec.subcommand, f"parameter {param.name!r}")
             params[param.name] = recorded[param.name] = param.check(spec.params[param.name])
-        elif param.applies(params):
+        elif applies:
             if param.default is _REQUIRED:
                 raise param.missing(spec.subcommand, f"parameter {param.name!r}")
             params[param.name] = param.default
             if not param.when:
                 recorded[param.name] = param.default
     for axis in sub.grids:
-        if axis.name not in spec.grids and axis.default is _REQUIRED and axis.applies(params):
+        scanned = axis.name in spec.grids
+        if not axis.applies(params):
+            if scanned:
+                raise axis.inapplicable(spec.subcommand, f"a {axis.name!r} grid")
+        elif not scanned and axis.default is _REQUIRED:
             raise axis.missing(spec.subcommand, f"a {axis.name!r} grid")
     if sub.seeded and spec.seed is None:
         raise ConfigError(f"subcommand {spec.subcommand!r} requires a seed")
@@ -560,8 +576,16 @@ def _parse_grid_option(text: str) -> tuple[str, tuple[float, ...]]:
         parts = values.split(":")[1:]
         if len(parts) != 3:
             raise ConfigError(f"grid {name!r}: expected linspace:start:stop:num")
-        return name, _resolve_grid(name, {"linspace": parts})
-    return name, _resolve_grid(name, values.split(","))
+        try:
+            linspace = [float(parts[0]), float(parts[1]), int(parts[2])]
+        except ValueError:
+            raise ConfigError(f"grid {name!r}: linspace needs [start, stop, num]") from None
+        return name, _resolve_grid(name, {"linspace": linspace})
+    try:
+        grid = [float(x) for x in values.split(",")]
+    except ValueError:
+        raise ConfigError(f"grid {name!r}: expected a list of numbers") from None
+    return name, _resolve_grid(name, grid)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -8,13 +8,15 @@ interference carries the nonlocal fringe.  The module provides
 
 * the idealized maximally-entangled joint distribution, pointwise and as
   an array,
-* correlation models: array rules validated once per batch,
+* correlation models: array rules validated once per batch, the only
+  representation of a joint distribution over setting phases,
 * the full four-path spectral model with per-pair coherence factors and
   coincidence-window post-selection; each factor is a product of real
   envelopes, because every spectral density is even about its center,
 * the coherence-ratio checks that the ideal limit requires,
-* no-signaling diagnostics on arbitrary correlation rules, and
-* the two-photon counterpart of the beam-splitter unitarity condition.
+* no-signaling diagnostics on correlation models, and
+* the two-photon counterpart of the beam-splitter unitarity condition, a
+  correlation model built from side B's measurement matrix.
 
 Everything is a pure function of its inputs.
 """
@@ -34,7 +36,6 @@ from .probability import check_batch, check_distribution
 from .spectra import Spectrum, integrate_over_spectrum
 
 
-Rule = Callable[[float, float], "JointDistribution"]
 ArrayRule = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -75,14 +76,6 @@ class JointDistribution:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.p_pp, self.p_pm, self.p_mp, self.p_mm)
-
-    def prob(self, a: int, b: int) -> float:
-        key = {(1, 1): self.p_pp, (1, -1): self.p_pm,
-               (-1, 1): self.p_mp, (-1, -1): self.p_mm}
-        try:
-            return key[(a, b)]
-        except KeyError:
-            raise ValueError(f"outcomes must be +-1, got {(a, b)!r}") from None
 
     @property
     def p_equal(self) -> float:
@@ -257,40 +250,34 @@ def marginal(dist: JointDistribution, side: str) -> float:
     raise ValueError(f"side must be 'A' or 'B', got {side!r}")
 
 
-def joint_probabilities(model, phi_a: np.ndarray, phi_b: np.ndarray) -> np.ndarray:
+def joint_probabilities(
+    model: CorrelationModel, phi_a: np.ndarray, phi_b: np.ndarray
+) -> np.ndarray:
     """Validated (4, M) probabilities (pp, pm, mp, mm) of ``model`` at the
-    M phase pairs (phi_a[m], phi_b[m]).
+    M phase pairs (phi_a[m], phi_b[m]), from one call of its array rule.
 
-    A :class:`CorrelationModel` is evaluated by one call of its array rule.
-    Any other ``model`` is a rule callable (phi_a, phi_b) -> JointDistribution,
-    or an object exposing one as ``.rule``, and is called pair by pair.  An
-    invalid distribution is rejected with the diagnostic of the first
+    An invalid distribution is rejected with the diagnostic of the first
     invalid pair.
     """
+    if not isinstance(model, CorrelationModel):
+        raise TypeError(f"expected a CorrelationModel, got {type(model).__name__}")
     phi_a = np.asarray(phi_a, dtype=float)
     phi_b = np.asarray(phi_b, dtype=float)
-    if isinstance(model, CorrelationModel):
-        p = np.asarray(model.probabilities(phi_a, phi_b), dtype=float)
-        if p.shape != (4, phi_a.size):
-            raise ValueError(f"model {model.name!r} returned shape {p.shape}, "
-                             f"expected (4, {phi_a.size})")
-    else:
-        rule: Rule = getattr(model, "rule", model)
-        p = np.array([rule(a, b).as_tuple() for a, b in zip(phi_a.tolist(), phi_b.tolist())],
-                     dtype=float).reshape(-1, 4).T
+    p = np.asarray(model.probabilities(phi_a, phi_b), dtype=float)
+    if p.shape != (4, phi_a.size):
+        raise ValueError(f"model {model.name!r} returned shape {p.shape}, "
+                         f"expected (4, {phi_a.size})")
     check_batch(p, "joint probabilities")
     return p
 
 
 def no_signaling_residual(
-    model, phi_a_grid: Iterable[float], phi_b_grid: Iterable[float]
+    model: CorrelationModel, phi_a_grid: Iterable[float], phi_b_grid: Iterable[float]
 ) -> float:
     """Largest change of either side's marginal under the remote setting.
 
     ``model`` is evaluated once over the whole grid by
-    :func:`joint_probabilities`, so it may be a :class:`CorrelationModel`, a
-    rule callable (phi_a, phi_b) -> JointDistribution or any object exposing
-    one as ``.rule``.
+    :func:`joint_probabilities`.
     """
     phi_a = np.fromiter(phi_a_grid, dtype=float)
     phi_b = np.fromiter(phi_b_grid, dtype=float)
@@ -305,6 +292,9 @@ def no_signaling_residual(
     dev_b = float(np.max(marg_b.max(axis=0) - marg_b.min(axis=0)))
     return max(dev_a, dev_b)
 
+
+# Outcome pairs (a, b) in the order of the probability arrays.
+_OUTCOMES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 # Output-port coefficients of the standard interferometer (two 1/sqrt2
 # splitter passes), split off from the long-arm propagation phase:
@@ -321,23 +311,12 @@ _CLASSES: dict[str, tuple[bool, bool]] = {
     "sl": (False, True),
 }
 
-
-def _arrival_offset(name: str, tau_a: float, tau_b: float) -> float:
-    a_long, b_long = _CLASSES[name]
-    return (tau_a if a_long else 0.0) - (tau_b if b_long else 0.0)
-
-
-def _pair_linear_phase(u: str, v: str, tau_a: float, tau_b: float) -> tuple[float, float]:
-    """Coefficients (alpha, beta) of the phase difference alpha*w + beta*w_off
-    between classes u and v.
-
-    Formed from the exact arm-delay differences, so pairs whose |alpha| or
-    |beta| agree in exact arithmetic also agree in floating point.
-    """
-    (ua, ub), (va, vb) = _CLASSES[u], _CLASSES[v]
-    d_a = (tau_a if ua else 0.0) - (tau_a if va else 0.0)
-    d_b = (tau_b if ub else 0.0) - (tau_b if vb else 0.0)
-    return (0.5 * (d_a + d_b), d_a - d_b)
+# Detector coefficient of each path class per outcome pair, in array order.
+_CLASS_COEFFS: dict[str, tuple[complex, ...]] = {
+    name: tuple((_KAPPA if a_long else _LAMBDA)[a] * (_KAPPA if b_long else _LAMBDA)[b]
+                for a, b in _OUTCOMES)
+    for name, (a_long, b_long) in _CLASSES.items()
+}
 
 
 def _envelope(spectrum: Spectrum, gamma: float, tol: float) -> float:
@@ -366,30 +345,24 @@ def physical_joint_distribution(cfg: FransonConfig, tol: float = 1e-10) -> Frans
     carrier-phase sweep.
     """
     w_a, w_b = downconverted_frequencies(cfg)
-    tau_a, tau_b = cfg.tau_a, cfg.tau_b
-
-    kept = [
-        name for name in _CLASSES
-        if cfg.coincidence_window is None
-        or abs(_arrival_offset(name, tau_a, tau_b)) <= cfg.coincidence_window
-    ]
+    # Delays (ta, tb) of the two photons in each path class.
+    delays = {name: (cfg.tau_a if a_long else 0.0, cfg.tau_b if b_long else 0.0)
+              for name, (a_long, b_long) in _CLASSES.items()}
+    window = cfg.coincidence_window
+    kept = [name for name, (ta, tb) in delays.items()
+            if window is None or abs(ta - tb) <= window]
     if not kept:
         raise ValueError("coincidence window rejects every path class")
 
-    # Carrier phase of each class at the center frequencies.
-    def carrier(name: str) -> float:
-        a_long, b_long = _CLASSES[name]
-        return (w_a * tau_a if a_long else 0.0) + (w_b * tau_b if b_long else 0.0)
-
-    # Static detector coefficients per class and outcome pair.
-    def coeff(name: str, a: int, b: int) -> complex:
-        a_long, b_long = _CLASSES[name]
-        ka = _KAPPA[a] if a_long else _LAMBDA[a]
-        kb = _KAPPA[b] if b_long else _LAMBDA[b]
-        return ka * kb
+    # Carrier phase factor of each class at the center frequencies.
+    carrier = {name: cmath.exp(1j * (w_a * delays[name][0] + w_b * delays[name][1]))
+               for name in kept}
 
     # Spectral coherence factor for each unordered kept pair, with envelope
-    # integrals cached by |gamma|.
+    # integrals cached by |gamma|.  The phase difference between classes u
+    # and v is alpha*w + beta*w_off, formed from the exact arm-delay
+    # differences so that pairs whose |alpha| or |beta| agree in exact
+    # arithmetic also agree in floating point.
     env_pump: dict[float, float] = {}
     env_off: dict[float, float] = {}
 
@@ -402,49 +375,41 @@ def physical_joint_distribution(cfg: FransonConfig, tol: float = 1e-10) -> Frans
     pairs = []
     for i, u in enumerate(kept):
         for v in kept[i + 1:]:
-            alpha, beta = _pair_linear_phase(u, v, tau_a, tau_b)
+            d_a = delays[u][0] - delays[v][0]
+            d_b = delays[u][1] - delays[v][1]
             coherence = (
-                envelope(cfg.pump, env_pump, alpha)
-                * envelope(cfg.photon_offset, env_off, beta)
+                envelope(cfg.pump, env_pump, 0.5 * (d_a + d_b))
+                * envelope(cfg.photon_offset, env_off, d_a - d_b)
             )
-            pairs.append((u, v, coherence))
+            products = tuple(cu * cv.conjugate()
+                             for cu, cv in zip(_CLASS_COEFFS[u], _CLASS_COEFFS[v]))
+            pairs.append((u, v, products, coherence))
 
-    outcomes = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+    populations = [sum(abs(_CLASS_COEFFS[name][k]) ** 2 for name in kept) for k in range(4)]
 
-    def raw_probabilities(chi: float) -> dict[tuple[int, int], float]:
-        """Un-normalized joint probabilities with an extra phase chi on the
-        long arm at side A (a sub-wavelength delay tweak).
+    def raw_probabilities(chi: float) -> list[float]:
+        """Un-normalized (pp, pm, mp, mm) with an extra phase chi on the long
+        arm at side A (a sub-wavelength delay tweak).
 
         chi multiplies in as its own factor: added to a carrier of up to
         1e10 rad it would be rounded to that carrier's ulp."""
         sweep = cmath.exp(1j * chi)
-        phase = {}
-        for name in kept:
-            a_long, _ = _CLASSES[name]
-            phase[name] = cmath.exp(1j * carrier(name)) * (sweep if a_long else 1.0)
-        probs = {}
-        for a, b in outcomes:
-            total = sum(abs(coeff(name, a, b)) ** 2 for name in kept)
-            for u, v, coherence in pairs:
-                cross = (coeff(u, a, b) * coeff(v, a, b).conjugate()
-                         * phase[u] * phase[v].conjugate())
-                total += 2.0 * cross.real * coherence
-            probs[(a, b)] = total
-        return probs
+        phase = {name: carrier[name] * (sweep if _CLASSES[name][0] else 1.0) for name in kept}
+        totals = list(populations)
+        for u, v, products, coherence in pairs:
+            for k, product in enumerate(products):
+                cross = product * phase[u] * phase[v].conjugate()
+                totals[k] += 2.0 * cross.real * coherence
+        return totals
 
     raw = raw_probabilities(0.0)
-    weight = sum(raw.values())
-    dist = JointDistribution(
-        p_pp=max(raw[(1, 1)] / weight, 0.0),
-        p_pm=max(raw[(1, -1)] / weight, 0.0),
-        p_mp=max(raw[(-1, 1)] / weight, 0.0),
-        p_mm=max(raw[(-1, -1)] / weight, 0.0),
-    )
+    weight = sum(raw)
+    dist = JointDistribution(*[max(p / weight, 0.0) for p in raw])
 
     # p_equal(chi) = u0 + A cos(chi) + B sin(chi): three samples pin the
     # harmonic, and the fringe contrast is sqrt(A^2+B^2)/u0.
-    def p_equal(p: dict[tuple[int, int], float]) -> float:
-        return (p[(1, 1)] + p[(-1, -1)]) / weight
+    def p_equal(p: list[float]) -> float:
+        return (p[0] + p[3]) / weight
 
     pe_0 = p_equal(raw)
     pe_quarter = p_equal(raw_probabilities(0.5 * math.pi))
@@ -462,32 +427,28 @@ def physical_joint_distribution(cfg: FransonConfig, tol: float = 1e-10) -> Frans
     )
 
 
-def bob_measurement_rule(m: MeasurementMatrix) -> Rule:
-    """Joint-outcome rule of the ideal path-entangled pair when side B's
+def bob_measurement_rule(m: MeasurementMatrix) -> CorrelationModel:
+    """Correlation model of the ideal path-entangled pair when side B's
     measurement is described by ``m`` (side A keeps the standard
     interferometer matrix).
 
     Side A's marginal acquires the cross term b11 b21* + b12 b22* times the
     remote phase, so matrices passing the single-particle unitarity check
-    produce no-signaling correlations with no extra assumption.  With the
-    standard matrix on both sides the rule reproduces the ideal joint law at
-    phase phi_a + phi_b.
+    produce no-signaling correlations with no extra assumption, and the
+    largest marginal change is that cross term's modulus.  With the standard
+    matrix on both sides the model reproduces the ideal joint law at phase
+    phi_a + phi_b.
     """
-    b_long = {+1: m.a11, -1: m.a12}
-    b_short = {+1: m.a21, -1: m.a22}
-    a_long = {a: z * _INV_SQRT2 for a, z in STANDARD_PORT_PHASES["long"].items()}
-    a_short = {a: z * _INV_SQRT2 for a, z in STANDARD_PORT_PHASES["short"].items()}
+    side_b = {"long": {+1: m.a11, -1: m.a12}, "short": {+1: m.a21, -1: m.a22}}
+    # Pair amplitude coefficient per input path, one row per outcome pair.
+    long_coeff, short_coeff = (
+        np.array([STANDARD_PORT_PHASES[path][a] * _INV_SQRT2 * side_b[path][b]
+                  for a, b in _OUTCOMES])[:, None]
+        for path in ("long", "short")
+    )
 
-    def rule(phi_a: float, phi_b: float) -> JointDistribution:
-        za = cmath.exp(1j * phi_a)
-        zb = cmath.exp(1j * phi_b)
-        p = {}
-        for a in (1, -1):
-            for b in (1, -1):
-                amp = (a_long[a] * za * b_long[b] * zb
-                       + a_short[a] * b_short[b]) * _INV_SQRT2
-                p[(a, b)] = abs(amp) ** 2
-        return JointDistribution(p_pp=p[(1, 1)], p_pm=p[(1, -1)],
-                                 p_mp=p[(-1, 1)], p_mm=p[(-1, -1)])
+    def probabilities(phi_a: np.ndarray, phi_b: np.ndarray) -> np.ndarray:
+        amp = (long_coeff * np.exp(1j * (phi_a + phi_b)) + short_coeff) * _INV_SQRT2
+        return np.abs(amp) ** 2
 
-    return rule
+    return CorrelationModel(name="bob_measurement", probabilities=probabilities)

@@ -245,7 +245,7 @@ def test_chained_rejects_invalid_model_distribution():
     def broken(phi_a, phi_b):
         return JointDistribution(0.5, 0.5, 0.5, 0.5)
 
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         chained_I(broken, ChainedConfig(n=2, theta=PI))
 
     # an array rule gets the diagnostic JointDistribution would give

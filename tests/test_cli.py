@@ -271,11 +271,19 @@ PHYSICAL_PARAMS = {"mode": "physical", "pump_center": 2.4e15, "pump_bandwidth": 
     (["interf"], {"subcommand": "interf", "grids": {"phi": {"linspace": [0, 1, 2.5]}}}),
     (["interf"], {"subcommand": "interf", "grids": {"phi": "12"}}),
     (["interf", "--grid", "phi=linspace:a:1:5"], None),
+    (["interf"], {"subcommand": "interf", "grids": {"phi": ["0.5", True]}}),
+    (["interf"], {"subcommand": "interf", "grids": {"phi": {"linspace": [0, 1, True]}}}),
+    (["chained", "--grid", "n=2", "--model", "pr_box", "--visibility", "0.9"], None),
+    (["franson", "--grid", "phi=0,1", "--grid", "tau_b=1e-9,2e-9"], None),
+    (["franson"], {"subcommand": "franson", "grids": {"tau_b": [1e-9]},
+                   "params": {**PHYSICAL_PARAMS, "visibility": 0.9}}),
 ], ids=["coincidence_window", "workers", "tolerance", "seed", "visibility_text",
         "theta_text", "n_cap_fraction", "n_bool", "shape_unknown", "mode_unknown",
         "pump_center_missing", "chained_model_unknown", "sample_model_unknown",
         "grids_list", "params_list", "linspace_text", "linspace_scalar",
-        "linspace_fraction", "grid_text", "linspace_flag_text"])
+        "linspace_fraction", "grid_text", "linspace_flag_text", "grid_value_types",
+        "linspace_bool_num", "visibility_for_pr_box", "tau_b_grid_in_ideal_mode",
+        "visibility_in_physical_config"])
 def test_malformed_option_values_exit_two(tmp_path, capsys, argv, config):
     if config is not None:
         path = tmp_path / "scan.json"
@@ -438,8 +446,12 @@ def test_json_artifact_bytes(capsys, name, argv):
      "requires parameter 'pump_center' when mode is 'physical'"),
     ("franson", {"tau_b": (1e-9,)}, {}, "requires a 'phi' grid when mode is 'ideal'"),
     ("franson", {"phi": (0.0,)}, {"bogus": 1}, "does not take parameter 'bogus'"),
+    ("chained", {"n": (2.0,)}, {"model": "pr_box", "visibility": 0.9},
+     "takes parameter 'visibility' only when model is 'quantum'"),
+    ("franson", {"phi": (0.0,), "tau_b": (1e-9,)}, {},
+     "takes a 'tau_b' grid only when mode is 'physical'"),
 ], ids=["real", "real_bool", "int", "window", "mode", "model", "required_param",
-        "required_grid", "unknown"])
+        "required_grid", "unknown", "inapplicable_param", "inapplicable_grid"])
 def test_direct_spec_is_checked_like_flags_and_config(subcommand, grids, params, message):
     with pytest.raises(ConfigError, match=message):
         run_scan(ScanSpec(subcommand=subcommand, grids=grids, params=params))

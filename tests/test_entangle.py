@@ -6,6 +6,7 @@ import pytest
 
 from bellsim.bell import pr_box_model, quantum_model
 from bellsim.entangle import (
+    CorrelationModel,
     FransonConfig,
     JointDistribution,
     PathPair,
@@ -19,7 +20,12 @@ from bellsim.entangle import (
     path_pair_phase,
     physical_joint_distribution,
 )
-from bellsim.measurement import MeasurementMatrix, mach_zehnder_effective
+from bellsim.measurement import (
+    MeasurementMatrix,
+    mach_zehnder_effective,
+    pi_quarter_model,
+    unitarity_residual,
+)
 from bellsim.spectra import Spectrum
 
 TWO_PI = 2.0 * math.pi
@@ -426,10 +432,11 @@ def test_no_signaling_residuals():
     assert no_signaling_residual(quantum_model(), grid, grid) <= 1e-12
     assert no_signaling_residual(pr_box_model(), grid, grid) <= 1e-12
 
-    def signaling_rule(phi_a, phi_b):
-        p = 0.5 * (1.0 + 0.1 * math.cos(phi_b))
-        return JointDistribution(p_pp=0.5 * p, p_pm=0.5 * p,
-                                 p_mp=0.5 * (1 - p), p_mm=0.5 * (1 - p))
+    def signaling(phi_a, phi_b):
+        p = 0.5 * (1.0 + 0.1 * np.cos(phi_b))
+        return np.stack((0.5 * p, 0.5 * p, 0.5 * (1 - p), 0.5 * (1 - p)))
+
+    signaling_rule = CorrelationModel("signaling", signaling)
 
     assert no_signaling_residual(signaling_rule, [0.0], [0.0, math.pi]) == pytest.approx(0.1, abs=1e-12)
     with pytest.raises(ValueError):
@@ -447,12 +454,24 @@ def test_bob_matrix_unitarity_chain():
         m = MeasurementMatrix.from_array(q)
         assert no_signaling_residual(bob_measurement_rule(m), grid, grid) <= 1e-12
 
-    rule = bob_measurement_rule(mach_zehnder_effective(math.pi / 2))
+    rule = bob_measurement_rule(mach_zehnder_effective(math.pi / 2)).rule
     for pa in np.linspace(0.0, TWO_PI, 7):
         for pb in np.linspace(0.0, TWO_PI, 7):
             got = dist_map(rule(float(pa), float(pb)))
             want = dist_map(ideal_joint_distribution(float(pa) + float(pb)))
             assert max(abs(got[k] - want[k]) for k in got) <= 1e-12
+
+
+def test_bob_signaling_equals_unitarity_residual():
+    """The pi/4 splitter's cross term is exactly how far side A's marginal
+    moves with side B's phase: unitarity is what keeps the pair no-signaling."""
+    m = pi_quarter_model()
+    model = bob_measurement_rule(m)
+    assert model.name == "bob_measurement"
+    grid = np.linspace(0.0, TWO_PI, 65)
+    residual = no_signaling_residual(model, grid, grid)
+    assert unitarity_residual(m) == pytest.approx(math.sqrt(2.0) / 2.0, abs=1e-15)
+    assert residual == pytest.approx(unitarity_residual(m), abs=1e-12)
 
 
 def test_config_validation():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bellsim.bell import quantum_model
+from bellsim.bell import ChainedConfig, chained_I, quantum_model
 from bellsim.entangle import JointDistribution, joint_probabilities, no_signaling_residual
 from bellsim.extensions import BiasedMarginalModel
 from bellsim.interferometer import DetectionDistribution
@@ -44,14 +44,15 @@ def test_batch_check_reports_the_first_invalid_column():
         check_batch(p)
 
 
-def test_pointwise_adapter_matches_array_rule():
+def test_only_correlation_models_are_accepted():
     # a biased subensemble signals through side B, so the residual is not 0
     model = BiasedMarginalModel(base=quantum_model(), bias=0.2).subensemble_rule(0)
     grid = np.linspace(0.0, 2 * math.pi, 13)
-    array = no_signaling_residual(model, grid, grid)
-    pointwise = no_signaling_residual(model.rule, grid, grid)
-    assert array > 0.1
-    assert pointwise == pytest.approx(array, abs=1e-15)
-    phi = np.array([0.0, 1.0, 2.0])
-    assert np.abs(joint_probabilities(model, phi, phi[::-1])
-                  - joint_probabilities(model.rule, phi, phi[::-1])).max() <= 1e-15
+    assert no_signaling_residual(model, grid, grid) > 0.1
+    for rule in (model.rule, lambda a, b: JointDistribution(0.25, 0.25, 0.25, 0.25)):
+        with pytest.raises(TypeError, match="CorrelationModel"):
+            joint_probabilities(rule, grid, grid)
+        with pytest.raises(TypeError, match="CorrelationModel"):
+            no_signaling_residual(rule, grid, grid)
+        with pytest.raises(TypeError, match="CorrelationModel"):
+            chained_I(rule, ChainedConfig(n=2, theta=math.pi))
