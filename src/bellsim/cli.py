@@ -149,7 +149,8 @@ class ScanSpec:
     params: dict = field(default_factory=dict)
     output: str = _option("-", _TEXT, "output path, '-' for stdout (default)")
     format: str = _option("csv", _TEXT, "output format", ("csv", "json"))
-    tolerance: float = _option(1e-10, _TOLERANCE, "numeric tolerance")
+    tolerance: float = _option(1e-10, _TOLERANCE, "numeric tolerance; used only by interf "
+                                                  "rows with dphi > 0 and by unitarity rows")
     workers: int = _option(1, _WORKERS, "accepted for compatibility (>= 1); rows always "
                                         "run in grid order on one thread")
     seed: int | None = _option(None, _SEED, "RNG seed (required for sample)")
@@ -296,7 +297,7 @@ def _row_franson(spec: ScanSpec, index: int, point: dict) -> tuple:
         dist = entangle.ideal_joint_distribution(phase, visibility)
     else:
         result = entangle.physical_joint_distribution(
-            _franson_physical_config(spec, point["tau_b"]), spec.tolerance
+            _franson_physical_config(spec, point["tau_b"])
         )
         dist, phase, visibility = result.distribution, result.mean_phase, result.visibility
     return (phase, visibility, dist.p_equal, dist.p_differ, dist.p_pp, dist.p_pm,

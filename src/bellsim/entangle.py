@@ -11,8 +11,10 @@ interference carries the nonlocal fringe.  The module provides
 * correlation models: array rules validated once per batch, the only
   representation of a joint distribution over setting phases,
 * the full four-path spectral model with per-pair coherence factors and
-  coincidence-window post-selection; each factor is a product of real
-  envelopes, because every spectral density is even about its center,
+  coincidence-window post-selection; each factor is a product of two
+  closed-form envelopes, real because every spectral density is even about
+  its center, and the fringe visibility is read from the harmonic of a
+  phase on one long arm, with no quadrature,
 * the coherence-ratio checks that the ideal limit requires,
 * no-signaling diagnostics on correlation models, and
 * the two-photon counterpart of the beam-splitter unitarity condition, a
@@ -33,7 +35,7 @@ import numpy as np
 
 from .measurement import _INV_SQRT2, STANDARD_PORT_PHASES, MeasurementMatrix
 from .probability import check_batch, check_distribution
-from .spectra import Spectrum, integrate_over_spectrum
+from .spectra import Spectrum
 
 
 ArrayRule = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -319,30 +321,20 @@ _CLASS_COEFFS: dict[str, tuple[complex, ...]] = {
 }
 
 
-def _envelope(spectrum: Spectrum, gamma: float, tol: float) -> float:
-    """K * integral of cos(gamma*(w - center)) against the density.
-
-    Centering removes the fast carrier so the quadrature only sees the
-    envelope oscillation across the bandwidth.  Every density is even about
-    its center on a symmetric support, so the matching sine integral is
-    exactly zero and the envelope is real and even in gamma.
-    """
-    c = spectrum.center
-    return integrate_over_spectrum(spectrum, lambda w: np.cos(gamma * (w - c)), tol)
-
-
-def physical_joint_distribution(cfg: FransonConfig, tol: float = 1e-10) -> FransonResult:
+def physical_joint_distribution(cfg: FransonConfig) -> FransonResult:
     """Four-path spectral model with coincidence post-selection.
 
     Sums the surviving path-class populations and every interference term
-    between kept classes, each weighted by the pump/offset coherence factor
-    obtained by integrating the relative phase over both spectra.  The
-    factor is a product of real envelopes, one cosine integral per distinct
-    |gamma| and spectrum (see :func:`_envelope`).  Classes whose
-    arrival-time offset exceeds the coincidence window are discarded and the
-    result renormalized.  The fringe visibility is extracted exactly from
-    the concordance probability's single-harmonic dependence on a
-    carrier-phase sweep.
+    between kept classes, each weighted by its coherence factor: the pump
+    envelope at half the summed delay differences times the offset envelope
+    at their difference (:meth:`Spectrum.envelope`, in closed form).
+    Classes whose arrival-time offset exceeds the coincidence window are
+    discarded and the result renormalized.  The fringe is read off as the
+    harmonic of a phase chi on side A's long arm: a pair of classes whose
+    photons on side A take the same arm does not depend on chi and adds to
+    the constant part; every other pair adds to the harmonic h, so that
+    p(chi) = const + Re(h exp(i chi)), and the visibility is
+    |h_pp + h_mm| / (const_pp + const_mm).
     """
     w_a, w_b = downconverted_frequencies(cfg)
     # Delays (ta, tb) of the two photons in each path class.
@@ -358,66 +350,32 @@ def physical_joint_distribution(cfg: FransonConfig, tol: float = 1e-10) -> Frans
     carrier = {name: cmath.exp(1j * (w_a * delays[name][0] + w_b * delays[name][1]))
                for name in kept}
 
-    # Spectral coherence factor for each unordered kept pair, with envelope
-    # integrals cached by |gamma|.  The phase difference between classes u
-    # and v is alpha*w + beta*w_off, formed from the exact arm-delay
-    # differences so that pairs whose |alpha| or |beta| agree in exact
-    # arithmetic also agree in floating point.
-    env_pump: dict[float, float] = {}
-    env_off: dict[float, float] = {}
-
-    def envelope(spectrum: Spectrum, cache: dict[float, float], gamma: float) -> float:
-        gamma = abs(gamma)
-        if gamma not in cache:
-            cache[gamma] = _envelope(spectrum, gamma, tol)
-        return cache[gamma]
-
-    pairs = []
+    # Classes u and v differ in phase by alpha*w + beta*w_off, with
+    # alpha = (d_a + d_b)/2 and beta = d_a - d_b from the arm-delay differences.
+    const = [sum(abs(_CLASS_COEFFS[name][k]) ** 2 for name in kept) for k in range(4)]
+    harmonic = [0j] * 4
     for i, u in enumerate(kept):
         for v in kept[i + 1:]:
             d_a = delays[u][0] - delays[v][0]
             d_b = delays[u][1] - delays[v][1]
-            coherence = (
-                envelope(cfg.pump, env_pump, 0.5 * (d_a + d_b))
-                * envelope(cfg.photon_offset, env_off, d_a - d_b)
-            )
-            products = tuple(cu * cv.conjugate()
-                             for cu, cv in zip(_CLASS_COEFFS[u], _CLASS_COEFFS[v]))
-            pairs.append((u, v, products, coherence))
+            coherence = (cfg.pump.envelope(0.5 * (d_a + d_b))
+                         * cfg.photon_offset.envelope(d_a - d_b))
+            # +1 when only u takes side A's long arm (u carries exp(i chi)),
+            # -1 when only v does, 0 when chi cancels.
+            step = _CLASSES[u][0] - _CLASSES[v][0]
+            for k, (cu, cv) in enumerate(zip(_CLASS_COEFFS[u], _CLASS_COEFFS[v])):
+                cross = cu * cv.conjugate() * carrier[u] * carrier[v].conjugate()
+                term = 2.0 * coherence * cross
+                if step == 0:
+                    const[k] += term.real
+                else:
+                    harmonic[k] += term if step > 0 else term.conjugate()
 
-    populations = [sum(abs(_CLASS_COEFFS[name][k]) ** 2 for name in kept) for k in range(4)]
-
-    def raw_probabilities(chi: float) -> list[float]:
-        """Un-normalized (pp, pm, mp, mm) with an extra phase chi on the long
-        arm at side A (a sub-wavelength delay tweak).
-
-        chi multiplies in as its own factor: added to a carrier of up to
-        1e10 rad it would be rounded to that carrier's ulp."""
-        sweep = cmath.exp(1j * chi)
-        phase = {name: carrier[name] * (sweep if _CLASSES[name][0] else 1.0) for name in kept}
-        totals = list(populations)
-        for u, v, products, coherence in pairs:
-            for k, product in enumerate(products):
-                cross = product * phase[u] * phase[v].conjugate()
-                totals[k] += 2.0 * cross.real * coherence
-        return totals
-
-    raw = raw_probabilities(0.0)
+    raw = [c + h.real for c, h in zip(const, harmonic)]
     weight = sum(raw)
     dist = JointDistribution(*[max(p / weight, 0.0) for p in raw])
-
-    # p_equal(chi) = u0 + A cos(chi) + B sin(chi): three samples pin the
-    # harmonic, and the fringe contrast is sqrt(A^2+B^2)/u0.
-    def p_equal(p: list[float]) -> float:
-        return (p[0] + p[3]) / weight
-
-    pe_0 = p_equal(raw)
-    pe_quarter = p_equal(raw_probabilities(0.5 * math.pi))
-    pe_half = p_equal(raw_probabilities(math.pi))
-    u0 = 0.5 * (pe_0 + pe_half)
-    a_cos = 0.5 * (pe_0 - pe_half)
-    b_sin = pe_quarter - u0
-    visibility = math.hypot(a_cos, b_sin) / u0 if u0 > 0.0 else 0.0
+    equal = const[0] + const[3]
+    visibility = abs(harmonic[0] + harmonic[3]) / equal if equal > 0.0 else 0.0
 
     return FransonResult(
         distribution=dist,

@@ -3,12 +3,14 @@
 A :class:`Spectrum` is a normalized density over angular frequency with a
 characteristic bandwidth.  Everything downstream (wave-packet interference,
 two-photon coherence factors) reduces to weighted integrals of smooth
-oscillatory functions against these densities, so the one numerical
-primitive exported here is :func:`integrate_over_spectrum`: adaptive
-panel-based Gauss-Legendre quadrature with a hard node budget.  Its nodes
-are offsets from the spectrum's center, at which the density is evaluated,
-so a narrow spectrum keeps full resolution at an optical center frequency;
-the integrand receives the absolute frequencies center + offset.
+oscillatory functions against these densities.  The centered cosine
+integral, the envelope, has a closed form for both shapes and is
+:meth:`Spectrum.envelope`; the two-photon coherence factors use nothing
+else.  Any other integrand goes through :func:`integrate_over_spectrum`:
+adaptive panel-based Gauss-Legendre quadrature with a hard node budget.
+Its nodes are offsets from the spectrum's center, at which the density is
+evaluated, so a narrow spectrum keeps full resolution at an optical center
+frequency; the integrand receives the absolute frequencies center + offset.
 
 All functions are pure; there is no shared mutable state.
 """
@@ -111,6 +113,24 @@ class Spectrum:
             return np.ones_like(offset)
         x = offset / self.bandwidth
         return np.exp(-4.0 * math.log(2.0) * x * x)
+
+    def envelope(self, gamma: float) -> float:
+        """K * integral of cos(gamma*(w - center)) against the density, in
+        closed form.
+
+        The rectangle gives sin(x)/x with x = gamma*bandwidth/2, and 1.0 at
+        x = 0.  The gaussian gives exp(-gamma^2 bandwidth^2 / (16 ln 2)), the
+        transform of the untruncated density: the truncation at
+        +-GAUSSIAN_TRUNCATION bandwidths cuts where the density is 2^-100,
+        which changes nothing at double precision.  Both densities are even
+        about the center, so the matching sine integral is zero and the
+        envelope is real and exactly even in gamma.
+        """
+        if self.shape is SpectrumShape.RECTANGULAR:
+            x = 0.5 * gamma * self.bandwidth
+            return math.sin(x) / x if x else 1.0
+        g = gamma * self.bandwidth
+        return math.exp(-g * g / (16.0 * math.log(2.0)))
 
 
 @dataclass(frozen=True)

@@ -139,8 +139,8 @@ def test_criterion_06_franson_physical():
     start = time.monotonic()
     good = _franson_config(ratio_mismatch=1e3)
     assert check_entanglement_conditions(good, 100.0).satisfied
-    high = physical_joint_distribution(good, 1e-10).visibility
-    washed = physical_joint_distribution(_franson_config(ratio_mismatch=1.0), 1e-10).visibility
+    high = physical_joint_distribution(good).visibility
+    washed = physical_joint_distribution(_franson_config(ratio_mismatch=1.0)).visibility
     elapsed = time.monotonic() - start
     ok = high >= 0.98 and washed <= 0.1 and elapsed <= 60.0
     check(6, "physical model visibility: coherent vs washed out",

@@ -351,52 +351,53 @@ GOLDEN_CSV = [
      "d,witness_n,bound_at_witness,i_at_witness,bound_at_prev,error\n"
      "0.9,2,0.8786796564403574,0.585786437626905,,\n"
      "1e-09,,,,,FalsificationCapError: no N <= 50 with bound < 1e-09: "
-     "bound at the cap is 0.037007972570133225\n"),    # Physical Franson rows (recorded before the splitter coefficients were
-    # derived from one table): both shapes, with and without post-selection.
+     "bound at the cap is 0.037007972570133225\n"),
+    # Physical Franson rows: both shapes, with and without post-selection.
+    # Re-recorded when the coherence envelopes became closed forms; the
+    # quadrature they replace had a tolerance of 1e-10, and no value moved
+    # by more than 9.1e-14.
     (["franson", "--grid", "tau_b=1e-9,1.0005e-9", *FRANSON_PHYSICAL,
       "--shape", "rectangular", "--coincidence-window", "none"],
      "tau_b,phase,visibility,p_equal,p_differ,p_pp,p_pm,p_mp,p_mm,marginal_a,"
      "marginal_b,error\n"
-     "1e-09,2400000.0,0.5000022749264348,0.6634605727532595,"
-     "0.33653942724674046,0.33158551998711044,0.16826971362337023,"
-     "0.16826971362337023,0.3318750527661491,0.4998552336104807,"
-     "0.4998552336104807,\n"
-     "1.0005e-09,2400600.0,0.31842476519705815,0.4013507745121735,"
-     "0.5986492254878265,0.2006046084980906,0.29925062511239015,"
-     "0.29939860037543636,0.2007461660140829,0.49985523361048073,"
-     "0.5000032088735269,\n"),
+     "1e-09,2400000.0,0.5000022749264349,0.6634605727532595,"
+     "0.33653942724674046,0.33158551998711067,0.16826971362337023,"
+     "0.16826971362337023,0.33187505276614887,0.4998552336104809,"
+     "0.4998552336104809,\n"
+     "1.0005e-09,2400600.0,0.31842476519705815,0.4013507745121736,"
+     "0.5986492254878264,0.20060460849809092,0.29925062511239,"
+     "0.2993986003754364,0.20074616601408268,0.4998552336104809,"
+     "0.5000032088735273,\n"),
     (["franson", "--grid", "tau_b=1e-9,1.0005e-9", *FRANSON_PHYSICAL,
       "--shape", "rectangular", "--coincidence-window", "auto"],
      "tau_b,phase,visibility,p_equal,p_differ,p_pp,p_pm,p_mp,p_mm,marginal_a,"
      "marginal_b,error\n"
-     "1e-09,2400000.0,0.9999999999983565,0.8269176661590236,"
-     "0.17308233384097643,0.4134588330795118,0.08654116692048822,"
-     "0.08654116692048822,0.4134588330795118,0.5,0.5,\n"
-     "1.0005e-09,2400600.0,0.6369424732040108,0.3026221075788524,"
-     "0.6973778924211476,0.1513110537894262,0.3486889462105738,"
-     "0.3486889462105738,0.1513110537894262,0.5,0.5,\n"),
+     "1e-09,2400000.0,0.9999999999983568,0.8269176661590236,"
+     "0.17308233384097638,0.4134588330795118,0.08654116692048819,"
+     "0.08654116692048819,0.4134588330795118,0.5,0.5,\n"
+     "1.0005e-09,2400600.0,0.6369424732040111,0.30262210757885233,"
+     "0.6973778924211477,0.15131105378942616,0.34868894621057384,"
+     "0.34868894621057384,0.15131105378942616,0.5,0.5,\n"),
     (["franson", "--grid", "tau_b=1e-9,1.0005e-9", *FRANSON_PHYSICAL,
       "--shape", "gaussian", "--coincidence-window", "none"],
      "tau_b,phase,visibility,p_equal,p_differ,p_pp,p_pm,p_mp,p_mm,marginal_a,"
      "marginal_b,error\n"
-     "1e-09,2400000.0,0.49999999999822264,0.6634588330791998,"
-     "0.33654116692080016,0.33172941653960103,0.16827058346040008,"
-     "0.16827058346040008,0.3317294165395988,0.5000000000000011,"
-     "0.5000000000000011,\n"
-     "1.0005e-09,2400600.0,0.20552821974066895,0.43631021865844105,"
-     "0.563689781341559,0.2181551093292214,0.2818448906707797,"
-     "0.2818448906707793,0.21815510932921964,0.5000000000000011,"
-     "0.5000000000000007,\n"),
+     "1e-09,2400000.0,0.49999999999822203,0.6634588330791992,"
+     "0.3365411669208008,0.3317294165395996,0.1682705834604004,"
+     "0.1682705834604004,0.3317294165395996,0.5,0.5,\n"
+     "1.0005e-09,2400600.0,0.20552821974057864,0.4363102186585185,"
+     "0.5636897813414816,0.21815510932925924,0.2818448906707408,"
+     "0.2818448906707408,0.21815510932925924,0.5,0.5,\n"),
     (["franson", "--grid", "tau_b=1e-9,1.0005e-9", *FRANSON_PHYSICAL,
       "--shape", "gaussian", "--coincidence-window", "auto"],
      "tau_b,phase,visibility,p_equal,p_differ,p_pp,p_pm,p_mp,p_mm,marginal_a,"
      "marginal_b,error\n"
-     "1e-09,2400000.0,0.9999999999964434,0.8269176661583981,"
-     "0.17308233384160193,0.41345883307919906,0.08654116692080097,"
-     "0.08654116692080097,0.41345883307919906,0.5,0.5,\n"
-     "1.0005e-09,2400600.0,0.41105643948115667,0.3726204373170371,"
-     "0.6273795626829629,0.18631021865851854,0.31368978134148146,"
-     "0.31368978134148146,0.18631021865851854,0.5,0.5,\n"),
+     "1e-09,2400000.0,0.9999999999964441,0.8269176661583983,"
+     "0.1730823338416017,0.4134588330791992,0.08654116692080085,"
+     "0.08654116692080085,0.4134588330791992,0.5,0.5,\n"
+     "1.0005e-09,2400600.0,0.4110564394811573,0.37262043731703687,"
+     "0.6273795626829631,0.18631021865851843,0.31368978134148157,"
+     "0.31368978134148157,0.18631021865851843,0.5,0.5,\n"),
 ]
 
 
@@ -414,7 +415,9 @@ def test_csv_artifact_bytes(tmp_path, argv, expected):
 
 
 # JSON artifacts recorded before the parameter table: the spec records the
-# defaults of parameters that apply to every row and no others.
+# defaults of parameters that apply to every row and no others.  The rows of
+# franson_physical were re-recorded when the coherence envelopes became
+# closed forms, as for the physical GOLDEN_CSV cases.
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_JSON = [
     ("franson_ideal", ["franson", "--grid", "phi=0,1.5,3.141592653589793"]),

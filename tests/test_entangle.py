@@ -27,6 +27,7 @@ from bellsim.measurement import (
     unitarity_residual,
 )
 from bellsim.spectra import Spectrum
+from mp_oracles import mp_envelope
 
 TWO_PI = 2.0 * math.pi
 
@@ -193,7 +194,7 @@ def test_physical_matches_ideal_under_coherence_conditions():
     for extra in (0.0, 1.2, math.pi / 2):
         cfg = franson_config(extra_phase=extra)
         assert check_entanglement_conditions(cfg, 100.0).satisfied
-        result = physical_joint_distribution(cfg, 1e-10)
+        result = physical_joint_distribution(cfg)
         assert result.kept_classes == ("ll", "ss")
         assert result.visibility >= 0.98
         ideal = ideal_joint_distribution(result.mean_phase, result.visibility)
@@ -205,21 +206,21 @@ def test_physical_matches_ideal_under_coherence_conditions():
 
 def test_physical_concordance_high_at_zero_phase():
     cfg = franson_config(extra_phase=0.0)
-    result = physical_joint_distribution(cfg, 1e-10)
+    result = physical_joint_distribution(cfg)
     assert result.distribution.p_equal >= 0.99
 
 
 def test_physical_washout_when_mismatch_spans_a_turn():
     # offset bandwidth times delay mismatch equal to a full turn
     cfg = franson_config(ratio_mismatch=1.0)
-    result = physical_joint_distribution(cfg, 1e-10)
+    result = physical_joint_distribution(cfg)
     assert result.visibility <= 0.1
 
 
 def test_physical_near_ideal_limit_within_one_percent():
     cfg = franson_config(ratio_pump=1e4, ratio_off=1e4, ratio_mismatch=1e4,
                          extra_phase=0.9)
-    result = physical_joint_distribution(cfg, 1e-10)
+    result = physical_joint_distribution(cfg)
     ideal = ideal_joint_distribution(result.mean_phase)
     got, want = dist_map(result.distribution), dist_map(ideal)
     assert max(abs(got[k] - want[k]) for k in got) <= 0.01
@@ -233,7 +234,7 @@ def test_physical_with_gaussian_spectra():
         tau_a=base.tau_a, tau_b=base.tau_b,
         coincidence_window=base.coincidence_window,
     )
-    result = physical_joint_distribution(cfg, 1e-10)
+    result = physical_joint_distribution(cfg)
     assert result.visibility >= 0.98
     ideal = ideal_joint_distribution(result.mean_phase, result.visibility)
     got, want = dist_map(result.distribution), dist_map(ideal)
@@ -242,7 +243,7 @@ def test_physical_with_gaussian_spectra():
 
 def test_physical_without_postselection_caps_visibility():
     cfg = franson_config(window=None)
-    result = physical_joint_distribution(cfg, 1e-10)
+    result = physical_joint_distribution(cfg)
     assert set(result.kept_classes) == {"ll", "ss", "ls", "sl"}
     assert result.visibility <= 0.51
 
@@ -255,7 +256,7 @@ def test_physical_visibility_monotone_in_each_ratio():
         visibilities = []
         for r in ladder:
             cfg = franson_config(**{name: r})
-            visibilities.append(physical_joint_distribution(cfg, 1e-10).visibility)
+            visibilities.append(physical_joint_distribution(cfg).visibility)
         assert all(a >= b - 1e-6 for a, b in zip(visibilities, visibilities[1:])), (
             name, visibilities,
         )
@@ -306,7 +307,7 @@ def test_physical_matches_dense_grid_oracle_postselected():
     cfg = franson_config(ratio_pump=50.0, ratio_off=30.0, ratio_mismatch=40.0,
                          tau=1.0, carrier_turns=40, extra_phase=3.7)
     oracle = dense_grid_oracle(cfg, 513, 513)
-    model = dist_map(physical_joint_distribution(cfg, 1e-11).distribution)
+    model = dist_map(physical_joint_distribution(cfg).distribution)
     assert max(abs(oracle[k] - model[k]) for k in oracle) <= 1e-8
 
 
@@ -314,23 +315,8 @@ def test_physical_matches_dense_grid_oracle_no_postselection():
     cfg = franson_config(ratio_pump=50.0, ratio_off=15.0, ratio_mismatch=40.0,
                          tau=1.0, window=None, carrier_turns=40, extra_phase=1.1)
     oracle = dense_grid_oracle(cfg, 257, 4097)
-    model = dist_map(physical_joint_distribution(cfg, 1e-11).distribution)
+    model = dist_map(physical_joint_distribution(cfg).distribution)
     assert max(abs(oracle[k] - model[k]) for k in oracle) <= 1e-6
-
-
-def mp_envelope(shape: str, bandwidth: float, gamma):
-    """Mean of exp(i*gamma*x) over the centered density: a sinc for the
-    rectangular one, the complex-erf form of the gaussian truncated at 5
-    bandwidths."""
-    if gamma == 0:
-        return mpmath.mpf(1)
-    b = mpmath.mpf(bandwidth)
-    if shape == "rectangular":
-        return mpmath.sin(gamma * b / 2) / (gamma * b / 2)
-    root_a = 2 * mpmath.sqrt(mpmath.log(2)) / b  # density exp(-(root_a x)^2)
-    edge = 5 * b * root_a
-    shifted = mpmath.erf(mpmath.mpc(edge, gamma / (2 * root_a)))
-    return mpmath.exp(-(gamma / (2 * root_a)) ** 2) * shifted.real / mpmath.erf(edge)
 
 
 def mp_physical_franson(shape, pump_center, pump_bandwidth, offset_bandwidth,
@@ -399,7 +385,7 @@ def test_physical_matches_mpmath_oracle_at_readme_setup(shape, window, tau_b):
         photon_offset=Spectrum(shape, 0.0, 6.28e12, signed=True),
         tau_a=1e-9, tau_b=tau_b, coincidence_window=window,
     )
-    result = physical_joint_distribution(cfg, 1e-10)
+    result = physical_joint_distribution(cfg)
     want, visibility, phase = mp_physical_franson(
         shape, 2.4e15, 6.28e3, 6.28e12, 1e-9, tau_b, window)
     tol = 1e-10 + 4 * math.ulp(float(phase))
@@ -407,6 +393,15 @@ def test_physical_matches_mpmath_oracle_at_readme_setup(shape, window, tau_b):
     assert max(abs(got[k] - float(want[k])) for k in got) <= tol
     assert abs(result.visibility - float(visibility)) <= tol
     assert abs(result.mean_phase - float(phase)) <= 4 * math.ulp(float(phase))
+
+
+@pytest.mark.parametrize("tau_b", [1.025e-9, 1.05e-9])
+def test_gaussian_rows_without_postselection_beyond_the_quadrature_node_budget(tau_b):
+    """README set-up rows whose offset envelope, at gamma = tau_b and
+    tau_a + tau_b respectively (gamma times the 6.28e12 rad/s gaussian width
+    6.4e3 and 1.3e4), a 65536-node quadrature did not resolve: they raised
+    IntegrationError.  The closed form has no such limit."""
+    test_physical_matches_mpmath_oracle_at_readme_setup("gaussian", None, tau_b)
 
 
 @pytest.mark.parametrize("shape", ["rectangular", "gaussian"])
@@ -421,10 +416,10 @@ def test_physical_visibility_matches_mpmath_oracle_at_long_delays(shape, tau):
         photon_offset=Spectrum(shape, 0.0, 6.28e12, signed=True),
         tau_a=tau, tau_b=tau, coincidence_window=0.5 * tau,
     )
-    result = physical_joint_distribution(cfg, 1e-10)
+    result = physical_joint_distribution(cfg)
     _, visibility, _ = mp_physical_franson(
         shape, 2.4e15, pump_bandwidth, 6.28e12, tau, tau, 0.5 * tau)
-    assert abs(result.visibility - float(visibility)) <= 1e-9
+    assert abs(result.visibility - float(visibility)) <= 1e-12
 
 
 def test_no_signaling_residuals():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from bellsim.spectra import (
     heisenberg_product,
     integrate_over_spectrum,
 )
+from mp_oracles import mp_envelope
 
 TWO_PI = 2.0 * math.pi
 
@@ -110,6 +112,43 @@ def test_envelopes_are_real_and_even(shape, log_bandwidth, center_factor, gamma_
 
     assert abs(envelope(np.sin, gamma)) <= tol
     assert abs(envelope(np.cos, -gamma) - envelope(np.cos, gamma)) <= 4 * 2.0 ** -52
+
+
+# The README pump and photon-offset widths, and gamma times the width up to
+# the 1.3e4 of the widest offset envelope in the README Franson rows.  The
+# envelope does not depend on the center, so the spectra sit at 0.
+README_WIDTHS = [6.28e3, 6.28e12]
+GAMMA_WIDTHS = [0.0, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 2.0, math.pi, TWO_PI, 10.0, 30.0,
+                100.0, 1e3, 6280.0, 6437.0, 1e4, 12874.0]
+
+
+@pytest.mark.parametrize("shape", ["rectangular", "gaussian"])
+@pytest.mark.parametrize("bandwidth", README_WIDTHS)
+def test_envelope_matches_mpmath(shape, bandwidth):
+    s = Spectrum(shape=shape, center=0.0, bandwidth=bandwidth, signed=True)
+    assert s.envelope(0.0) == 1.0
+    with mpmath.workdps(50):
+        for gamma_width in GAMMA_WIDTHS:
+            gamma = gamma_width / bandwidth
+            want = mp_envelope(shape, bandwidth, mpmath.mpf(gamma))
+            assert abs(s.envelope(gamma) - float(want)) <= 1e-15, gamma_width
+            assert s.envelope(-gamma) == s.envelope(gamma)
+
+
+@pytest.mark.parametrize("shape", ["rectangular", "gaussian"])
+@pytest.mark.parametrize("bandwidth", README_WIDTHS)
+def test_quadrature_agrees_with_envelope_where_it_converges(shape, bandwidth):
+    s = Spectrum(shape=shape, center=0.0, bandwidth=bandwidth, signed=True)
+    converged = 0
+    for gamma_width in GAMMA_WIDTHS:
+        gamma = gamma_width / bandwidth
+        try:
+            got = integrate_over_spectrum(s, lambda w: np.cos(gamma * w), tol=1e-10)
+        except IntegrationError:
+            continue
+        converged += 1
+        assert abs(got - s.envelope(gamma)) <= 1e-10, gamma_width
+    assert converged >= len(GAMMA_WIDTHS) - 2
 
 
 def test_integration_failure_reports_estimate():
