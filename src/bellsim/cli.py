@@ -8,11 +8,15 @@ document, or both (flags win).
 
 Every parameter is declared once, as a ``_Param`` entry: scan parameters
 and grid axes in ``_SUBCOMMANDS``, common options on their ``ScanSpec``
-field.  The argparse parser, the copy of flags into the spec, the
+field.  A parameter sits in the table of each subcommand whose rows read
+it: ``tolerance`` belongs to ``interf`` (the wave-packet quadrature) and
+``unitarity`` (the unitarity check), and ``seed`` is required by
+``sample``.  The argparse parser, the copy of flags into the spec, the
 defaults and :func:`validate_spec` derive from the entries, so flags,
 config documents and ``ScanSpec`` objects are checked alike: a wrongly
 typed config value, or a parameter or grid given where it does not apply,
-exits 2.
+exits 2.  The JSON artifact's ``spec.params`` records every parameter
+value the rows used, defaults included.
 
 Rows run one after another in grid order on the calling thread;
 ``--workers`` is still accepted and validated (>= 1) but changes nothing,
@@ -90,7 +94,7 @@ _WINDOW = _Kind("seconds, 'none' or 'auto'", str, _window)
 _TOLERANCE = _Kind("a positive real number", float, _where(lambda v: _is_real(v) and v > 0.0))
 _WORKERS = _Kind("an integer >= 1", int, _where(lambda v: _is_int(v) and v >= 1))
 _SEED = _Kind("a non-negative 64-bit integer", int,
-              _where(lambda v: v is None or _is_int(v) and 0 <= v < 2 ** 64))
+              _where(lambda v: _is_int(v) and 0 <= v < 2 ** 64))
 
 
 @dataclass(frozen=True)
@@ -149,11 +153,8 @@ class ScanSpec:
     params: dict = field(default_factory=dict)
     output: str = _option("-", _TEXT, "output path, '-' for stdout (default)")
     format: str = _option("csv", _TEXT, "output format", ("csv", "json"))
-    tolerance: float = _option(1e-10, _TOLERANCE, "numeric tolerance; used only by interf "
-                                                  "rows with dphi > 0 and by unitarity rows")
     workers: int = _option(1, _WORKERS, "accepted for compatibility (>= 1); rows always "
                                         "run in grid order on one thread")
-    seed: int | None = _option(None, _SEED, "RNG seed (required for sample)")
 
     def to_dict(self) -> dict:
         data = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -236,7 +237,6 @@ class _Subcommand:
     columns: tuple[str, ...]         # output columns after the grid values
     # row(spec, index, point) -> the output values, in column order
     row: Callable[[ScanSpec, int, dict], tuple]
-    seeded: bool = False
 
 
 def _wavepacket_probabilities(phi: float, dphi: float, tol: float) -> tuple[float, float]:
@@ -245,13 +245,13 @@ def _wavepacket_probabilities(phi: float, dphi: float, tol: float) -> tuple[floa
     Realized with a unit delay and a rectangular spectrum whose center is
     phi shifted by whole turns to keep the support positive.
     """
-    if dphi < 0.0:
-        raise ValueError(f"dphi must be >= 0, got {dphi!r}")
+    if not 0.0 <= dphi < math.inf:
+        raise ValueError(f"dphi must be finite and >= 0, got {dphi!r}")
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi!r}")
     if dphi == 0.0:
         p_plus = interferometer.probability_monochromatic(+1, phi)
         return p_plus, 1.0 - p_plus
-    if not math.isfinite(phi):
-        raise ValueError(f"phi must be finite, got {phi!r}")
     turns = math.ceil((dphi / 2.0 - phi) / _TWO_PI) + 1
     cfg = interferometer.InterferometerConfig(
         path_delay_tau=1.0,
@@ -262,12 +262,12 @@ def _wavepacket_probabilities(phi: float, dphi: float, tol: float) -> tuple[floa
 
 
 def _row_interf(spec: ScanSpec, index: int, point: dict) -> tuple:
-    return _wavepacket_probabilities(point["phi"], point["dphi"], spec.tolerance)
+    return _wavepacket_probabilities(point["phi"], point["dphi"], spec.params["tolerance"])
 
 
 def _row_unitarity(spec: ScanSpec, index: int, point: dict) -> tuple:
     m = measurement.mach_zehnder_effective(point["reflection_phase"])
-    validation = measurement.is_valid_quantum_measurement(m, spec.tolerance)
+    validation = measurement.is_valid_quantum_measurement(m, spec.params["tolerance"])
     outcome = measurement.outcome_distribution(
         m, measurement.PathAmplitudes.balanced(), point["phi"]
     )
@@ -340,7 +340,8 @@ _SAMPLE_MODELS = {
 
 def _row_sample(spec: ScanSpec, index: int, point: dict) -> tuple:
     dist = _SAMPLE_MODELS[spec.params["model"]](point["phi"])
-    counts = interferometer.sample_events(dist, spec.params["n"], spec.seed, stream=index)
+    counts = interferometer.sample_events(dist, spec.params["n"], spec.params["seed"],
+                                          stream=index)
     return counts.n_plus, counts.n_minus, counts.n_double, counts.n_null
 
 
@@ -351,7 +352,8 @@ _SUBCOMMANDS: dict[str, _Subcommand] = {
     "interf": _Subcommand(
         help="fringe probabilities over phase (and bandwidth-delay) grids",
         grids=(_Param("phi"), _Param("dphi", default=0.0)),
-        params=(),
+        params=(_Param("tolerance", _TOLERANCE, "tolerance of the wave-packet quadrature "
+                       "(rows with dphi > 0)", 1e-10),),
         columns=("p_plus", "p_minus"),
         row=_row_interf,
     ),
@@ -359,7 +361,7 @@ _SUBCOMMANDS: dict[str, _Subcommand] = {
         help="cross-term residual and port probabilities of "
              "reflection-phase splitter models",
         grids=(_Param("reflection_phase"), _Param("phi")),
-        params=(),
+        params=(_Param("tolerance", _TOLERANCE, "tolerance of the unitarity check", 1e-10),),
         columns=("residual", "valid", "p_plus", "p_minus", "total"),
         row=_row_unitarity,
     ),
@@ -416,21 +418,17 @@ _SUBCOMMANDS: dict[str, _Subcommand] = {
         params=(
             _Param("n", _INT, "runs per phase", 1_000_000),
             _Param("model", _TEXT, "detection model", "quantum", tuple(sorted(_SAMPLE_MODELS))),
+            _Param("seed", _SEED, "RNG seed (required)"),
         ),
         columns=("n_plus", "n_minus", "n_double", "n_null"),
         row=_row_sample,
-        seeded=True,
     ),
 }
 
 
-def validate_spec(spec: ScanSpec) -> tuple[dict, dict]:
-    """Check ``spec`` against the tables; return its row and recorded params.
-
-    The row params add the default of every parameter that applies.  The
-    recorded params, which the JSON artifact's spec carries, add only the
-    defaults of parameters that apply to every row.
-    """
+def validate_spec(spec: ScanSpec) -> dict:
+    """Check ``spec`` against the tables; return the parameters its rows use:
+    the given values plus the default of every parameter that applies."""
     sub = _SUBCOMMANDS.get(spec.subcommand)
     if sub is None:
         raise ConfigError(
@@ -457,19 +455,17 @@ def validate_spec(spec: ScanSpec) -> tuple[dict, dict]:
                 f"subcommand {spec.subcommand!r} does not take parameter {name!r}; "
                 f"allowed: {names}"
             )
-    params, recorded = {}, {}
+    params = {}
     for param in sub.params:
         applies = param.applies(params)
         if param.name in spec.params:
             if not applies:
                 raise param.inapplicable(spec.subcommand, f"parameter {param.name!r}")
-            params[param.name] = recorded[param.name] = param.check(spec.params[param.name])
+            params[param.name] = param.check(spec.params[param.name])
         elif applies:
             if param.default is _REQUIRED:
                 raise param.missing(spec.subcommand, f"parameter {param.name!r}")
             params[param.name] = param.default
-            if not param.when:
-                recorded[param.name] = param.default
     for axis in sub.grids:
         scanned = axis.name in spec.grids
         if not axis.applies(params):
@@ -477,9 +473,7 @@ def validate_spec(spec: ScanSpec) -> tuple[dict, dict]:
                 raise axis.inapplicable(spec.subcommand, f"a {axis.name!r} grid")
         elif not scanned and axis.default is _REQUIRED:
             raise axis.missing(spec.subcommand, f"a {axis.name!r} grid")
-    if sub.seeded and spec.seed is None:
-        raise ConfigError(f"subcommand {spec.subcommand!r} requires a seed")
-    return params, recorded
+    return params
 
 
 def _format_cell(value) -> str:
@@ -515,9 +509,8 @@ def run_scan(spec: ScanSpec) -> int:
     Rows run in grid order on the calling thread and are formatted as they
     complete; ``spec.workers`` does not change how they run.
     """
-    params, recorded = validate_spec(spec)
+    spec = replace(spec, params=validate_spec(spec))
     sub = _SUBCOMMANDS[spec.subcommand]
-    spec = replace(spec, params=params)
 
     input_names = tuple(spec.grids)
     # An axis with a default that is not scanned is fixed at its default.
@@ -550,7 +543,7 @@ def run_scan(spec: ScanSpec) -> int:
         # on it.  Spliced so that text == json.dumps({"spec": doc_spec,
         # "rows": rows}, indent=2, sort_keys=True) + "\n"; rows are never
         # empty because every grid is nonempty.
-        doc_spec = {**spec.to_dict(), "params": recorded}
+        doc_spec = spec.to_dict()
         del doc_spec["workers"]
         spec_text = json.dumps(doc_spec, indent=2, sort_keys=True)
         text = ('{\n  "rows": [\n    ' + ",\n    ".join(parts) + "\n  ],\n"
@@ -619,9 +612,13 @@ def _spec_from_args(args: argparse.Namespace) -> ScanSpec:
             )
     else:
         spec = ScanSpec(subcommand=args.subcommand, grids={})
+    grids = {}
     for option in args.grid:
         name, values = _parse_grid_option(option)
-        spec.grids[name] = values
+        if name in grids:
+            raise ConfigError(f"grid {name!r} is given twice")
+        grids[name] = values
+    spec.grids.update(grids)
     for option in _OPTIONS:
         value = getattr(args, option.name)
         if value is not None:

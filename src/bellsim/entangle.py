@@ -209,14 +209,15 @@ def ideal_joint_distribution(phi: float, visibility: float = 1.0) -> JointDistri
     split symmetrically over the outcome pairs so both marginals are 1/2.
     No digits cancel near phi = 0 or pi: where cos(phi) > 1/2 the
     discordance is evaluated as (1 - V)/2 + V sin^2(phi/2), and where
-    cos(phi) < -1/2 the concordance as (1 - V)/2 + V sin^2((pi - |phi|)/2),
-    which is exactly 0 at V = 1, phi = pi.
+    cos(phi) < -1/2 the concordance as (1 - V)/2 + V cos^2(phi/2).  The
+    cosine takes phi itself, so no rounded distance to pi enters: at V = 1,
+    phi = math.pi the concordance is cos^2(math.pi/2) = 3.7e-33, not 0.
     """
     if not 0.0 <= visibility <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {visibility!r}")
     cos_phi = math.cos(phi)
     if cos_phi < -0.5:
-        half = math.sin(0.5 * (math.pi - abs(phi)))
+        half = math.cos(0.5 * phi)
         equal = 0.25 * (1.0 - visibility) + 0.5 * visibility * half * half
     else:
         equal = 0.25 * (1.0 + visibility * cos_phi)
@@ -234,9 +235,8 @@ def ideal_joint_probabilities(phi: np.ndarray, visibility: float = 1.0) -> np.nd
     if not 0.0 <= visibility <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {visibility!r}")
     cos_phi = np.cos(phi)
-    # one half-angle sine per phase: sin(phi/2) serves the discordance
-    # branch, sin((pi - |phi|)/2) the concordance branch
-    half = np.sin(np.where(cos_phi >= 0.0, 0.5 * phi, 0.5 * (math.pi - np.abs(phi))))
+    # sin(phi/2) serves the discordance branch, cos(phi/2) the concordance one
+    half = np.where(cos_phi >= 0.0, np.sin(0.5 * phi), np.cos(0.5 * phi))
     half_angle_form = 0.25 * (1.0 - visibility) + 0.5 * visibility * half * half
     equal = np.where(cos_phi < -0.5, half_angle_form, 0.25 * (1.0 + visibility * cos_phi))
     differ = np.where(cos_phi > 0.5, half_angle_form, 0.25 * (1.0 - visibility * cos_phi))

@@ -1,10 +1,10 @@
 """The one validity check behind every probability table of the package.
 
 A distribution is accepted when each entry lies in [0, 1] up to 1e-15 and
-the entries, added left to right, sum to 1 up to 1e-12.  A batch of
-distributions (one per column) is checked with the same bounds and the same
-order of additions, and rejected with the message the scalar check gives
-for its first invalid column.
+the entries, added left to right, sum to 1 up to 1e-12; a NaN entry fails
+both tests.  A batch of distributions (one per column) is checked with the
+same bounds and the same order of additions, and rejected with the message
+the scalar check gives for its first invalid column.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ _HIGH = 1.0 + ENTRY_TOL
 def check_distribution(entries: Sequence[float], what: str = "probabilities") -> None:
     """Raise ValueError unless ``entries`` is a probability distribution."""
     for p in entries:
-        if p < _LOW or p > _HIGH:
+        if not _LOW <= p <= _HIGH:
             raise ValueError(f"probability {p!r} outside [0, 1]")
     total = sum(entries)
-    if abs(total - 1.0) > SUM_TOL:
+    if not abs(total - 1.0) <= SUM_TOL:
         raise ValueError(f"{what} sum to {total!r}, not 1")
 
 
@@ -35,6 +35,6 @@ def check_batch(p: np.ndarray, what: str = "probabilities") -> None:
     total = p[0].copy()
     for row in p[1:]:
         total += row
-    bad = (np.abs(total - 1.0) > SUM_TOL) | np.any((p < _LOW) | (p > _HIGH), axis=0)
-    if bad.any():
-        check_distribution(p[:, int(np.argmax(bad))].tolist(), what)
+    good = (np.abs(total - 1.0) <= SUM_TOL) & np.all((p >= _LOW) & (p <= _HIGH), axis=0)
+    if not good.all():
+        check_distribution(p[:, int(np.argmin(good))].tolist(), what)

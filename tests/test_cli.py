@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import subprocess
@@ -27,7 +28,7 @@ def test_load_config_minimal(tmp_path):
     assert spec.subcommand == "interf"
     assert spec.grids == {"phi": (0.0, 1.0)}
     assert spec.format == "csv" and spec.output == "-"
-    assert spec.tolerance == 1e-10 and spec.workers == 1 and spec.seed is None
+    assert spec.workers == 1
 
 
 def test_load_config_rejects_unknown_key(tmp_path):
@@ -54,7 +55,7 @@ def test_load_config_parse_error_reports_position(tmp_path):
 def test_spec_round_trip():
     spec = ScanSpec(subcommand="chained", grids={"n": (2.0, 3.0)},
                     params={"theta": PI, "model": "quantum"},
-                    output="out.csv", format="json", seed=5, tolerance=1e-9, workers=2)
+                    output="out.csv", format="json", workers=2)
     again = ScanSpec.from_dict(spec.to_dict())
     assert again == spec
 
@@ -64,7 +65,7 @@ def test_validation_errors():
         run_scan(ScanSpec(subcommand="nope", grids={"phi": (0.0,)}))
     with pytest.raises(ConfigError, match="does not scan"):
         run_scan(ScanSpec(subcommand="interf", grids={"bogus": (0.0,)}))
-    with pytest.raises(ConfigError, match="requires a seed"):
+    with pytest.raises(ConfigError, match="requires parameter 'seed'"):
         run_scan(ScanSpec(subcommand="sample", grids={"phi": (0.0,)}))
     with pytest.raises(ConfigError, match="requires a 'phi' grid"):
         run_scan(ScanSpec(subcommand="interf", grids={"dphi": (0.0,)}))
@@ -130,7 +131,9 @@ def test_franson_ideal_scan(tmp_path):
                  "--output", str(out)])
     assert code == 0
     rows = read_rows(out)
-    assert [float(r["p_equal"]) for r in rows] == [1.0, 0.5, 0.0]
+    assert [float(r["p_equal"]) for r in rows[:2]] == [1.0, 0.5]
+    # cos^2(pi/2) with the rounded math.pi: the mpmath value
+    assert float(rows[2]["p_equal"]) == pytest.approx(3.749399456654644e-33, rel=1e-15, abs=0.0)
     assert all(float(r["marginal_a"]) == 0.5 for r in rows)
 
 
@@ -246,15 +249,15 @@ PHYSICAL_PARAMS = {"mode": "physical", "pump_center": 2.4e15, "pump_bandwidth": 
 @pytest.mark.parametrize("argv, config", [
     (["franson", "--grid", "phi=0", "--coincidence-window", "abc"], None),
     (["interf"], {"subcommand": "interf", "grids": {"phi": [0]}, "workers": "2"}),
-    (["interf"], {"subcommand": "interf", "grids": {"phi": [0]}, "tolerance": "x"}),
-    (["interf"], {"subcommand": "interf", "grids": {"phi": [0]}, "seed": "1"}),
+    (["interf"], {"subcommand": "interf", "grids": {"phi": [0]}, "params": {"tolerance": "x"}}),
+    (["sample"], {"subcommand": "sample", "grids": {"phi": [0]}, "params": {"seed": "1"}}),
     (["franson"], {"subcommand": "franson", "grids": {"phi": [0]},
                    "params": {"visibility": "0.9"}}),
     (["chained"], {"subcommand": "chained", "grids": {"n": [2]}, "params": {"theta": "x"}}),
     (["extensions"], {"subcommand": "extensions", "grids": {"d": [0.5]},
                       "params": {"n_cap": 2.5}}),
-    (["sample"], {"subcommand": "sample", "grids": {"phi": [0]}, "seed": 1,
-                  "params": {"n": True}}),
+    (["sample"], {"subcommand": "sample", "grids": {"phi": [0]},
+                  "params": {"seed": 1, "n": True}}),
     (["franson"], {"subcommand": "franson", "grids": {"tau_b": [1e-9]},
                    "params": {**PHYSICAL_PARAMS, "shape": "triangle"}}),
     (["franson"], {"subcommand": "franson", "grids": {"phi": [0]},
@@ -262,8 +265,8 @@ PHYSICAL_PARAMS = {"mode": "physical", "pump_center": 2.4e15, "pump_bandwidth": 
     (["franson", "--grid", "tau_b=1e-9", "--mode", "physical", "--pump-bandwidth", "6.28e3",
       "--offset-bandwidth", "6.28e12", "--tau-a", "1e-9"], None),
     (["chained"], {"subcommand": "chained", "grids": {"n": [2]}, "params": {"model": "nope"}}),
-    (["sample"], {"subcommand": "sample", "grids": {"phi": [0]}, "seed": 1,
-                  "params": {"model": "nope"}}),
+    (["sample"], {"subcommand": "sample", "grids": {"phi": [0]},
+                  "params": {"seed": 1, "model": "nope"}}),
     (["interf"], {"subcommand": "interf", "grids": [1]}),
     (["interf"], {"subcommand": "interf", "grids": {"phi": [0]}, "params": [1]}),
     (["interf"], {"subcommand": "interf", "grids": {"phi": {"linspace": ["a", 1, 2]}}}),
@@ -277,13 +280,20 @@ PHYSICAL_PARAMS = {"mode": "physical", "pump_center": 2.4e15, "pump_bandwidth": 
     (["franson", "--grid", "phi=0,1", "--grid", "tau_b=1e-9,2e-9"], None),
     (["franson"], {"subcommand": "franson", "grids": {"tau_b": [1e-9]},
                    "params": {**PHYSICAL_PARAMS, "visibility": 0.9}}),
+    (["chained"], {"subcommand": "chained", "grids": {"n": [2]}, "params": {"seed": 5}}),
+    (["franson"], {"subcommand": "franson", "grids": {"phi": [0]},
+                   "params": {"tolerance": 0.5}}),
+    (["sample"], {"subcommand": "sample", "grids": {"phi": [0]}, "seed": 1}),
+    (["sample", "--grid", "phi=0"], None),
+    (["interf", "--grid", "phi=0", "--grid", "phi=1"], None),
 ], ids=["coincidence_window", "workers", "tolerance", "seed", "visibility_text",
         "theta_text", "n_cap_fraction", "n_bool", "shape_unknown", "mode_unknown",
         "pump_center_missing", "chained_model_unknown", "sample_model_unknown",
         "grids_list", "params_list", "linspace_text", "linspace_scalar",
         "linspace_fraction", "grid_text", "linspace_flag_text", "grid_value_types",
         "linspace_bool_num", "visibility_for_pr_box", "tau_b_grid_in_ideal_mode",
-        "visibility_in_physical_config"])
+        "visibility_in_physical_config", "seed_for_chained", "tolerance_for_franson",
+        "top_level_seed", "seed_missing", "grid_twice"])
 def test_malformed_option_values_exit_two(tmp_path, capsys, argv, config):
     if config is not None:
         path = tmp_path / "scan.json"
@@ -414,10 +424,11 @@ def test_csv_artifact_bytes(tmp_path, argv, expected):
     assert out.read_bytes() == expected.encode()
 
 
-# JSON artifacts recorded before the parameter table: the spec records the
-# defaults of parameters that apply to every row and no others.  The rows of
-# franson_physical were re-recorded when the coherence envelopes became
-# closed forms, as for the physical GOLDEN_CSV cases.
+# JSON artifacts whose spec records every parameter the rows used.  Rows
+# were re-recorded when the coherence envelopes became closed forms
+# (franson_physical, as for the physical GOLDEN_CSV cases) and when the ideal
+# fringe law took its concordance from cos(phi/2) (franson_ideal at pi,
+# chained_visibility at n = 2; each value moved by at most 1.1e-16).
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_JSON = [
     ("franson_ideal", ["franson", "--grid", "phi=0,1.5,3.141592653589793"]),
@@ -491,3 +502,50 @@ def test_config_real_parameters_take_ints_and_keep_them(tmp_path):
     assert doc["spec"]["params"] == {"model": "quantum", "theta": 3, "visibility": 1}
     assert doc["rows"][0]["theta"] == 3
     assert doc["rows"][0]["i_value"] == pytest.approx(quantum_I_closed_form(2, 3.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["franson", "--grid", "phi=nan"], "ValueError: probability nan outside [0, 1]"),
+    (["chained", "--grid", "n=3", "--theta", "nan"], "ValueError: probability nan outside [0, 1]"),
+    (["interf", "--grid", "phi=nan"], "ValueError: phi must be finite, got nan"),
+    (["interf", "--grid", "phi=0", "--grid", "dphi=inf"],
+     "ValueError: dphi must be finite and >= 0, got inf"),
+], ids=["franson", "chained", "interf", "interf_dphi"])
+def test_non_finite_inputs_give_error_rows(tmp_path, argv, message):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--output", str(out)]) == 1
+    with out.open(newline="") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert row["error"] == message
+    assert all(value == "" for name, value in row.items()
+               if name not in ("phi", "n", "dphi", "error"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["chained", "--grid", "n=2,3", "--seed", "5"],
+    ["chained", "--grid", "n=2,3", "--tolerance", "0.5"],
+    ["franson", "--grid", "phi=0", "--tolerance", "0.5"],
+    ["extensions", "--grid", "d=0.5", "--seed", "1"],
+    ["interf", "--grid", "phi=0", "--seed", "1"],
+    ["sample", "--grid", "phi=0", "--seed", "1", "--tolerance", "1e-9"],
+], ids=lambda argv: "-".join((argv[0], argv[-2][2:])))
+def test_scan_parameters_are_flags_only_where_rows_read_them(capsys, argv):
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_json_spec_records_every_parameter_the_rows_used(capsys):
+    pi_quarter = ["unitarity", "--grid", "reflection_phase=0.7853981633974483",
+                  "--grid", "phi=0", "--format", "json"]
+    assert main(pi_quarter) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["spec"]["params"] == {"tolerance": 1e-10}
+    assert doc["rows"][0]["valid"] is False
+    # the tolerance reaches the row: the pi/4 residual sqrt(2)/2 passes at 1
+    assert main(pi_quarter + ["--tolerance", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["spec"]["params"] == {"tolerance": 1.0}
+    assert doc["rows"][0]["valid"] is True
+    assert main(["sample", "--grid", "phi=0", "--seed", "9", "--format", "json"]) == 0
+    params = json.loads(capsys.readouterr().out)["spec"]["params"]
+    assert params == {"model": "quantum", "n": 1_000_000, "seed": 9}

@@ -139,7 +139,9 @@ def test_entanglement_conditions():
 
 def test_ideal_distribution_values():
     assert ideal_joint_distribution(0.0).p_equal == 1.0
-    assert ideal_joint_distribution(math.pi).p_equal == 0.0
+    # cos^2(pi/2) with the rounded math.pi: the mpmath value
+    assert ideal_joint_distribution(math.pi).p_equal == pytest.approx(
+        3.749399456654644e-33, rel=1e-15, abs=0.0)
     mid = ideal_joint_distribution(math.pi / 2, visibility=0.3)
     assert dist_map(mid) == {k: 0.25 for k in dist_map(mid)}
     with pytest.raises(ValueError):
@@ -148,9 +150,7 @@ def test_ideal_distribution_values():
 
 def test_ideal_small_probabilities_keep_full_precision():
     # near phi = 0 the discordance, near phi = pi the concordance is tiny;
-    # both come from half-angle sines, not from 1 -+ V cos(phi).  Near pi the
-    # distance is taken from math.pi (so p_equal(math.pi) is exactly 0),
-    # which costs 1.2e-16 / (pi - |phi|) relative: test at 1e-3 from pi
+    # both come from half-angle forms, not from 1 -+ V cos(phi)
     phis = [1e-7, 1e-5, -3e-4, math.pi - 1e-3, -math.pi + 3e-3]
     for v in (1.0, 0.999999):
         batch = ideal_joint_probabilities(np.array(phis), v)
@@ -163,6 +163,22 @@ def test_ideal_small_probabilities_keep_full_precision():
                                           (batch[0, m] + batch[3, m], batch[1, m] + batch[2, m])):
                 assert got_equal == pytest.approx(want_equal, rel=1e-12, abs=0.0), phi
                 assert got_differ == pytest.approx(want_differ, rel=1e-12, abs=0.0), phi
+
+
+def test_ideal_concordance_near_pi_matches_mpmath():
+    # cos(phi/2) needs no rounded distance to pi: full precision up to and
+    # beyond phi = math.pi, where the exact p_equal is cos^2(math.pi/2)
+    phis = [math.pi - 1e-5, -math.pi + 1e-7, 3 * math.pi - 1e-5, -3 * math.pi, math.pi]
+    for v in (1.0, 0.9):
+        batch = ideal_joint_probabilities(np.array(phis), v)
+        for m, phi in enumerate(phis):
+            with mpmath.workdps(50):
+                c = mpmath.mpf(v) * mpmath.cos(mpmath.mpf(phi))
+                equal, differ = float((1 + c) / 4), float((1 - c) / 4)
+            d = ideal_joint_distribution(phi, v)
+            for got in ((d.p_pp, d.p_pm, d.p_mp, d.p_mm), batch[:, m]):
+                assert list(got) == pytest.approx([equal, differ, differ, equal],
+                                                  rel=1e-15, abs=0.0), (v, phi)
 
 
 def test_ideal_marginals_uniform():

@@ -29,6 +29,21 @@ def test_bounds_are_shared():
         check_distribution((0.25, 0.25, 0.25, 0.25 + 2e-12))
 
 
+def test_nan_fails_the_shared_checks():
+    # every comparison with NaN is false, so the checks are written to pass
+    # only on a comparison that holds
+    with pytest.raises(ValueError, match=r"^probability nan outside \[0, 1\]$"):
+        check_distribution([math.nan] * 4)
+    with pytest.raises(ValueError, match=r"^probability nan outside \[0, 1\]$"):
+        check_batch(np.full((4, 3), math.nan))
+    p = np.full((4, 3), 0.25)
+    p[2, 1] = math.nan
+    with pytest.raises(ValueError, match=r"^probability nan outside"):
+        check_batch(p)
+    with pytest.raises(ValueError, match=r"^probability nan outside"):
+        JointDistribution(math.nan, 0.5, 0.5, 0.0)
+
+
 def test_batch_check_reports_the_first_invalid_column():
     p = np.full((4, 6), 0.25)
     check_batch(p)
