@@ -408,12 +408,49 @@ GOLDEN_CSV = [
      "1.0005e-09,2400600.0,0.4110564394811573,0.37262043731703687,"
      "0.6273795626829631,0.18631021865851843,0.31368978134148157,"
      "0.31368978134148157,0.18631021865851843,0.5,0.5,\n"),
+    # Recorded before rows were evaluated a grid block at a time: the
+    # monochromatic fringe (dphi = 0) at 0, -0.0, +-pi, 3pi and 1e6 plus a
+    # NaN error row, and unitarity with phi as the outer axis.
+    (["interf", "--grid", "phi=0,1.5707963267948966,3.141592653589793,-0.0,"
+      "-3.141592653589793,9.42477796076938,1000000.0,nan"],
+     "phi,p_plus,p_minus,error\n"
+     "0.0,1.0,0.0,\n"
+     "1.5707963267948966,0.5,0.5,\n"
+     "3.141592653589793,0.0,1.0,\n"
+     "-0.0,1.0,0.0,\n"
+     "-3.141592653589793,0.0,1.0,\n"
+     "9.42477796076938,0.0,1.0,\n"
+     "1000000.0,0.9683760637665724,0.03162393623342763,\n"
+     'nan,,,"ValueError: phi must be finite, got nan"\n'),
+    (["unitarity", "--grid", "phi=0,0.5,3.141592653589793",
+      "--grid", "reflection_phase=0.7853981633974483,1.5707963267948966,-0.0"],
+     "phi,reflection_phase,residual,valid,p_plus,p_minus,total,error\n"
+     "0.0,0.7853981633974483,0.7071067811865475,0,0.9999999999999998,"
+     "0.4999999999999999,1.4999999999999996,\n"
+     "0.0,1.5707963267948966,6.123233995736765e-17,1,0.9999999999999996,"
+     "3.7493994566546427e-33,0.9999999999999996,\n"
+     "0.0,-0.0,0.9999999999999998,0,0.9999999999999996,0.9999999999999996,"
+     "1.9999999999999991,\n"
+     "0.5,0.7853981633974483,0.7071067811865475,0,0.938791280945186,"
+     "0.7397127693021013,1.6785040502472874,\n"
+     "0.5,1.5707963267948966,6.123233995736765e-17,1,0.9387912809451858,"
+     "0.06120871905481365,0.9999999999999994,\n"
+     "0.5,-0.0,0.9999999999999998,0,0.938791280945186,0.938791280945186,"
+     "1.877582561890372,\n"
+     "3.141592653589793,0.7853981633974483,0.7071067811865475,0,"
+     "6.162975822039156e-33,0.4999999999999998,0.4999999999999998,\n"
+     "3.141592653589793,1.5707963267948966,6.123233995736765e-17,1,"
+     "3.7493994566546427e-33,0.9999999999999996,0.9999999999999996,\n"
+     "3.141592653589793,-0.0,0.9999999999999998,0,3.7493994566546427e-33,"
+     "3.7493994566546427e-33,7.498798913309285e-33,\n"),
 ]
 
 
 def _case_id(argv):
     options = [argv[i + 1] for i, flag in enumerate(argv)
                if flag in ("--shape", "--coincidence-window")]
+    if argv[0] == "interf" or argv[1:3] == ["--grid", "phi=0,0.5,3.141592653589793"]:
+        options.append("phi_first" if argv[0] == "unitarity" else "monochromatic")
     return "-".join([argv[0]] + options)
 
 
@@ -428,19 +465,25 @@ def test_csv_artifact_bytes(tmp_path, argv, expected):
 # were re-recorded when the coherence envelopes became closed forms
 # (franson_physical, as for the physical GOLDEN_CSV cases) and when the ideal
 # fringe law took its concordance from cos(phi/2) (franson_ideal at pi,
-# chained_visibility at n = 2; each value moved by at most 1.1e-16).
+# chained_visibility at n = 2; each value moved by at most 1.1e-16).  The
+# two franson_ideal artifacts with failing rows (exit 1) were recorded
+# before rows were evaluated a grid block at a time.
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_JSON = [
-    ("franson_ideal", ["franson", "--grid", "phi=0,1.5,3.141592653589793"]),
-    ("franson_physical", ["franson", "--grid", "tau_b=1e-9,1.0005e-9", *FRANSON_PHYSICAL]),
-    ("chained_visibility", ["chained", "--grid", "n=2,3", "--visibility", "0.9"]),
-    ("sample", ["sample", "--grid", "phi=0,1", "--seed", "5", "--n", "1000"]),
+    ("franson_ideal", ["franson", "--grid", "phi=0,1.5,3.141592653589793"], 0),
+    ("franson_physical", ["franson", "--grid", "tau_b=1e-9,1.0005e-9", *FRANSON_PHYSICAL], 0),
+    ("chained_visibility", ["chained", "--grid", "n=2,3", "--visibility", "0.9"], 0),
+    ("sample", ["sample", "--grid", "phi=0,1", "--seed", "5", "--n", "1000"], 0),
+    ("franson_ideal_invalid_visibility",
+     ["franson", "--grid", "phi=0,1.5", "--visibility", "1.5"], 1),
+    ("franson_ideal_non_finite", ["franson", "--grid", "phi=0,nan,inf,1.5"], 1),
 ]
 
 
-@pytest.mark.parametrize("name, argv", GOLDEN_JSON, ids=[name for name, _ in GOLDEN_JSON])
-def test_json_artifact_bytes(capsys, name, argv):
-    assert main(argv + ["--format", "json"]) == 0
+@pytest.mark.parametrize("name, argv, code", GOLDEN_JSON,
+                         ids=[name for name, _, _ in GOLDEN_JSON])
+def test_json_artifact_bytes(capsys, name, argv, code):
+    assert main(argv + ["--format", "json"]) == code
     assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.json").read_bytes()
 
 
