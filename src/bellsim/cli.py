@@ -18,30 +18,40 @@ typed config value, or a parameter or grid given where it does not apply,
 exits 2.  The JSON artifact's ``spec.params`` records every parameter
 value the rows used, defaults included.
 
-Rows run one after another in grid order on the calling thread;
+Rows run in grid order on the calling thread, a block of up to
+``_BLOCK_ROWS`` grid points at a time.  A subcommand's row function takes
+the block as one float array per axis and returns output columns plus one
+error text per row.  The ideal Franson law and the dphi = 0 fringe are
+evaluated as arrays and ``unitarity`` checks each splitter matrix once per
+block, with arithmetic that gives the scalar library functions' bits; every
+other row calls the library once per point.  Each block is formatted by
+column and written before the next one runs, so no artifact is held in
+memory whole.  The output file is opened before any row runs; a scan that
+raises outside row evaluation exits 1 and removes the partly written file.
+
 ``--workers`` is still accepted and validated (>= 1) but changes nothing,
 and the JSON artifact leaves it out of its ``spec``.  Outputs are
 byte-identical for identical spec and seed: rows are pure functions of the
 grid point (plus a per-row stream index for sampling).
 
 Exit codes: 0 success, 1 any row failed numerically (the row's ``error``
-column carries the diagnostic and the scan continues), 2 usage or config
-error.
+column carries the diagnostic and the scan continues) or the scan failed
+outside row evaluation, 2 usage or config error.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
 
-from . import bell, entangle, extensions, interferometer, measurement
+from . import bell, entangle, extensions, interferometer, measurement, probability
 from .spectra import IntegrationError, Spectrum
 
 USAGE_ERROR = 2
@@ -235,23 +245,60 @@ class _Subcommand:
     grids: tuple[_Param, ...]        # the axes it may scan
     params: tuple[_Param, ...]       # a `when` gate precedes the entries it gates
     columns: tuple[str, ...]         # output columns after the grid values
-    # row(spec, index, point) -> the output values, in column order
-    row: Callable[[ScanSpec, int, dict], tuple]
+    # row(spec, start, points) evaluates a block of grid points, one float
+    # array per axis in `points`; `start` is the index of its first row.  It
+    # returns the output columns, each with one value per row, and one error
+    # text per row; the output cells of a row with an error are left blank.
+    row: Callable[[ScanSpec, int, dict], tuple[list, list[str]]]
+
+
+# What a failed row raises: its error column says so and the scan goes on.
+_ROW_ERRORS = (ValueError, KeyError, IntegrationError, extensions.FalsificationCapError)
+
+
+def _fill_points(spec: ScanSpec, point_row, start: int, points: dict, rows,
+                 columns: list, errors: list[str]) -> None:
+    """Evaluate the given rows of a block one grid point at a time.
+
+    ``point_row(spec, index, point)`` returns the output values of the row
+    at ``point`` (axis -> float), which go into ``columns``; a row error
+    goes into ``errors`` instead.
+    """
+    values = {axis: array.tolist() for axis, array in points.items()}
+    for i in rows:
+        try:
+            cells = point_row(spec, start + i, {axis: v[i] for axis, v in values.items()})
+        except _ROW_ERRORS as e:
+            errors[i] = f"{type(e).__name__}: {e}"
+        else:
+            for column, cell in zip(columns, cells):
+                column[i] = cell
+
+
+def _pointwise(point_row):
+    """The block row function that calls ``point_row`` at every grid point."""
+    def row(spec: ScanSpec, start: int, points: dict) -> tuple[list, list[str]]:
+        size = len(next(iter(points.values())))
+        # NaN stands in for the cells of failed rows, which are written blank.
+        columns = [[math.nan] * size for _ in _SUBCOMMANDS[spec.subcommand].columns]
+        errors = [""] * size
+        _fill_points(spec, point_row, start, points, range(size), columns, errors)
+        return columns, errors
+    return row
 
 
 def _wavepacket_probabilities(phi: float, dphi: float, tol: float) -> tuple[float, float]:
     """Fringe probabilities at center phase phi and bandwidth-delay product dphi.
 
     Realized with a unit delay and a rectangular spectrum whose center is
-    phi shifted by whole turns to keep the support positive.
+    phi shifted by whole turns to keep the support positive.  A row at
+    dphi = 0 with a finite phi takes the monochromatic law in
+    :func:`_interf_rows` instead.
     """
     if not 0.0 <= dphi < math.inf:
         raise ValueError(f"dphi must be finite and >= 0, got {dphi!r}")
     if not math.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi!r}")
-    if dphi == 0.0:
-        p_plus = interferometer.probability_monochromatic(+1, phi)
-        return p_plus, 1.0 - p_plus
     turns = math.ceil((dphi / 2.0 - phi) / _TWO_PI) + 1
     cfg = interferometer.InterferometerConfig(
         path_delay_tau=1.0,
@@ -265,14 +312,39 @@ def _row_interf(spec: ScanSpec, index: int, point: dict) -> tuple:
     return _wavepacket_probabilities(point["phi"], point["dphi"], spec.params["tolerance"])
 
 
-def _row_unitarity(spec: ScanSpec, index: int, point: dict) -> tuple:
-    m = measurement.mach_zehnder_effective(point["reflection_phase"])
-    validation = measurement.is_valid_quantum_measurement(m, spec.params["tolerance"])
-    outcome = measurement.outcome_distribution(
-        m, measurement.PathAmplitudes.balanced(), point["phi"]
-    )
-    return (validation.residual, validation.valid, outcome.p_plus, outcome.p_minus,
-            outcome.total)
+def _interf_rows(spec: ScanSpec, start: int, points: dict) -> tuple[list, list[str]]:
+    """Rows at dphi = 0 with a finite phi take the monochromatic fringe law
+    as one array; every other row goes through :func:`_row_interf`."""
+    phi, dphi = points["phi"], points["dphi"]
+    monochromatic = (dphi == 0.0) & np.isfinite(phi)
+    p_plus = np.full(phi.size, math.nan)
+    p_plus[monochromatic] = interferometer.monochromatic_probabilities(+1, phi[monochromatic])
+    columns, errors = [p_plus, 1.0 - p_plus], [""] * phi.size
+    _fill_points(spec, _row_interf, start, points, np.flatnonzero(~monochromatic).tolist(),
+                 columns, errors)
+    return columns, errors
+
+
+def _unitarity_rows(spec: ScanSpec, start: int, points: dict) -> tuple[list, list[str]]:
+    """Each distinct reflection phase of the block builds and checks its
+    matrix once; the port probabilities are evaluated point by point."""
+    tolerance = spec.params["tolerance"]
+    amplitudes = measurement.PathAmplitudes.balanced()
+    splitters = {}  # keyed by float.hex, which tells -0.0 from 0.0
+
+    def point_row(spec: ScanSpec, index: int, point: dict) -> tuple:
+        phase = point["reflection_phase"]
+        splitter = splitters.get(phase.hex())
+        if splitter is None:
+            m = measurement.mach_zehnder_effective(phase)
+            splitter = m, measurement.is_valid_quantum_measurement(m, tolerance)
+            splitters[phase.hex()] = splitter
+        m, validation = splitter
+        outcome = measurement.outcome_distribution(m, amplitudes, point["phi"])
+        return (validation.residual, validation.valid, outcome.p_plus, outcome.p_minus,
+                outcome.total)
+
+    return _pointwise(point_row)(spec, start, points)
 
 
 def _franson_physical_config(spec: ScanSpec, tau_b: float) -> entangle.FransonConfig:
@@ -302,6 +374,28 @@ def _row_franson(spec: ScanSpec, index: int, point: dict) -> tuple:
         dist, phase, visibility = result.distribution, result.mean_phase, result.visibility
     return (phase, visibility, dist.p_equal, dist.p_differ, dist.p_pp, dist.p_pm,
             dist.p_mp, dist.p_mm, entangle.marginal(dist, "A"), entangle.marginal(dist, "B"))
+
+
+def _franson_rows(spec: ScanSpec, start: int, points: dict) -> tuple[list, list[str]]:
+    """Ideal rows take the fringe law of the block as one array where the
+    phase is finite and the distribution valid; physical rows, and ideal
+    rows the array law does not give, go through :func:`_row_franson`."""
+    if spec.params["mode"] == "physical":
+        return _pointwise(_row_franson)(spec, start, points)
+    phi, visibility = points["phi"], spec.params["visibility"]
+    finite = np.isfinite(phi)
+    p = np.full((4, phi.size), math.nan)
+    try:
+        p[:, finite] = entangle.ideal_joint_probabilities(phi[finite], visibility)
+    except ValueError:  # a visibility outside [0, 1], which every row reports
+        pass
+    pp, pm, mp, mm = p
+    columns = [phi, [visibility] * phi.size, pp + mm, pm + mp, pp, pm, mp, mm,
+               pp + pm, pp + mp]
+    errors = [""] * phi.size
+    _fill_points(spec, _row_franson, start, points,
+                 np.flatnonzero(~probability.valid_columns(p)).tolist(), columns, errors)
+    return columns, errors
 
 
 _CHAINED_MODELS = {
@@ -355,7 +449,7 @@ _SUBCOMMANDS: dict[str, _Subcommand] = {
         params=(_Param("tolerance", _TOLERANCE, "tolerance of the wave-packet quadrature "
                        "(rows with dphi > 0)", 1e-10),),
         columns=("p_plus", "p_minus"),
-        row=_row_interf,
+        row=_interf_rows,
     ),
     "unitarity": _Subcommand(
         help="cross-term residual and port probabilities of "
@@ -363,7 +457,7 @@ _SUBCOMMANDS: dict[str, _Subcommand] = {
         grids=(_Param("reflection_phase"), _Param("phi")),
         params=(_Param("tolerance", _TOLERANCE, "tolerance of the unitarity check", 1e-10),),
         columns=("residual", "valid", "p_plus", "p_minus", "total"),
-        row=_row_unitarity,
+        row=_unitarity_rows,
     ),
     "franson": _Subcommand(
         help="two-photon joint distributions, ideal or spectral",
@@ -387,7 +481,7 @@ _SUBCOMMANDS: dict[str, _Subcommand] = {
         ),
         columns=("phase", "visibility", "p_equal", "p_differ", "p_pp", "p_pm",
                  "p_mp", "p_mm", "marginal_a", "marginal_b"),
-        row=_row_franson,
+        row=_franson_rows,
     ),
     "chained": _Subcommand(
         help="chained inequality values over a settings-count grid",
@@ -400,7 +494,7 @@ _SUBCOMMANDS: dict[str, _Subcommand] = {
                    when=("model", "quantum")),
         ),
         columns=("theta", "model", "i_value", "i_closed_form", "classification"),
-        row=_row_chained,
+        row=_pointwise(_row_chained),
     ),
     "extensions": _Subcommand(
         help="falsifying chain length for statistical distances",
@@ -410,7 +504,7 @@ _SUBCOMMANDS: dict[str, _Subcommand] = {
             _Param("n_cap", _INT, "longest chain searched", 1_000_000),
         ),
         columns=("witness_n", "bound_at_witness", "i_at_witness", "bound_at_prev"),
-        row=_row_extensions,
+        row=_pointwise(_row_extensions),
     ),
     "sample": _Subcommand(
         help="seeded multinomial detection counts over a phase grid",
@@ -421,7 +515,7 @@ _SUBCOMMANDS: dict[str, _Subcommand] = {
             _Param("seed", _SEED, "RNG seed (required)"),
         ),
         columns=("n_plus", "n_minus", "n_double", "n_null"),
-        row=_row_sample,
+        row=_pointwise(_row_sample),
     ),
 }
 
@@ -476,84 +570,138 @@ def validate_spec(spec: ScanSpec) -> dict:
     return params
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+# ---------------------------------------------------------------------------
+# Output
+
+# Grid points per block: a block is evaluated, formatted and written before
+# the next one runs.
+_BLOCK_ROWS = 1024
+
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _csv_text(value) -> str:
     text = str(value)
     if any(ch in text for ch in (",", '"', "\n")):
         text = '"' + text.replace('"', '""') + '"'
     return text
 
 
-# Cell writers by exact type; every other type (bool, numpy scalars,
-# strings) goes through _format_cell, the one place that knows the quoting.
-_CELL_FORMATS = {float: float.__repr__, int: int.__repr__}
-
-# One row of the JSON artifact at its depth in the indent=2 document.  With
-# indent=None the encoder runs in C; the item separator supplies the line
-# breaks and indentation that indent=2 would.
-_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+def _json_floats(values: list) -> list[str]:
+    texts = list(map(float.__repr__, values))
+    if not all(map(math.isfinite, values)):
+        texts = [_JSON_NON_FINITE.get(text, text) for text in texts]
+    return texts
 
 
-def _json_row(row: dict) -> str:
-    return "{\n      " + _ROW_ENCODER.encode(row)[1:-1] + "\n    }"
+class _Writer:
+    """Formats rows by column: CSV lines, or the rows of the indent=2 JSON
+    document, whose keys are sorted."""
+
+    def __init__(self, names: tuple[str, ...], csv: bool):
+        if csv:
+            self.floats = lambda values: list(map(float.__repr__, values))
+            # Cell writers by exact type (bool is not int here); any other
+            # value is written as quoted text.
+            self.cells = {float: float.__repr__, int: int.__repr__,
+                          bool: lambda value: "1" if value else "0"}
+            self.other = _csv_text
+            self.blank = ""
+            self.order = tuple(range(len(names)))
+            self.template = ",".join(["%s"] * len(names)) + "\n"
+            self.separator = ""
+        else:
+            self.floats = _json_floats
+            self.cells = {float: lambda value: _json_floats([value])[0], int: int.__repr__}
+            self.other = json.dumps
+            self.blank = '""'
+            self.order = tuple(sorted(range(len(names)), key=names.__getitem__))
+            # One row at its depth in the document, as indent=2 writes it.
+            self.template = ("{\n      " + ",\n      ".join(
+                json.dumps(names[k]) + ": %s" for k in self.order) + "\n    }")
+            self.separator = ",\n    "
+
+    def column(self, values) -> list[str]:
+        """The cells of one column of values (a list or a float array)."""
+        if isinstance(values, np.ndarray):
+            values = values.tolist()
+        try:
+            return self.floats(values)
+        except TypeError:  # not every value is a float
+            cell = self.cells.get
+            return [cell(type(value), self.other)(value) for value in values]
+
+    def text(self, columns: list[list[str]]) -> str:
+        """The rows of the given cell columns, joined by the row separator."""
+        rows = zip(*[columns[k] for k in self.order])
+        return self.separator.join(map(self.template.__mod__, rows))
 
 
 def run_scan(spec: ScanSpec) -> int:
     """Execute the scan and write its artifact; returns the exit status.
 
-    Rows run in grid order on the calling thread and are formatted as they
-    complete; ``spec.workers`` does not change how they run.
+    Rows run in grid order on the calling thread, ``_BLOCK_ROWS`` grid
+    points at a time: the subcommand's row function evaluates a block, and
+    the block is formatted by column and written before the next one runs,
+    so the artifact is never held in memory whole.  ``spec.workers`` does
+    not change how rows run.  The output file is opened before any row
+    runs, so an unwritable path fails first; if the scan raises outside row
+    evaluation, the partly written file is removed (what went to stdout
+    stays written).
     """
     spec = replace(spec, params=validate_spec(spec))
     sub = _SUBCOMMANDS[spec.subcommand]
 
-    input_names = tuple(spec.grids)
+    grids = [np.array(values, dtype=float) for values in spec.grids.values()]
+    shape = tuple(grid.size for grid in grids)
     # An axis with a default that is not scanned is fixed at its default.
     fixed = {axis.name: axis.default for axis in sub.grids
              if axis.name not in spec.grids and axis.default is not _REQUIRED}
-    columns = input_names + sub.columns + ("error",)
-    blank = ("",) * len(sub.columns)
-    csv = spec.format == "csv"
-    cell = _CELL_FORMATS.get
-    parts = [",".join(columns) + "\n"] if csv else []
-    failed = False
-    for index, values in enumerate(itertools.product(*spec.grids.values())):
-        try:
-            point = dict(zip(input_names, values), **fixed)
-            outputs, error = sub.row(spec, index, point), ""
-        except (ValueError, KeyError, IntegrationError,
-                extensions.FalsificationCapError) as e:
-            outputs, error = blank, f"{type(e).__name__}: {e}"
-            failed = True
-        cells = (*values, *outputs, error)
-        if csv:
-            parts.append(",".join([cell(type(v), _format_cell)(v) for v in cells]) + "\n")
-        else:
-            parts.append(_json_row(dict(zip(columns, cells))))
-
-    if csv:
-        text = "".join(parts)
+    names = tuple(spec.grids) + sub.columns + ("error",)
+    writer = _Writer(names, spec.format == "csv")
+    if spec.format == "csv":
+        head, tail = ",".join(names) + "\n", ""
     else:
         # The worker count stays out of the artifact, which must not depend
-        # on it.  Spliced so that text == json.dumps({"spec": doc_spec,
+        # on it.  Spliced so that the text == json.dumps({"spec": doc_spec,
         # "rows": rows}, indent=2, sort_keys=True) + "\n"; rows are never
         # empty because every grid is nonempty.
         doc_spec = spec.to_dict()
         del doc_spec["workers"]
         spec_text = json.dumps(doc_spec, indent=2, sort_keys=True)
-        text = ('{\n  "rows": [\n    ' + ",\n    ".join(parts) + "\n  ],\n"
-                '  "spec": ' + spec_text.replace("\n", "\n  ") + "\n}\n")
+        head = '{\n  "rows": [\n    '
+        tail = '\n  ],\n  "spec": ' + spec_text.replace("\n", "\n  ") + "\n}\n"
 
-    if spec.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(spec.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    to_file = spec.output != "-"
+    out = open(spec.output, "w", encoding="utf-8", newline="\n") if to_file else sys.stdout
+    failed = False
+    try:
+        out.write(head)
+        rows = math.prod(shape)
+        for start in range(0, rows, _BLOCK_ROWS):
+            index = np.unravel_index(np.arange(start, min(start + _BLOCK_ROWS, rows)), shape)
+            inputs = [grid[i] for grid, i in zip(grids, index)]
+            points = dict(zip(spec.grids, inputs))
+            points.update((name, np.full(index[0].size, value)) for name, value in fixed.items())
+            outputs, errors = sub.row(spec, start, points)
+            failures = [i for i, error in enumerate(errors) if error]
+            cells = [writer.column(values) for values in inputs]
+            for values in outputs:
+                column = writer.column(values)
+                for i in failures:
+                    column[i] = writer.blank
+                cells.append(column)
+            cells.append(writer.column(errors) if failures else [writer.blank] * len(errors))
+            out.write((writer.separator if start else "") + writer.text(cells))
+            failed = failed or bool(failures)
+        out.write(tail)
+        if to_file:
+            out.close()
+    except BaseException:
+        if to_file:
+            out.close()
+            os.remove(spec.output)
+        raise
     return ROW_ERROR if failed else 0
 
 

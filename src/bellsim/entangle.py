@@ -121,10 +121,14 @@ class FransonConfig:
     coincidence_window: float | None = None
 
     def __post_init__(self):
-        if self.tau_a < 0.0 or self.tau_b < 0.0:
-            raise ValueError("interferometer delays must be >= 0")
-        if self.coincidence_window is not None and self.coincidence_window < 0.0:
-            raise ValueError("coincidence window must be >= 0 or None")
+        for name in ("tau_a", "tau_b"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        window = self.coincidence_window
+        if window is not None and not 0.0 <= window < math.inf:
+            raise ValueError(f"coincidence window must be finite and >= 0 or None, "
+                             f"got {window!r}")
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,14 @@ def probability_monochromatic(a: int, phi: float) -> float:
     return 0.5 * (1.0 + a * math.cos(phi))
 
 
+def monochromatic_probabilities(a: int, phi: np.ndarray) -> np.ndarray:
+    """:func:`probability_monochromatic` at every (finite) phase of ``phi``,
+    with the same formula."""
+    if a not in (1, -1):
+        raise ValueError(f"outcome must be +1 or -1, got {a!r}")
+    return 0.5 * (1.0 + a * np.cos(phi))
+
+
 def probability_wavepacket(a: int, cfg: InterferometerConfig, tol: float = 1e-10) -> float:
     """Fringe probability averaged over the source spectrum.
 

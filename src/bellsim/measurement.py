@@ -100,6 +100,8 @@ def outcome_distribution(
     m: MeasurementMatrix, amps: PathAmplitudes, phi: float
 ) -> SplitterOutcome:
     """Port probabilities with the phase applied to the long-path amplitude."""
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi!r}")
     long_amp = amps.L * cmath.exp(1j * phi)
     out_plus = m.a11 * long_amp + m.a21 * amps.S
     out_minus = m.a12 * long_amp + m.a22 * amps.S
@@ -149,6 +151,8 @@ def mach_zehnder_effective(reflection_phase: float) -> MeasurementMatrix:
     splitters; the output ports then read (1 + cos(phi))/2 and
     (1 + cos(phi - 2*reflection_phase))/2, whose sum oscillates around 1.
     """
+    if not math.isfinite(reflection_phase):
+        raise ValueError(f"reflection_phase must be finite, got {reflection_phase!r}")
     r = cmath.exp(1j * reflection_phase)
     return MeasurementMatrix(
         a11=r * _INV_SQRT2, a12=_INV_SQRT2,

@@ -29,12 +29,18 @@ def check_distribution(entries: Sequence[float], what: str = "probabilities") ->
         raise ValueError(f"{what} sum to {total!r}, not 1")
 
 
-def check_batch(p: np.ndarray, what: str = "probabilities") -> None:
-    """Raise ValueError unless every column of the 2-D array ``p`` is a
-    distribution; the message is that of the first invalid column."""
+def valid_columns(p: np.ndarray) -> np.ndarray:
+    """Mask of the columns of the 2-D array ``p`` that
+    :func:`check_distribution` accepts."""
     total = p[0].copy()
     for row in p[1:]:
         total += row
-    good = (np.abs(total - 1.0) <= SUM_TOL) & np.all((p >= _LOW) & (p <= _HIGH), axis=0)
+    return (np.abs(total - 1.0) <= SUM_TOL) & np.all((p >= _LOW) & (p <= _HIGH), axis=0)
+
+
+def check_batch(p: np.ndarray, what: str = "probabilities") -> None:
+    """Raise ValueError unless every column of the 2-D array ``p`` is a
+    distribution; the message is that of the first invalid column."""
+    good = valid_columns(p)
     if not good.all():
         check_distribution(p[:, int(np.argmin(good))].tolist(), what)

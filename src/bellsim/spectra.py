@@ -74,8 +74,10 @@ class Spectrum:
 
     def __post_init__(self):
         object.__setattr__(self, "shape", SpectrumShape(self.shape))
-        if not self.bandwidth > 0.0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth!r}")
+        if not 0.0 < self.bandwidth < math.inf:
+            raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth!r}")
+        if not math.isfinite(self.center):
+            raise ValueError(f"center must be finite, got {self.center!r}")
         if not self.signed and not self.center > self.bandwidth / 2.0:
             raise ValueError(
                 f"center {self.center!r} must exceed bandwidth/2 "

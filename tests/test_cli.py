@@ -3,12 +3,14 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from bellsim import cli
 from bellsim.bell import quantum_I_closed_form
-from bellsim.cli import (ConfigError, ScanSpec, _json_row, _wavepacket_probabilities,
+from bellsim.cli import (ConfigError, ScanSpec, _wavepacket_probabilities, _Writer,
                          load_config, main, run_scan)
 
 PI = math.pi
@@ -326,16 +328,23 @@ def test_json_artifact_is_the_indented_document(tmp_path, argv):
 
 
 def test_json_row_encoder_matches_json_dumps():
+    # The column writer of the JSON format, one row per case and two rows at
+    # once: each value in a column of its own type and in a mixed column.
     rows = [
         {"nan": math.nan, "inf": math.inf, "ninf": -math.inf, "zero": -0.0,
          "tiny": 5e-324, "flag": True, "off": False, "none": None, "count": 7},
         {"accent": "é", "quote": '"', "backslash": "\\", "newline": "\n",
          "error": "ValueError: a, b"},
         {"error": ""},
+        {"nan": "", "inf": 1.5, "ninf": 2, "zero": None, "tiny": "x",
+         "flag": math.nan, "off": "é", "none": -0.0, "count": False},
     ]
-    for row in rows:
-        want = json.dumps({"rows": [row]}, indent=2, sort_keys=True)
-        assert '{\n  "rows": [\n    ' + _json_row(row) + "\n  ]\n}" == want
+    for group in [[row] for row in rows] + [[rows[0], rows[3]]]:
+        names = tuple(group[0])
+        writer = _Writer(names, csv=False)
+        columns = [writer.column([row[name] for row in group]) for name in names]
+        want = json.dumps({"rows": group}, indent=2, sort_keys=True)
+        assert '{\n  "rows": [\n    ' + writer.text(columns) + "\n  ]\n}" == want
 
 
 # Artifacts recorded before the writer was rewritten: a bool column
@@ -553,7 +562,15 @@ def test_config_real_parameters_take_ints_and_keep_them(tmp_path):
     (["interf", "--grid", "phi=nan"], "ValueError: phi must be finite, got nan"),
     (["interf", "--grid", "phi=0", "--grid", "dphi=inf"],
      "ValueError: dphi must be finite and >= 0, got inf"),
-], ids=["franson", "chained", "interf", "interf_dphi"])
+    (["unitarity", "--grid", "reflection_phase=nan", "--grid", "phi=0"],
+     "ValueError: reflection_phase must be finite, got nan"),
+    (["unitarity", "--grid", "reflection_phase=0", "--grid", "phi=nan"],
+     "ValueError: phi must be finite, got nan"),
+    (["franson", "--mode", "physical", "--grid", "tau_b=nan", "--pump-center", "2.4e15",
+      "--pump-bandwidth", "6.28e3", "--offset-bandwidth", "6.28e12", "--tau-a", "1e-9"],
+     "ValueError: tau_b must be finite and >= 0, got nan"),
+], ids=["franson", "chained", "interf", "interf_dphi", "unitarity_reflection_phase",
+        "unitarity_phi", "franson_physical_tau_b"])
 def test_non_finite_inputs_give_error_rows(tmp_path, argv, message):
     out = tmp_path / "out.csv"
     assert main(argv + ["--output", str(out)]) == 1
@@ -561,7 +578,41 @@ def test_non_finite_inputs_give_error_rows(tmp_path, argv, message):
         (row,) = list(csv.DictReader(fh))
     assert row["error"] == message
     assert all(value == "" for name, value in row.items()
-               if name not in ("phi", "n", "dphi", "error"))
+               if name not in ("phi", "n", "dphi", "reflection_phase", "tau_b", "error"))
+
+
+def _with_row(monkeypatch, subcommand, row):
+    monkeypatch.setitem(cli._SUBCOMMANDS, subcommand,
+                        replace(cli._SUBCOMMANDS[subcommand], row=row))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_scan_that_raises_outside_rows_leaves_no_file(tmp_path, monkeypatch, capsys, fmt):
+    # The first block is written; the second raises what no row error is.
+    real = cli._SUBCOMMANDS["interf"].row
+
+    def row(spec, start, points):
+        if start:
+            raise RuntimeError("lost the grid")
+        return real(spec, start, points)
+
+    _with_row(monkeypatch, "interf", row)
+    out = tmp_path / "out.csv"
+    grid = f"phi=linspace:0:1:{cli._BLOCK_ROWS + 1}"
+    assert main(["interf", "--grid", grid, "--format", fmt, "--output", str(out)]) == 1
+    assert not out.exists()
+    assert "bellsim: error: RuntimeError: lost the grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["missing_directory", "directory"])
+def test_unwritable_output_fails_before_any_row_runs(tmp_path, monkeypatch, capsys, where):
+    calls = []
+    _with_row(monkeypatch, "interf", lambda *args: calls.append(args))
+    out = tmp_path / "missing" / "out.csv" if where == "missing_directory" else tmp_path
+    assert main(["interf", "--grid", "phi=0", "--output", str(out)]) == 1
+    assert calls == []
+    assert "bellsim: error:" in capsys.readouterr().err
+    assert tmp_path.is_dir()
 
 
 @pytest.mark.parametrize("argv", [

@@ -81,6 +81,21 @@ def test_downconverted_degenerate_and_sum_exact():
     assert downconverted_frequencies(degenerate) == (1.0, 1.0)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("tau_a", math.nan, "tau_a must be finite and >= 0, got nan"),
+    ("tau_b", math.inf, "tau_b must be finite and >= 0, got inf"),
+    ("tau_b", -1e-9, "tau_b must be finite and >= 0, got -1e-09"),
+    ("coincidence_window", math.nan, "coincidence window must be finite and >= 0 or None"),
+    ("coincidence_window", math.inf, "coincidence window must be finite and >= 0 or None"),
+])
+def test_franson_config_rejects_non_finite_delays_and_window(field, value, message):
+    delays = {"tau_a": 1e-9, "tau_b": 1e-9, "coincidence_window": None, field: value}
+    with pytest.raises(ValueError, match=message):
+        FransonConfig(pump=Spectrum("rectangular", 2.4e15, 6.28e3),
+                      photon_offset=Spectrum("rectangular", 0.0, 6.28e12, signed=True),
+                      **delays)
+
+
 def test_downconverted_rejects_negative_frequency():
     cfg = FransonConfig(
         pump=Spectrum("rectangular", 2.0, 0.1),

@@ -50,6 +50,15 @@ def test_validity_examples():
         is_valid_quantum_measurement(symmetric_beam_splitter(), tol=0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_splitter_model_rejects_non_finite_phases(value):
+    with pytest.raises(ValueError, match="reflection_phase must be finite"):
+        mach_zehnder_effective(value)
+    m = mach_zehnder_effective(math.pi / 2)
+    with pytest.raises(ValueError, match="phi must be finite"):
+        outcome_distribution(m, PathAmplitudes.balanced(), value)
+
+
 def test_path_amplitudes_must_be_normalized():
     with pytest.raises(ValueError):
         PathAmplitudes(L=1.0, S=1.0)

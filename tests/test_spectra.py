@@ -38,6 +38,12 @@ def test_spectrum_validation():
     assert s.support == (-2.0, 2.0)
     with pytest.raises(ValueError):
         Spectrum(shape="triangular", center=10.0, bandwidth=1.0)
+    # non-finite values, which the comparisons above let through
+    for center in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="center must be finite"):
+            Spectrum(shape="rectangular", center=center, bandwidth=1.0, signed=True)
+    with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+        Spectrum(shape="gaussian", center=10.0, bandwidth=math.inf)
 
 
 @pytest.mark.parametrize("shape", ["rectangular", "gaussian"])
