@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import subprocess
@@ -494,6 +495,41 @@ GOLDEN_JSON = [
 def test_json_artifact_bytes(capsys, name, argv, code):
     assert main(argv + ["--format", "json"]) == code
     assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def _values(values) -> str:
+    return ",".join(map(repr, values))
+
+
+# Full-scale artifacts on stdout, each of at least 20 000 rows, by sha256 of
+# their bytes.  The unitarity grid repeats each reflection phase over 200
+# phases, so block edges fall inside a phase's run; it holds -0.0 next to
+# 0.0, the unitary pi/2, a NaN phase and an infinite phi (error rows), and
+# the point (0.801322977421273, 6.781800114893231).  The ideal franson JSON
+# embeds its 20 000 grid values in spec.grids.
+FULL_SCALE_DIGESTS = [
+    ("unitarity",
+     ["unitarity",
+      "--grid", "reflection_phase=" + _values(
+          [0.0, -0.0, PI / 2, 0.801322977421273, math.nan]
+          + [k * PI / 95 for k in range(1, 96)]),
+      "--grid", "phi=" + _values(
+          [6.781800114893231, math.inf] + [0.3 + k * 2 * PI / 197 for k in range(198)])],
+     1, "e41d76e4d105d79c6b8af6d7307667fb4f4b2742942b77bd142b0fc1147372e2"),
+    ("franson_ideal_json",
+     ["franson", "--grid", "phi=linspace:-3.5:9.5:20000", "--format", "json"],
+     0, "a4ae3b53c2dbe252a3cfe41f356cc49b25cfbd31088fa456a0d73bff538ca54d"),
+    ("interf_monochromatic",
+     ["interf", "--grid", "phi=linspace:-10:10:20000", "--grid", "dphi=0"],
+     0, "502b08fbb3fa232d27cbf2765ed4b57c90022b4bf73aa305ea80cab9871898cd"),
+]
+
+
+@pytest.mark.parametrize("name, argv, code, digest", FULL_SCALE_DIGESTS,
+                         ids=[name for name, _, _, _ in FULL_SCALE_DIGESTS])
+def test_full_scale_artifact_digests(capsys, name, argv, code, digest):
+    assert main(argv) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("subcommand, grids, params, message", [
