@@ -21,13 +21,26 @@ value the rows used, defaults included.
 Rows run in grid order on the calling thread, a block of up to
 ``_BLOCK_ROWS`` grid points at a time.  A subcommand's row function takes
 the block as one float array per axis and returns output columns plus one
-error text per row.  The ideal Franson law and the dphi = 0 fringe are
-evaluated as arrays and ``unitarity`` checks each splitter matrix once per
-block, with arithmetic that gives the scalar library functions' bits; every
-other row calls the library once per point.  Each block is formatted by
-column and written before the next one runs, so no artifact is held in
-memory whole.  The output file is opened before any row runs; a scan that
-raises outside row evaluation exits 1 and removes the partly written file.
+error text per row.  Three row kinds run as arrays where their inputs are
+finite: the ideal Franson law, the dphi = 0 fringe, and ``unitarity``,
+which builds and checks each distinct splitter matrix of a block once and
+takes the port law (``measurement.outcome_probabilities``) at its rows'
+phases as one array.  Their arithmetic gives the scalar library functions'
+bits.  Every other row, and every row with a non-finite input, calls the
+library once per point.
+
+Each block is formatted by column and written before the next one runs, so
+no artifact is held in memory whole.  A float ``repr`` is most of a cheap
+row's cost, so cells that repeat are formatted once: a grid axis whose
+values repeat over the rows once per scan, an output float column with the
+bits of a column already formatted in the block once per block, and a float
+column made of few runs of one value once per run.  A JSON artifact's
+``spec.grids`` lists are written from the same cells.  Budgets reject a scan
+of more than ``_MAX_ROWS`` grid points, or a chain (``chained`` ``n``,
+``extensions`` ``n_cap``) longer than ``_MAX_CHAIN``, with exit 2 before
+any grid is built.  The output file is opened before any row runs; a scan
+that raises outside row evaluation exits 1 and removes the partly written
+file.
 
 ``--workers`` is still accepted and validated (>= 1) but changes nothing,
 and the JSON artifact leaves it out of its ``spec``.  Outputs are
@@ -59,6 +72,12 @@ ROW_ERROR = 1
 
 _TWO_PI = 2.0 * math.pi
 _REQUIRED = object()  # default of a parameter that must be given where it applies
+
+# Budgets of one scan, checked before any grid is built or any row runs: its
+# grid points, and the settings of a chained row or the longest chain an
+# extensions row may search.
+_MAX_ROWS = 10 ** 7
+_MAX_CHAIN = 10 ** 7
 
 
 class ConfigError(ValueError):
@@ -113,7 +132,7 @@ class _Param:
 
     Without a default it is required wherever it applies; ``when`` =
     (parameter, value) limits it to one mode or model, and giving it
-    anywhere else is an error.
+    anywhere else is an error.  A value above ``most`` is rejected.
     """
 
     name: str
@@ -122,6 +141,7 @@ class _Param:
     default: object = _REQUIRED
     choices: tuple = ()
     when: tuple = ()
+    most: float | None = None
 
     def check(self, value):
         try:
@@ -131,7 +151,12 @@ class _Param:
         if self.choices and value not in self.choices:
             raise ConfigError(
                 f"{self.name!r} must be one of {list(self.choices)}, got {value!r}")
+        self.check_most(repr(self.name), value)
         return value
+
+    def check_most(self, what: str, value) -> None:
+        if self.most is not None and value > self.most:
+            raise ConfigError(f"{what} must be at most {self.most}, got {value!r}")
 
     def applies(self, params: dict) -> bool:
         return not self.when or params.get(self.when[0]) == self.when[1]
@@ -210,6 +235,9 @@ def _resolve_grid(name: str, value) -> tuple[float, ...]:
         start, stop, num = linspace
         if not (_is_int(num) and num >= 1):
             raise ConfigError(f"grid {name!r}: linspace num must be an integer >= 1")
+        if num > _MAX_ROWS:
+            raise ConfigError(f"grid {name!r}: linspace num must be at most {_MAX_ROWS}, "
+                              f"got {num}")
     elif not (isinstance(value, (list, tuple)) and all(_is_real(x) for x in value)):
         raise ConfigError(f"grid {name!r}: expected a list of real numbers")
     elif not value:
@@ -325,26 +353,40 @@ def _interf_rows(spec: ScanSpec, start: int, points: dict) -> tuple[list, list[s
     return columns, errors
 
 
+def _row_unitarity(spec: ScanSpec, index: int, point: dict) -> tuple:
+    m = measurement.mach_zehnder_effective(point["reflection_phase"])
+    validation = measurement.is_valid_quantum_measurement(m, spec.params["tolerance"])
+    outcome = measurement.outcome_distribution(m, measurement.PathAmplitudes.balanced(),
+                                               point["phi"])
+    return (validation.residual, validation.valid, outcome.p_plus, outcome.p_minus,
+            outcome.total)
+
+
 def _unitarity_rows(spec: ScanSpec, start: int, points: dict) -> tuple[list, list[str]]:
     """Each distinct reflection phase of the block builds and checks its
-    matrix once; the port probabilities are evaluated point by point."""
-    tolerance = spec.params["tolerance"]
+    matrix once and takes the port law at its rows' phases as one array;
+    rows with a non-finite input go through :func:`_row_unitarity`."""
+    phase, phi = points["reflection_phase"], points["phi"]
+    residual, p = np.full(phase.size, math.nan), np.full((2, phase.size), math.nan)
+    valid = np.zeros(phase.size, dtype=bool)
+    finite = np.isfinite(phase) & np.isfinite(phi)
+    rows = np.flatnonzero(finite)
+    # The finite rows grouped by the bits of their phase, which tell -0.0
+    # from 0.0.
+    bits = phase[rows].view(np.int64)
+    order = np.argsort(bits, kind="stable")
+    groups = np.split(rows[order], np.flatnonzero(np.diff(bits[order])) + 1) if rows.size else []
     amplitudes = measurement.PathAmplitudes.balanced()
-    splitters = {}  # keyed by float.hex, which tells -0.0 from 0.0
-
-    def point_row(spec: ScanSpec, index: int, point: dict) -> tuple:
-        phase = point["reflection_phase"]
-        splitter = splitters.get(phase.hex())
-        if splitter is None:
-            m = measurement.mach_zehnder_effective(phase)
-            splitter = m, measurement.is_valid_quantum_measurement(m, tolerance)
-            splitters[phase.hex()] = splitter
-        m, validation = splitter
-        outcome = measurement.outcome_distribution(m, amplitudes, point["phi"])
-        return (validation.residual, validation.valid, outcome.p_plus, outcome.p_minus,
-                outcome.total)
-
-    return _pointwise(point_row)(spec, start, points)
+    for group in groups:
+        m = measurement.mach_zehnder_effective(phase[group[0]].item())
+        validation = measurement.is_valid_quantum_measurement(m, spec.params["tolerance"])
+        residual[group] = validation.residual
+        valid[group] = validation.valid
+        p[:, group] = measurement.outcome_probabilities(m, amplitudes, phi[group])
+    columns, errors = [residual, valid, p[0], p[1], p[0] + p[1]], [""] * phase.size
+    _fill_points(spec, _row_unitarity, start, points, np.flatnonzero(~finite).tolist(),
+                 columns, errors)
+    return columns, errors
 
 
 def _franson_physical_config(spec: ScanSpec, tau_b: float) -> entangle.FransonConfig:
@@ -485,7 +527,7 @@ _SUBCOMMANDS: dict[str, _Subcommand] = {
     ),
     "chained": _Subcommand(
         help="chained inequality values over a settings-count grid",
-        grids=(_Param("n"),),
+        grids=(_Param("n", most=_MAX_CHAIN),),
         params=(
             _Param("theta", _REAL, "total phase spread over the chain, rad", math.pi),
             _Param("model", _TEXT, "correlation model", "quantum",
@@ -501,7 +543,7 @@ _SUBCOMMANDS: dict[str, _Subcommand] = {
         grids=(_Param("d"),),
         params=(
             _Param("theta", _REAL, "total phase spread over the chain, rad", math.pi),
-            _Param("n_cap", _INT, "longest chain searched", 1_000_000),
+            _Param("n_cap", _INT, "longest chain searched", 1_000_000, most=_MAX_CHAIN),
         ),
         columns=("witness_n", "bound_at_witness", "i_at_witness", "bound_at_prev"),
         row=_pointwise(_row_extensions),
@@ -542,6 +584,9 @@ def validate_spec(spec: ScanSpec) -> dict:
             )
         if not values:
             raise ConfigError(f"grid {name!r} is empty; grids must be nonempty")
+    rows = math.prod(len(values) for values in spec.grids.values())
+    if rows > _MAX_ROWS:
+        raise ConfigError(f"the grids give {rows} rows; a scan may have at most {_MAX_ROWS}")
     names = [param.name for param in sub.params]
     for name in spec.params:
         if name not in names:
@@ -567,6 +612,9 @@ def validate_spec(spec: ScanSpec) -> dict:
                 raise axis.inapplicable(spec.subcommand, f"a {axis.name!r} grid")
         elif not scanned and axis.default is _REQUIRED:
             raise axis.missing(spec.subcommand, f"a {axis.name!r} grid")
+        elif scanned:
+            for value in spec.grids[axis.name]:
+                axis.check_most(f"grid {axis.name!r} values", value)
     return params
 
 
@@ -622,8 +670,19 @@ class _Writer:
             self.separator = ",\n    "
 
     def column(self, values) -> list[str]:
-        """The cells of one column of values (a list or a float array)."""
+        """The cells of one column of values: a list, or a float or bool
+        array.  A float array made of few runs of equal bits is formatted
+        once per run."""
         if isinstance(values, np.ndarray):
+            if values.dtype == bool:
+                cells = [self.cells.get(bool, self.other)(flag) for flag in (False, True)]
+                return list(map(cells.__getitem__, values.tolist()))
+            if values.dtype == float:
+                bits = values.view(np.int64)
+                starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+                if 4 * starts.size < values.size:  # runs of four values or more on average
+                    cells = np.array(self.column(values[starts].tolist()), dtype=object)
+                    return np.repeat(cells, np.diff(starts, append=values.size)).tolist()
             values = values.tolist()
         try:
             return self.floats(values)
@@ -637,47 +696,79 @@ class _Writer:
         return self.separator.join(map(self.template.__mod__, rows))
 
 
+# The grids entry of the indented JSON spec text when the grids are {}.
+_SPEC_GRIDS = '\n    "grids": {}'
+_SPEC_CELL = ",\n        "  # between two cells of a grid list in the JSON spec
+
+
+def _json_tail(spec: ScanSpec, grid_cells: dict[str, list[str]]) -> list[str]:
+    """The text after the last JSON row: the spec as json.dumps(indent=2,
+    sort_keys=True) writes it one level down, with the list of each grid
+    spliced in from ``grid_cells`` (pieces of cells joined by _SPEC_CELL)."""
+    # The worker count stays out of the artifact, which must not depend on it.
+    doc_spec = {**spec.to_dict(), "grids": {}}
+    del doc_spec["workers"]
+    text = json.dumps(doc_spec, indent=2, sort_keys=True).replace("\n", "\n  ")
+    before, _, after = text.partition(_SPEC_GRIDS)
+    parts = ['\n  ],\n  "spec": ', before, '\n    "grids": {']
+    for k, name in enumerate(sorted(grid_cells)):
+        parts += [",\n      " if k else "\n      ", json.dumps(name), ": [\n        ",
+                  _SPEC_CELL.join(grid_cells[name]), "\n      ]"]
+    return parts + ["\n    }", after, "\n}\n"]
+
+
 def run_scan(spec: ScanSpec) -> int:
     """Execute the scan and write its artifact; returns the exit status.
 
     Rows run in grid order on the calling thread, ``_BLOCK_ROWS`` grid
     points at a time: the subcommand's row function evaluates a block, and
     the block is formatted by column and written before the next one runs,
-    so the artifact is never held in memory whole.  ``spec.workers`` does
-    not change how rows run.  The output file is opened before any row
-    runs, so an unwritable path fails first; if the scan raises outside row
-    evaluation, the partly written file is removed (what went to stdout
-    stays written).
+    so the artifact is never held in memory whole.  A grid axis whose values
+    repeat over the rows is formatted once per scan, and each block indexes
+    its cells; an output float column with the bits of a column already
+    formatted in the block reuses its cells.  A JSON artifact's
+    ``spec.grids`` lists are written from the same cells, so its text equals
+    ``json.dumps({"spec": ..., "rows": ...}, indent=2, sort_keys=True)``.
+    ``spec.workers`` does not change how rows run.  The output file is
+    opened before any row runs, so an unwritable path fails first; if the
+    scan raises outside row evaluation, the partly written file is removed
+    (what went to stdout stays written).
     """
     spec = replace(spec, params=validate_spec(spec))
     sub = _SUBCOMMANDS[spec.subcommand]
 
     grids = [np.array(values, dtype=float) for values in spec.grids.values()]
     shape = tuple(grid.size for grid in grids)
+    rows = math.prod(shape)
     # An axis with a default that is not scanned is fixed at its default.
     fixed = {axis.name: axis.default for axis in sub.grids
              if axis.name not in spec.grids and axis.default is not _REQUIRED}
     names = tuple(spec.grids) + sub.columns + ("error",)
     writer = _Writer(names, spec.format == "csv")
-    if spec.format == "csv":
-        head, tail = ",".join(names) + "\n", ""
-    else:
-        # The worker count stays out of the artifact, which must not depend
-        # on it.  Spliced so that the text == json.dumps({"spec": doc_spec,
-        # "rows": rows}, indent=2, sort_keys=True) + "\n"; rows are never
-        # empty because every grid is nonempty.
-        doc_spec = spec.to_dict()
-        del doc_spec["workers"]
-        spec_text = json.dumps(doc_spec, indent=2, sort_keys=True)
+    # The cells of each axis whose values repeat over the rows; None for an
+    # axis that gives each row its own value, whose cells each block formats.
+    axis_cells = [writer.column(grid) if grid.size < rows else None for grid in grids]
+    # JSON spec.grids lists as pieces of joined cells.  A 1-D axis's pieces
+    # are added as the blocks format its cells.  Values that are not all
+    # floats (possible in a ScanSpec built directly) are written as given.
+    spec_cells, block_pieces = {}, {}
+    if spec.format == "json":
+        for (name, values), cells in zip(spec.grids.items(), axis_cells):
+            if set(map(type, values)) != {float}:
+                spec_cells[name] = writer.column(list(values))
+            elif cells is None:
+                spec_cells[name] = block_pieces[name] = []
+            else:
+                spec_cells[name] = cells
         head = '{\n  "rows": [\n    '
-        tail = '\n  ],\n  "spec": ' + spec_text.replace("\n", "\n  ") + "\n}\n"
+    else:
+        head = ",".join(names) + "\n"
 
     to_file = spec.output != "-"
     out = open(spec.output, "w", encoding="utf-8", newline="\n") if to_file else sys.stdout
     failed = False
     try:
         out.write(head)
-        rows = math.prod(shape)
         for start in range(0, rows, _BLOCK_ROWS):
             index = np.unravel_index(np.arange(start, min(start + _BLOCK_ROWS, rows)), shape)
             inputs = [grid[i] for grid, i in zip(grids, index)]
@@ -685,16 +776,32 @@ def run_scan(spec: ScanSpec) -> int:
             points.update((name, np.full(index[0].size, value)) for name, value in fixed.items())
             outputs, errors = sub.row(spec, start, points)
             failures = [i for i, error in enumerate(errors) if error]
-            cells = [writer.column(values) for values in inputs]
+            cells = [writer.column(values) if cached is None
+                     else list(map(cached.__getitem__, i.tolist()))
+                     for values, cached, i in zip(inputs, axis_cells, index)]
+            for name, column in zip(spec.grids, cells):
+                if name in block_pieces:
+                    block_pieces[name].append(_SPEC_CELL.join(column))
+            # The cells of the block's float columns by their bits, which
+            # tell -0.0 from 0.0; failed rows are blanked on a copy.
+            formatted = {values.tobytes(): column for values, column in zip(inputs, cells)}
             for values in outputs:
-                column = writer.column(values)
-                for i in failures:
-                    column[i] = writer.blank
+                if isinstance(values, np.ndarray) and values.dtype == float:
+                    column = formatted.get(values.tobytes())
+                    if column is None:
+                        column = formatted[values.tobytes()] = writer.column(values)
+                else:
+                    column = writer.column(values)
+                if failures:
+                    column = list(column)
+                    for i in failures:
+                        column[i] = writer.blank
                 cells.append(column)
             cells.append(writer.column(errors) if failures else [writer.blank] * len(errors))
             out.write((writer.separator if start else "") + writer.text(cells))
             failed = failed or bool(failures)
-        out.write(tail)
+        if spec.format == "json":
+            out.writelines(_json_tail(spec, spec_cells))
         if to_file:
             out.close()
     except BaseException:

@@ -21,6 +21,7 @@ point of this module is to let such violations surface.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -96,16 +97,45 @@ def unitarity_residual(m: MeasurementMatrix) -> float:
     return abs(m.a11 * m.a21.conjugate() + m.a12 * m.a22.conjugate())
 
 
+def outcome_probabilities(
+    m: MeasurementMatrix, amps: PathAmplitudes, phi: np.ndarray
+) -> np.ndarray:
+    """Port probabilities (p_plus, p_minus) at every phase of ``phi``, as a
+    (2, M) array, with the phase applied to the long-path amplitude.
+
+    The amplitudes are combined in real arithmetic, term by term as complex
+    multiplication rounds them, and each modulus is squared by libm ``pow``
+    (as ``abs(z) ** 2`` is), so a point gets the bits of the complex
+    expression.  A non-finite phase is rejected with the message of the
+    first one.
+    """
+    phi = np.asarray(phi, dtype=float)
+    finite = np.isfinite(phi)
+    if not finite.all():
+        raise ValueError(f"phi must be finite, got {phi[~finite][0].item()!r}")
+    cos, sin = np.cos(phi), np.sin(phi)
+    long_re = amps.L.real * cos - amps.L.imag * sin  # L * exp(i phi)
+    long_im = amps.L.real * sin + amps.L.imag * cos
+    return np.stack([_port_probability(a, b * amps.S, long_re, long_im)
+                     for a, b in ((m.a11, m.a21), (m.a12, m.a22))])
+
+
+def _port_probability(a: complex, short: complex, long_re: np.ndarray,
+                      long_im: np.ndarray) -> np.ndarray:
+    """|a * long + short|^2 at every long-path amplitude."""
+    modulus = np.hypot(a.real * long_re - a.imag * long_im + short.real,
+                       a.real * long_im + a.imag * long_re + short.imag)
+    return np.fromiter(map(math.pow, modulus.tolist(), itertools.repeat(2.0)), float,
+                       modulus.size)
+
+
 def outcome_distribution(
     m: MeasurementMatrix, amps: PathAmplitudes, phi: float
 ) -> SplitterOutcome:
-    """Port probabilities with the phase applied to the long-path amplitude."""
-    if not math.isfinite(phi):
-        raise ValueError(f"phi must be finite, got {phi!r}")
-    long_amp = amps.L * cmath.exp(1j * phi)
-    out_plus = m.a11 * long_amp + m.a21 * amps.S
-    out_minus = m.a12 * long_amp + m.a22 * amps.S
-    return SplitterOutcome(p_plus=abs(out_plus) ** 2, p_minus=abs(out_minus) ** 2)
+    """Port probabilities at one phase: :func:`outcome_probabilities` at one
+    point."""
+    p_plus, p_minus = outcome_probabilities(m, amps, [phi])[:, 0].tolist()
+    return SplitterOutcome(p_plus=p_plus, p_minus=p_minus)
 
 
 def is_valid_quantum_measurement(

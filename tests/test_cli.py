@@ -679,3 +679,74 @@ def test_json_spec_records_every_parameter_the_rows_used(capsys):
     assert main(["sample", "--grid", "phi=0", "--seed", "9", "--format", "json"]) == 0
     params = json.loads(capsys.readouterr().out)["spec"]["params"]
     assert params == {"model": "quantum", "n": 1_000_000, "seed": 9}
+
+
+def test_grid_over_the_row_budget_exits_two_before_any_row_runs(tmp_path, monkeypatch,
+                                                                capsys):
+    calls = []
+    _with_row(monkeypatch, "interf", lambda *args: calls.append(args))
+    out = tmp_path / "out.csv"
+    argv = ["interf", "--grid", "phi=linspace:0:1:4000", "--grid", "dphi=linspace:0:1:2501"]
+    assert main(argv + ["--output", str(out)]) == 2
+    assert "the grids give 10004000 rows; a scan may have at most 10000000" in (
+        capsys.readouterr().err)
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_linspace_over_the_row_budget_is_rejected_before_it_is_built(
+        tmp_path, monkeypatch, capsys, how):
+    def linspace(*args, **kwargs):
+        raise AssertionError("np.linspace ran")
+
+    monkeypatch.setattr(cli.np, "linspace", linspace)
+    num = cli._MAX_ROWS + 1
+    if how == "flag":
+        argv = ["interf", "--grid", f"phi=linspace:0:1:{num}"]
+    else:
+        config = tmp_path / "scan.json"
+        config.write_text(json.dumps({"subcommand": "interf",
+                                      "grids": {"phi": {"linspace": [0, 1, num]}}}))
+        argv = ["interf", "--config", str(config)]
+    assert main(argv) == 2
+    assert f"linspace num must be at most 10000000, got {num}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["chained", "--grid", "n=2,10000001"], "grid 'n' values must be at most 10000000, "
+                                            "got 10000001.0"),
+    (["chained", "--grid", "n=inf"], "grid 'n' values must be at most 10000000, got inf"),
+    (["extensions", "--grid", "d=0.5", "--n-cap", "10000001"],
+     "'n_cap' must be at most 10000000, got 10000001"),
+], ids=["chained_n", "chained_inf", "extensions_n_cap"])
+def test_chain_over_the_chain_budget_exits_two(tmp_path, monkeypatch, capsys, argv, message):
+    _with_row(monkeypatch, argv[0], lambda *args: pytest.fail("a row ran"))
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--output", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_budgets_admit_scans_at_their_limits():
+    cli.validate_spec(ScanSpec(subcommand="chained", grids={"n": (2.0, 1e7)}))
+    cli.validate_spec(ScanSpec(subcommand="extensions", grids={"d": (0.5,)},
+                               params={"n_cap": cli._MAX_CHAIN}))
+    # 10^7 rows as a product of short grids (nothing of that size is built)
+    cli.validate_spec(ScanSpec(subcommand="unitarity",
+                               grids={"reflection_phase": (0.0,) * 4000, "phi": (0.0,) * 2500}))
+
+
+@pytest.mark.parametrize("subcommand, grids", [
+    ("unitarity", {"reflection_phase": (1, 0.5), "phi": (0, True, 2.5)}),
+    ("chained", {"n": (2, 3.0, 4)}),
+], ids=["repeating_axes", "one_axis"])
+def test_json_spec_writes_directly_given_grid_values_as_json_does(capsys, subcommand, grids):
+    # A ScanSpec built directly may hold ints and bools, which json writes as
+    # such; the rows take them as floats.
+    assert run_scan(ScanSpec(subcommand=subcommand, grids=grids, format="json")) == 0
+    text = capsys.readouterr().out
+    doc = json.loads(text)
+    spec = {"format": "json", "output": "-", "params": doc["spec"]["params"],
+            "subcommand": subcommand, "grids": {name: list(v) for name, v in grids.items()}}
+    assert text == json.dumps({"rows": doc["rows"], "spec": spec}, indent=2, sort_keys=True) + "\n"
+    assert all(isinstance(row[name], float) for row in doc["rows"] for name in grids)

@@ -13,6 +13,7 @@ from bellsim.measurement import (
     is_valid_quantum_measurement,
     mach_zehnder_effective,
     outcome_distribution,
+    outcome_probabilities,
     pi_quarter_model,
     symmetric_beam_splitter,
     unitarity_residual,
@@ -57,6 +58,19 @@ def test_splitter_model_rejects_non_finite_phases(value):
     m = mach_zehnder_effective(math.pi / 2)
     with pytest.raises(ValueError, match="phi must be finite"):
         outcome_distribution(m, PathAmplitudes.balanced(), value)
+    # the array law names the first non-finite phase, as a float
+    with pytest.raises(ValueError, match=rf"^phi must be finite, got {value!r}$"):
+        outcome_probabilities(m, BALANCED, np.array([0.0, value, math.nan]))
+
+
+def test_outcome_distribution_is_the_array_law_at_one_point():
+    m, phis = pi_quarter_model(), np.linspace(-7.0, 7.0, 57)
+    p_plus, p_minus = outcome_probabilities(m, BALANCED, phis)
+    assert p_plus.shape == p_minus.shape == phis.shape
+    for phi, plus, minus in zip(phis.tolist(), p_plus.tolist(), p_minus.tolist()):
+        out = outcome_distribution(m, BALANCED, phi)
+        assert (out.p_plus, out.p_minus) == (plus, minus)
+        assert type(out.p_plus) is float and out.total == plus + minus
 
 
 def test_path_amplitudes_must_be_normalized():
@@ -116,10 +130,8 @@ def test_nonunitary_matrices_violate_total_probability():
         if residual <= 0.1:
             continue
         checked += 1
-        deviation = max(
-            abs(outcome_distribution(m, BALANCED, float(phi)).total - 1.0)
-            for phi in grid
-        )
+        p_plus, p_minus = outcome_probabilities(m, BALANCED, grid)
+        deviation = np.max(np.abs(p_plus + p_minus - 1.0))
         # |2 L S*| = 1 for balanced amplitudes
         assert deviation >= residual * (1.0 - 1e-4)
 

@@ -1,23 +1,29 @@
 """The CLI evaluates rows a grid block at a time; every artifact must equal,
-byte for byte, the one built row by row from the public scalar functions,
-``repr`` and the ``csv``/``json`` modules."""
+byte for byte, the one built row by row from the public scalar functions
+(the splitter's port law from its complex expression), ``repr`` and the
+``csv``/``json`` modules."""
 
+import cmath
 import contextlib
 import csv
 import io
 import itertools
 import json
 import math
+from pathlib import Path
 from unittest import mock
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellsim import cli
 from bellsim.entangle import ideal_joint_distribution, marginal
 from bellsim.interferometer import probability_monochromatic
-from bellsim.measurement import (PathAmplitudes, is_valid_quantum_measurement,
-                                 mach_zehnder_effective, outcome_distribution)
+from bellsim.measurement import (MeasurementMatrix, PathAmplitudes,
+                                 is_valid_quantum_measurement, mach_zehnder_effective,
+                                 outcome_probabilities)
 
 PI = math.pi
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
@@ -33,6 +39,17 @@ block_rows = st.sampled_from([1, 3, cli._BLOCK_ROWS])
 
 def grid(name, points):
     return ["--grid", f"{name}=" + ",".join(map(repr, points))]
+
+
+def cmath_outcome(m, amps, phi):
+    """The splitter's port probabilities (p_plus, p_minus) at one phase, as
+    complex arithmetic gives them: the bit-level oracle of the array law."""
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi!r}")
+    long_amp = amps.L * cmath.exp(1j * phi)
+    out_plus = m.a11 * long_amp + m.a21 * amps.S
+    out_minus = m.a12 * long_amp + m.a22 * amps.S
+    return abs(out_plus) ** 2, abs(out_minus) ** 2
 
 
 def scan(argv, fmt, rows_per_block):
@@ -57,7 +74,9 @@ def csv_cell(value):
     return repr(value) if isinstance(value, float) else value
 
 
-def assert_artifact(code, text, fmt, names, rows):
+def assert_artifact(code, text, fmt, names, rows, spec):
+    """``spec`` holds the subcommand, its grids (axis -> values) and the
+    parameters the JSON spec records."""
     width = len(names) - 1 - len(rows[0][0])
     cells = [[*inputs, *(("",) * width if outputs is None else outputs), error]
              for inputs, outputs, error in rows]
@@ -69,7 +88,8 @@ def assert_artifact(code, text, fmt, names, rows):
         want = want.getvalue()
     else:
         doc = {"rows": [dict(zip(names, row)) for row in cells],
-               "spec": json.loads(text)["spec"]}
+               "spec": {"format": "json", "output": "-", **spec,
+                        "grids": {axis: list(values) for axis, values in spec["grids"].items()}}}
         want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert text == want
     assert code == (1 if any(error for _, _, error in rows) else 0)
@@ -93,9 +113,8 @@ def franson_reference(visibility):
 def unitarity_reference(reflection_phase, phi):
     m = mach_zehnder_effective(reflection_phase)
     validation = is_valid_quantum_measurement(m, 1e-10)
-    outcome = outcome_distribution(m, PathAmplitudes.balanced(), phi)
-    return (validation.residual, validation.valid, outcome.p_plus, outcome.p_minus,
-            outcome.total)
+    p_plus, p_minus = cmath_outcome(m, PathAmplitudes.balanced(), phi)
+    return validation.residual, validation.valid, p_plus, p_minus, p_plus + p_minus
 
 
 @PROPERTY
@@ -108,7 +127,10 @@ def test_monochromatic_interf_rows_match_the_scalar_fringe_law(phis, scan_dphi, 
                       fmt, rows_per_block)
     rows = [reference_row(lambda phi, *_: interf_reference(phi), phi, *dphi) for phi in phis]
     assert_artifact(code, text, fmt, ["phi", *(["dphi"] * len(dphi)), "p_plus", "p_minus",
-                                      "error"], rows)
+                                      "error"], rows,
+                    {"subcommand": "interf",
+                     "grids": {"phi": phis, **({"dphi": dphi} if dphi else {})},
+                     "params": {"tolerance": 1e-10}})
 
 
 @PROPERTY
@@ -119,13 +141,11 @@ def test_ideal_franson_rows_match_the_scalar_joint_law(phis, visibility, fmt, ro
                       fmt, rows_per_block)
     rows = [reference_row(franson_reference(visibility), phi) for phi in phis]
     assert_artifact(code, text, fmt, ["phi", *cli._SUBCOMMANDS["franson"].columns, "error"],
-                    rows)
+                    rows, {"subcommand": "franson", "grids": {"phi": phis},
+                           "params": {"mode": "ideal", "visibility": visibility}})
 
 
-@PROPERTY
-@given(grids, grids, st.booleans(), formats, block_rows)
-def test_unitarity_rows_match_the_scalar_splitter_model(phases, phis, phase_outer, fmt,
-                                                        rows_per_block):
+def assert_unitarity_scan(phases, phis, phase_outer, fmt, rows_per_block):
     axes = [("reflection_phase", phases), ("phi", phis)]
     if not phase_outer:
         axes.reverse()
@@ -138,4 +158,102 @@ def test_unitarity_rows_match_the_scalar_splitter_model(phases, phis, phase_oute
                                           named["phi"])
         rows.append((point, outputs, error))
     names = [axes[0][0], axes[1][0], *cli._SUBCOMMANDS["unitarity"].columns, "error"]
-    assert_artifact(code, text, fmt, names, rows)
+    assert_artifact(code, text, fmt, names, rows,
+                    {"subcommand": "unitarity", "grids": dict(axes),
+                     "params": {"tolerance": 1e-10}})
+
+
+@PROPERTY
+@given(grids, grids, st.booleans(), formats, block_rows)
+def test_unitarity_rows_match_the_scalar_splitter_model(phases, phis, phase_outer, fmt,
+                                                        rows_per_block):
+    assert_unitarity_scan(phases, phis, phase_outer, fmt, rows_per_block)
+
+
+# A few distinct values, so that reflection phases repeat within a block and
+# across block edges; -0.0 next to 0.0 and the point whose p_minus libm pow
+# rounds apart from h * h.
+FEW = [0.0, -0.0, PI / 2, 0.801322977421273, 6.781800114893231, PI / 4]
+
+
+@PROPERTY
+@given(st.lists(st.sampled_from(FEW + NON_FINITE), min_size=1, max_size=10),
+       st.lists(st.sampled_from(FEW + NON_FINITE), min_size=1, max_size=6),
+       st.booleans(), formats, st.sampled_from([1, 2, 5, 7, cli._BLOCK_ROWS]))
+def test_unitarity_rows_with_repeated_phases(phases, phis, phase_outer, fmt, rows_per_block):
+    assert_unitarity_scan(phases, phis, phase_outer, fmt, rows_per_block)
+
+
+def test_unitarity_blocks_repeat_phases_across_edges():
+    phases = [0.0, -0.0, 0.0, 0.801322977421273, math.nan, -0.0, math.inf, PI / 2]
+    phis = [6.781800114893231, -math.inf, 0.5, 0.5, math.nan, -0.0]
+    for phase_outer, fmt, rows_per_block in itertools.product(
+            [True, False], ["csv", "json"], [1, 4, 5, 7, cli._BLOCK_ROWS]):
+        assert_unitarity_scan(phases, phis, phase_outer, fmt, rows_per_block)
+
+
+amplitude = st.floats(-2.0, 2.0)
+entries = st.builds(complex, amplitude, amplitude)
+
+
+@PROPERTY
+@given(st.lists(entries, min_size=4, max_size=4), st.floats(0.0, 2 * PI),
+       st.lists(st.one_of(st.sampled_from(ANCHORS + FEW), st.floats(-1e3, 1e3)),
+                min_size=1, max_size=40))
+def test_outcome_probabilities_match_the_complex_expression(matrix, angle, phis):
+    m = MeasurementMatrix(*matrix)
+    amps = PathAmplitudes(L=cmath.rect(math.cos(0.5 * angle), angle),
+                          S=complex(math.sin(0.5 * angle)))
+    p_plus, p_minus = outcome_probabilities(m, amps, np.array(phis))
+    assert list(zip(p_plus.tolist(), p_minus.tolist())) == [
+        cmath_outcome(m, amps, phi) for phi in phis]
+
+
+def test_outcome_probabilities_use_libm_pow_at_the_known_point():
+    m = mach_zehnder_effective(0.801322977421273)
+    amps = PathAmplitudes.balanced()
+    p = outcome_probabilities(m, amps, np.array([6.781800114893231]))[:, 0].tolist()
+    assert p == list(cmath_outcome(m, amps, 6.781800114893231))
+    assert p[1] == 0.7249999288339706
+
+
+EDGE_VALUES = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-7, 0.0, 2.5]
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 4, 7, cli._BLOCK_ROWS])
+def test_json_spec_grids_equal_json_dumps(rows_per_block):
+    # Two axes over several blocks: the spec's grid lists are spliced in from
+    # the cells the rows were written with.
+    phases, phis = EDGE_VALUES, EDGE_VALUES[::-1] + [0.25]
+    assert_unitarity_scan(phases, phis, True, "json", rows_per_block)
+    code, text = scan(["interf", *grid("phi", EDGE_VALUES), *grid("dphi", [0.0])],
+                      "json", rows_per_block)
+    doc = {"rows": json.loads(text)["rows"],
+           "spec": {"format": "json", "output": "-", "subcommand": "interf",
+                    "grids": {"phi": EDGE_VALUES, "dphi": [0.0]},
+                    "params": {"tolerance": 1e-10}}}
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_failed_rows_blank_a_copy_of_an_input_column():
+    # The phase column has the bits of phi and shares its cells; blanking
+    # the failed rows' phase must leave phi written.
+    golden = Path(__file__).parent / "golden" / "franson_ideal_invalid_visibility.json"
+    code, text = scan(["franson", *grid("phi", [0.0, 1.5]), "--visibility", "1.5"], "json", 1)
+    assert code == 1 and text.encode() == golden.read_bytes()
+    rows = json.loads(text)["rows"]
+    assert [row["phi"] for row in rows] == [0.0, 1.5]
+    assert all(row["phase"] == "" and row["error"] for row in rows)
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 6, 7, cli._BLOCK_ROWS])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_columns_of_runs_are_written_cell_by_cell(fmt, rows_per_block):
+    # Long runs of one value in a 1-D axis and its outputs: a run of -0.0
+    # next to one of 0.0 must keep its sign, and failed runs their error.
+    phis = [0.0] * 6 + [-0.0] * 6 + [math.nan] * 6 + [2.5] * 6 + [-math.inf] * 6 + [0.0] * 6
+    code, text = scan(["interf", *grid("phi", phis)], fmt, rows_per_block)
+    rows = [reference_row(interf_reference, phi) for phi in phis]
+    assert_artifact(code, text, fmt, ["phi", "p_plus", "p_minus", "error"], rows,
+                    {"subcommand": "interf", "grids": {"phi": phis},
+                     "params": {"tolerance": 1e-10}})
