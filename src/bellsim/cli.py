@@ -370,14 +370,11 @@ def _unitarity_rows(spec: ScanSpec, start: int, points: dict) -> tuple[list, lis
     residual, p = np.full(phase.size, math.nan), np.full((2, phase.size), math.nan)
     valid = np.zeros(phase.size, dtype=bool)
     finite = np.isfinite(phase) & np.isfinite(phi)
-    rows = np.flatnonzero(finite)
-    # The finite rows grouped by the bits of their phase, which tell -0.0
-    # from 0.0.
-    bits = phase[rows].view(np.int64)
-    order = np.argsort(bits, kind="stable")
-    groups = np.split(rows[order], np.flatnonzero(np.diff(bits[order])) + 1) if rows.size else []
+    bits = phase.view(np.int64)  # which tell -0.0 from 0.0
     amplitudes = measurement.PathAmplitudes.balanced()
-    for group in groups:
+    # A set, not np.unique: its first call imports numpy.ma (about 2 MB).
+    for key in set(bits[finite].tolist()):
+        group = np.flatnonzero(finite & (bits == key))
         m = measurement.mach_zehnder_effective(phase[group[0]].item())
         validation = measurement.is_valid_quantum_measurement(m, spec.params["tolerance"])
         residual[group] = validation.residual
@@ -710,6 +707,7 @@ def _json_tail(spec: ScanSpec, grid_cells: dict[str, list[str]]) -> list[str]:
     del doc_spec["workers"]
     text = json.dumps(doc_spec, indent=2, sort_keys=True).replace("\n", "\n  ")
     before, _, after = text.partition(_SPEC_GRIDS)
+    # Written part by part: a grid list is joined once and never copied.
     parts = ['\n  ],\n  "spec": ', before, '\n    "grids": {']
     for k, name in enumerate(sorted(grid_cells)):
         parts += [",\n      " if k else "\n      ", json.dumps(name), ": [\n        ",
