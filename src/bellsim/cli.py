@@ -341,13 +341,13 @@ def _row_interf(spec: ScanSpec, index: int, point: dict) -> tuple:
 
 
 def _interf_rows(spec: ScanSpec, start: int, points: dict) -> tuple[list, list[str]]:
-    """Rows at dphi = 0 with a finite phi take the monochromatic fringe law
-    as one array; every other row goes through :func:`_row_interf`."""
+    """Rows at dphi = 0 with a finite phi take both ports from the fringe
+    law as one array; every other row goes through :func:`_row_interf`."""
     phi, dphi = points["phi"], points["dphi"]
     monochromatic = (dphi == 0.0) & np.isfinite(phi)
-    p_plus = np.full(phi.size, math.nan)
-    p_plus[monochromatic] = interferometer.monochromatic_probabilities(+1, phi[monochromatic])
-    columns, errors = [p_plus, 1.0 - p_plus], [""] * phi.size
+    p = np.full((2, phi.size), math.nan)
+    p[:, monochromatic] = interferometer.fringe_probabilities(phi[monochromatic])
+    columns, errors = list(p), [""] * phi.size
     _fill_points(spec, _row_interf, start, points, np.flatnonzero(~monochromatic).tolist(),
                  columns, errors)
     return columns, errors
@@ -446,7 +446,7 @@ _CHAINED_MODELS = {
 
 def _row_chained(spec: ScanSpec, index: int, point: dict) -> tuple:
     n = point["n"]
-    if n != int(n):
+    if not n.is_integer():  # False for +-inf and NaN too
         raise ValueError(f"n must be an integer, got {n!r}")
     n = int(n)
     theta = spec.params["theta"]

@@ -7,7 +7,7 @@ ll and ss arrive coincident when the delays are matched, and their
 interference carries the nonlocal fringe.  The module provides
 
 * the idealized maximally-entangled joint distribution, pointwise and as
-  an array,
+  an array: the one-photon fringe law at detection, halved,
 * correlation models: array rules validated once per batch, the only
   representation of a joint distribution over setting phases,
 * the full four-path spectral model with per-pair coherence factors and
@@ -33,6 +33,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
+from .interferometer import _fringe, fringe_probabilities
 from .measurement import _INV_SQRT2, STANDARD_PORT_PHASES, MeasurementMatrix
 from .probability import check_batch, check_distribution
 from .spectra import Spectrum
@@ -209,42 +210,18 @@ def check_entanglement_conditions(
 def ideal_joint_distribution(phi: float, visibility: float = 1.0) -> JointDistribution:
     """Maximally-entangled joint law with optional fringe contrast V.
 
-    Concordance (1 + V cos(phi))/2 and discordance (1 - V cos(phi))/2 are
-    split symmetrically over the outcome pairs so both marginals are 1/2.
-    No digits cancel near phi = 0 or pi: where cos(phi) > 1/2 the
-    discordance is evaluated as (1 - V)/2 + V sin^2(phi/2), and where
-    cos(phi) < -1/2 the concordance as (1 - V)/2 + V cos^2(phi/2).  The
-    cosine takes phi itself, so no rounded distance to pi enters: at V = 1,
-    phi = math.pi the concordance is cos^2(math.pi/2) = 3.7e-33, not 0.
-    """
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError(f"visibility must lie in [0, 1], got {visibility!r}")
-    cos_phi = math.cos(phi)
-    if cos_phi < -0.5:
-        half = math.cos(0.5 * phi)
-        equal = 0.25 * (1.0 - visibility) + 0.5 * visibility * half * half
-    else:
-        equal = 0.25 * (1.0 + visibility * cos_phi)
-    if cos_phi > 0.5:
-        half = math.sin(0.5 * phi)
-        differ = 0.25 * (1.0 - visibility) + 0.5 * visibility * half * half
-    else:
-        differ = 0.25 * (1.0 - visibility * cos_phi)
-    return JointDistribution(p_pp=equal, p_pm=differ, p_mp=differ, p_mm=equal)
+    Concordance and discordance are the ports (1 +- V cos(phi))/2 of the
+    single-photon fringe law, each split in exact halves over its two
+    outcome pairs, so both marginals are 1/2."""
+    equal, differ = _fringe(phi, visibility)
+    return JointDistribution(p_pp=0.5 * equal, p_pm=0.5 * differ,
+                             p_mp=0.5 * differ, p_mm=0.5 * equal)
 
 
 def ideal_joint_probabilities(phi: np.ndarray, visibility: float = 1.0) -> np.ndarray:
     """:func:`ideal_joint_distribution` at every phase of ``phi``, as a
-    (4, M) array (pp, pm, mp, mm) with the same formulas."""
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError(f"visibility must lie in [0, 1], got {visibility!r}")
-    cos_phi = np.cos(phi)
-    # sin(phi/2) serves the discordance branch, cos(phi/2) the concordance one
-    half = np.where(cos_phi >= 0.0, np.sin(0.5 * phi), np.cos(0.5 * phi))
-    half_angle_form = 0.25 * (1.0 - visibility) + 0.5 * visibility * half * half
-    equal = np.where(cos_phi < -0.5, half_angle_form, 0.25 * (1.0 + visibility * cos_phi))
-    differ = np.where(cos_phi > 0.5, half_angle_form, 0.25 * (1.0 - visibility * cos_phi))
-    return np.stack((equal, differ, differ, equal))
+    (4, M) array (pp, pm, mp, mm), from the array fringe law."""
+    return 0.5 * fringe_probabilities(phi, visibility)[[0, 1, 1, 0]]
 
 
 def marginal(dist: JointDistribution, side: str) -> float:

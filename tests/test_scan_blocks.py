@@ -98,8 +98,7 @@ def assert_artifact(code, text, fmt, names, rows, spec):
 def interf_reference(phi):
     if not math.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi!r}")
-    p_plus = probability_monochromatic(+1, phi)
-    return p_plus, 1.0 - p_plus
+    return probability_monochromatic(+1, phi), probability_monochromatic(-1, phi)
 
 
 def franson_reference(visibility):
