@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from bellsim import (
+    RATIO_THRESHOLD,
     FransonConfig,
     Spectrum,
     check_entanglement_conditions,
@@ -49,10 +50,10 @@ def main():
     print("1. Coherence conditions")
     print("=" * 64)
     cfg = build_config()
-    report = check_entanglement_conditions(cfg, 100.0)
+    report = check_entanglement_conditions(cfg)
     for name, ratio in report.ratios.items():
         print(f"   {name:20s} ratio = {ratio:10.3g}")
-    print(f"   satisfied at threshold 100: {report.satisfied}")
+    print(f"   satisfied at threshold {RATIO_THRESHOLD:g}: {report.satisfied}")
 
     print()
     print("=" * 64)

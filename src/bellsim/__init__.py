@@ -15,8 +15,7 @@ over all of it.
 from .spectra import (
     HBAR,
     PLANCK_CONSTANT,
-    SPEED_OF_LIGHT,
-    CoherenceTime,
+    RATIO_THRESHOLD,
     IntegrationError,
     Spectrum,
     SpectrumShape,
@@ -54,14 +53,12 @@ from .entangle import (
     FransonConfig,
     FransonResult,
     JointDistribution,
-    PathPair,
     bob_measurement_rule,
     check_entanglement_conditions,
     downconverted_frequencies,
     ideal_joint_distribution,
     marginal,
     no_signaling_residual,
-    path_pair_phase,
     physical_joint_distribution,
 )
 from .bell import (

@@ -15,10 +15,13 @@ interference carries the nonlocal fringe.  The module provides
   closed-form envelopes, real because every spectral density is even about
   its center, and the fringe visibility is read from the harmonic of a
   phase on one long arm, with no quadrature,
-* the coherence-ratio checks that the ideal limit requires,
+* the coherence-ratio checks that the ideal limit requires, each against
+  :data:`~bellsim.spectra.RATIO_THRESHOLD`,
 * no-signaling diagnostics on correlation models, and
-* the two-photon counterpart of the beam-splitter unitarity condition, a
-  correlation model built from side B's measurement matrix.
+* the two-photon counterpart of the beam-splitter unitarity condition: the
+  pair whose side B is measured by any splitter matrix, whose joint law is
+  half the single-photon port law
+  :func:`~bellsim.measurement.outcome_probabilities` of that matrix.
 
 Everything is a pure function of its inputs.
 """
@@ -26,7 +29,6 @@ Everything is a pure function of its inputs.
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
@@ -34,35 +36,13 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .interferometer import _fringe, fringe_probabilities
-from .measurement import _INV_SQRT2, STANDARD_PORT_PHASES, MeasurementMatrix
+from .measurement import (_INV_SQRT2, STANDARD_PORT_PHASES, MeasurementMatrix, PathAmplitudes,
+                          outcome_probabilities)
 from .probability import check_batch, check_distribution
-from .spectra import Spectrum
+from .spectra import RATIO_THRESHOLD, Spectrum, coherence_time
 
 
 ArrayRule = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-class PathPair(str, enum.Enum):
-    """Interfering combinations of two-photon path classes."""
-
-    LL_SS = "ll_ss"
-    LL_LS = "ll_ls"
-    LS_LL = "ls_ll"
-    SS_SL = "ss_sl"
-    LL_SL = "ll_sl"
-    LS_SS = "ls_ss"
-
-
-# Which single-arm phase the pair picks up: "both" is the sum
-# w_A*tau_A + w_B*tau_B; "A"/"B" the corresponding arm alone.
-_PAIR_ARM: dict[PathPair, str] = {
-    PathPair.LL_SS: "both",
-    PathPair.LL_LS: "B",
-    PathPair.LS_LL: "A",
-    PathPair.SS_SL: "B",
-    PathPair.LL_SL: "A",
-    PathPair.LS_SS: "A",
-}
 
 
 @dataclass(frozen=True)
@@ -136,7 +116,6 @@ class FransonConfig:
 class EntanglementConditions:
     satisfied: bool
     ratios: Mapping[str, float]
-    threshold: float
     failing: tuple[str, ...]
 
 
@@ -167,44 +146,25 @@ def downconverted_frequencies(cfg: FransonConfig) -> tuple[float, float]:
     return (w_a, w_b)
 
 
-def path_pair_phase(cfg: FransonConfig, pair: PathPair) -> float:
-    """Relative phase of one interfering path-pair at the center frequencies."""
-    pair = PathPair(pair)
-    w_a, w_b = downconverted_frequencies(cfg)
-    arm = _PAIR_ARM[pair]
-    if arm == "both":
-        return w_a * cfg.tau_a + w_b * cfg.tau_b
-    if arm == "A":
-        return w_a * cfg.tau_a
-    return w_b * cfg.tau_b
-
-
-def check_entanglement_conditions(
-    cfg: FransonConfig, ratio_threshold: float = 100.0
-) -> EntanglementConditions:
+def check_entanglement_conditions(cfg: FransonConfig) -> EntanglementConditions:
     """Coherence hierarchy for the ideal limit: tau_c >> tau >> tau_c_off >> |dtau|.
 
     Ratios: pump coherence time over the larger delay, that delay over the
     offset coherence time, and the offset coherence time over the delay
-    mismatch (infinite for exactly matched delays).  All must reach the
-    threshold.
+    mismatch (infinite for exactly matched delays).  All must reach
+    :data:`~bellsim.spectra.RATIO_THRESHOLD`.
     """
-    if not ratio_threshold > 1.0:
-        raise ValueError(f"ratio_threshold must exceed 1, got {ratio_threshold!r}")
     tau = max(cfg.tau_a, cfg.tau_b)
-    tau_c = 2.0 * math.pi / cfg.pump.bandwidth
-    tau_c_off = 2.0 * math.pi / cfg.photon_offset.bandwidth
+    tau_c = coherence_time(cfg.pump)
+    tau_c_off = coherence_time(cfg.photon_offset)
     mismatch = abs(cfg.tau_a - cfg.tau_b)
     ratios = {
         "pump_coherence": tau_c / tau if tau > 0.0 else math.inf,
         "offset_incoherence": tau / tau_c_off,
         "delay_balance": tau_c_off / mismatch if mismatch > 0.0 else math.inf,
     }
-    failing = tuple(name for name, r in ratios.items() if r < ratio_threshold)
-    return EntanglementConditions(
-        satisfied=not failing, ratios=ratios,
-        threshold=ratio_threshold, failing=failing,
-    )
+    failing = tuple(name for name, r in ratios.items() if r < RATIO_THRESHOLD)
+    return EntanglementConditions(satisfied=not failing, ratios=ratios, failing=failing)
 
 
 def ideal_joint_distribution(phi: float, visibility: float = 1.0) -> JointDistribution:
@@ -361,33 +321,31 @@ def physical_joint_distribution(cfg: FransonConfig) -> FransonResult:
     return FransonResult(
         distribution=dist,
         visibility=visibility,
-        mean_phase=path_pair_phase(cfg, PathPair.LL_SS),
+        mean_phase=w_a * cfg.tau_a + w_b * cfg.tau_b,
         kept_classes=tuple(kept),
     )
 
 
-def bob_measurement_rule(m: MeasurementMatrix) -> CorrelationModel:
-    """Correlation model of the ideal path-entangled pair when side B's
-    measurement is described by ``m`` (side A keeps the standard
-    interferometer matrix).
+# Side A's standard interferometer feeds its + port the long and short
+# paths with equal phases and its - port with opposite ones.
+_SIDE_A_PORTS = (PathAmplitudes.balanced(), PathAmplitudes(L=_INV_SQRT2, S=-_INV_SQRT2))
 
-    Side A's marginal acquires the cross term b11 b21* + b12 b22* times the
-    remote phase, so matrices passing the single-particle unitarity check
-    produce no-signaling correlations with no extra assumption, and the
-    largest marginal change is that cross term's modulus.  With the standard
-    matrix on both sides the model reproduces the ideal joint law at phase
-    phi_a + phi_b.
+
+def bob_measurement_rule(m: MeasurementMatrix) -> CorrelationModel:
+    """The ideal path-entangled pair with side B measured by ``m`` and side A
+    by the standard interferometer.
+
+    With pair amplitude 1/sqrt2, p(a, b) is half the port law
+    :func:`~bellsim.measurement.outcome_probabilities` of ``m`` at phase
+    phi_a + phi_b for path amplitudes (1, a)/sqrt2.  Side A's marginal is
+    thus half the photon's total count, so unitary matrices give no-signaling
+    correlations and the largest marginal change is the modulus of the cross
+    term b11 b21* + b12 b22*.  The standard matrix gives the ideal joint law.
     """
-    side_b = {"long": {+1: m.a11, -1: m.a12}, "short": {+1: m.a21, -1: m.a22}}
-    # Pair amplitude coefficient per input path, one row per outcome pair.
-    long_coeff, short_coeff = (
-        np.array([STANDARD_PORT_PHASES[path][a] * _INV_SQRT2 * side_b[path][b]
-                  for a, b in _OUTCOMES])[:, None]
-        for path in ("long", "short")
-    )
 
     def probabilities(phi_a: np.ndarray, phi_b: np.ndarray) -> np.ndarray:
-        amp = (long_coeff * np.exp(1j * (phi_a + phi_b)) + short_coeff) * _INV_SQRT2
-        return np.abs(amp) ** 2
+        phi = phi_a + phi_b
+        return 0.5 * np.concatenate([outcome_probabilities(m, amps, phi)
+                                     for amps in _SIDE_A_PORTS])
 
     return CorrelationModel(name="bob_measurement", probabilities=probabilities)

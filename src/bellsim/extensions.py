@@ -27,6 +27,7 @@ from .bell import (
     quantum_model,
 )
 from .entangle import marginal
+from .probability import check_distribution
 
 _FIRST_CHUNK = 64  # chain lengths in the first scan chunk; later chunks double
 
@@ -72,14 +73,12 @@ class LeggettReport:
 
 
 def statistical_distance(p: Sequence[float], q: Sequence[float]) -> float:
-    """Total variation distance between two two-outcome distributions."""
+    """Total variation distance between two two-outcome distributions, each
+    checked by :func:`~bellsim.probability.check_distribution`."""
     for name, dist in (("p", p), ("q", q)):
         if len(dist) != 2:
             raise ValueError(f"{name} must have two entries, got {len(dist)}")
-        if any(x < -1e-12 or x > 1.0 + 1e-12 for x in dist):
-            raise ValueError(f"{name} has entries outside [0, 1]: {tuple(dist)!r}")
-        if abs(sum(dist) - 1.0) > 1e-9:
-            raise ValueError(f"{name} sums to {sum(dist)!r}, not 1")
+        check_distribution(dist, name)
     return 0.5 * (abs(p[0] - q[0]) + abs(p[1] - q[1]))
 
 
@@ -175,17 +174,16 @@ class BiasedMarginalModel:
         return CorrelationModel(name=f"{self.base.name}_biased_mixture",
                                 probabilities=probabilities)
 
-    def subensemble_marginal(self, k: int, phi_a: float = 0.0, phi_b: float = 0.0) -> tuple[float, float]:
-        """A-side outcome distribution (+1, -1) of subensemble k."""
-        d = self.subensemble_rule(k).rule(phi_a, phi_b)
+    def subensemble_marginal(self, k: int) -> tuple[float, float]:
+        """A-side outcome distribution (+1, -1) of subensemble k at zero
+        setting phases."""
+        d = self.subensemble_rule(k).rule(0.0, 0.0)
         p_plus = marginal(d, "A")
         return (p_plus, 1.0 - p_plus)
 
 
-def leggett_inconsistency_demo(
-    bias: float, theta: float = math.pi, n_cap: int = 1_000_000
-) -> LeggettReport:
-    """Build the biased-marginal model, measure its D, and exhibit the chain
+def leggett_inconsistency_demo(bias: float) -> LeggettReport:
+    """Build the biased-marginal model, measure its D, and exhibit the pi-chain
     length whose no-signaling bound it violates."""
     if not 0.0 < bias <= 0.5:
         raise ValueError(f"bias must lie in (0, 1/2], got {bias!r}")
@@ -194,7 +192,7 @@ def leggett_inconsistency_demo(
     marg0 = model.subensemble_marginal(0)
     marg1 = model.subensemble_marginal(1)
     measured = statistical_distance(marg0, uniform)
-    witness = find_falsifying_N(measured, theta=theta, n_cap=n_cap)
+    witness = find_falsifying_N(measured)
     return LeggettReport(
         bias=bias,
         measured_distance=measured,

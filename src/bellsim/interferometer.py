@@ -3,9 +3,11 @@
 Covers the fringe law (1 +- V cos(phi))/2 of the two ports, whose halves are
 the ideal Franson pair's joint law (:mod:`bellsim.entangle`); its wave-packet
 generalization by integration over a source spectrum; classification of the
-interference regime by the coherence-time/path-delay ratio; the alternative
-independent-detectors model (which produces double counts and missed
-counts); and seeded multinomial event sampling.
+interference regime by the ratio of coherence time to a finite path delay;
+the alternative independent-detectors model (which produces double counts
+and missed counts); and seeded multinomial event sampling.  A general
+splitter's port law, whose halves give the pair measured by that splitter,
+is :func:`bellsim.measurement.outcome_probabilities`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .probability import check_distribution
-from .spectra import Spectrum, coherence_time, integrate_over_spectrum
+from .spectra import RATIO_THRESHOLD, Spectrum, coherence_time, integrate_over_spectrum
 
 
 class InterferenceRegime(str, enum.Enum):
@@ -34,8 +36,8 @@ class InterferometerConfig:
     source: Spectrum
 
     def __post_init__(self):
-        if self.path_delay_tau < 0.0:
-            raise ValueError(f"path delay must be >= 0, got {self.path_delay_tau!r}")
+        if not 0.0 <= self.path_delay_tau < math.inf:
+            raise ValueError(f"path delay must be finite and >= 0, got {self.path_delay_tau!r}")
 
 
 @dataclass(frozen=True)
@@ -129,16 +131,13 @@ def probability_wavepacket(a: int, cfg: InterferometerConfig, tol: float = 1e-10
     return min(max(p, 0.0), 1.0)
 
 
-def classify_interference(
-    cfg: InterferometerConfig, ratio_threshold: float = 100.0
-) -> InterferenceRegime:
-    """Regime by tau_c / tau; zero path delay counts as interfering."""
-    if not ratio_threshold > 1.0:
-        raise ValueError(f"ratio_threshold must exceed 1, got {ratio_threshold!r}")
+def classify_interference(cfg: InterferometerConfig) -> InterferenceRegime:
+    """Regime by tau_c / tau: interfering from :data:`~bellsim.spectra.RATIO_THRESHOLD`
+    up, particle-like at or below 1; zero path delay counts as interfering."""
     if cfg.path_delay_tau == 0.0:
         return InterferenceRegime.INTERFERING
-    ratio = coherence_time(cfg.source).tau_c / cfg.path_delay_tau
-    if ratio >= ratio_threshold:
+    ratio = coherence_time(cfg.source) / cfg.path_delay_tau
+    if ratio >= RATIO_THRESHOLD:
         return InterferenceRegime.INTERFERING
     if ratio <= 1.0:
         return InterferenceRegime.PARTICLE_LIKE

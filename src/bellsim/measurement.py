@@ -64,7 +64,7 @@ class PathAmplitudes:
 
     def __post_init__(self):
         norm = abs(self.L) ** 2 + abs(self.S) ** 2
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"|L|^2 + |S|^2 = {norm!r}, expected 1")
 
     @classmethod

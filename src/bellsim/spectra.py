@@ -12,6 +12,10 @@ Its nodes are offsets from the spectrum's center, at which the density is
 evaluated, so a narrow spectrum keeps full resolution at an optical center
 frequency; the integrand receives the absolute frequencies center + offset.
 
+:func:`coherence_time` (2*pi/bandwidth, in seconds) is the one spelling of
+a coherence time, and :data:`RATIO_THRESHOLD` the one factor by which the
+coherence-ratio checks read "much longer than".
+
 All functions are pure; there is no shared mutable state.
 """
 
@@ -28,14 +32,17 @@ from numpy.polynomial.legendre import leggauss
 # CODATA / SI exact values.
 PLANCK_CONSTANT = 6.62607015e-34  # J s
 HBAR = PLANCK_CONSTANT / (2.0 * math.pi)
-SPEED_OF_LIGHT = 299792458.0  # m / s
+
+# A coherence time counts as much longer or shorter than a delay when the
+# ratio reaches this factor (the ">>" of the ideal-limit conditions).
+RATIO_THRESHOLD = 100.0
 
 # Gaussian densities are truncated at +- this many bandwidths.
 GAUSSIAN_TRUNCATION = 5.0
 
 _GL_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = leggauss(_GL_ORDER)
-_DEFAULT_NODE_BUDGET = 2 ** 16
+_NODE_BUDGET = 2 ** 16
 
 
 class SpectrumShape(str, enum.Enum):
@@ -135,49 +142,31 @@ class Spectrum:
         return math.exp(-g * g / (16.0 * math.log(2.0)))
 
 
-@dataclass(frozen=True)
-class CoherenceTime:
-    """Uncertainty in the time of emission, 2*pi / bandwidth."""
-
-    tau_c: float
-
-    def __post_init__(self):
-        if not self.tau_c > 0.0:
-            raise ValueError(f"coherence time must be positive, got {self.tau_c!r}")
+def coherence_time(spectrum: Spectrum) -> float:
+    """Coherence time 2*pi/bandwidth in seconds (equivalently 1/bandwidth-in-Hz)."""
+    return 2.0 * math.pi / spectrum.bandwidth
 
 
-def coherence_time(spectrum: Spectrum) -> CoherenceTime:
-    """Coherence time 2*pi/bandwidth (equivalently 1/bandwidth-in-Hz)."""
-    return CoherenceTime(tau_c=2.0 * math.pi / spectrum.bandwidth)
-
-
-def heisenberg_product(
-    spectrum: Spectrum,
-    tau_c: float | None = None,
-    h: float = PLANCK_CONSTANT,
-) -> float:
+def heisenberg_product(spectrum: Spectrum, tau_c: float | None = None) -> float:
     """Product of emission-time uncertainty and energy spread, tau_c * hbar * dw.
 
-    With the minimal coherence time (the default) the product equals ``h``
-    exactly; any admissible larger ``tau_c`` scales it up.  ``h`` is
-    overridable for natural-unit tests only.
+    With the minimal coherence time (the default) the product equals the
+    Planck constant h; any admissible larger ``tau_c`` scales it up.
     """
-    minimum = 2.0 * math.pi / spectrum.bandwidth
+    minimum = coherence_time(spectrum)
     if tau_c is None:
         tau_c = minimum
-    elif tau_c < minimum * (1.0 - 1e-12):
+    elif not tau_c >= minimum * (1.0 - 1e-12):
         raise ValueError(
-            f"tau_c {tau_c!r} below the minimum 2*pi/bandwidth = {minimum!r}"
+            f"tau_c must be at least 2*pi/bandwidth = {minimum!r}, got {tau_c!r}"
         )
-    hbar = h / (2.0 * math.pi)
-    return tau_c * hbar * spectrum.bandwidth
+    return tau_c * HBAR * spectrum.bandwidth
 
 
 def integrate_over_spectrum(
     spectrum: Spectrum,
     f: Callable[[np.ndarray], np.ndarray],
     tol: float = 1e-10,
-    node_budget: int = _DEFAULT_NODE_BUDGET,
 ) -> float:
     """Integral of f(w) against the normalized density, to absolute error <= tol.
 
@@ -186,8 +175,8 @@ def integrate_over_spectrum(
     u in [-half_width, half_width] from the center; the density is evaluated
     at u (a gaussian one folded into the weights, a rectangular one skipped)
     and ``f`` at center + u.  Panels are doubled until two successive
-    refinements agree within ``tol``; exceeding ``node_budget`` nodes in a
-    single pass raises :class:`IntegrationError` with the achieved error
+    refinements agree within ``tol``; exceeding 2**16 nodes in a single
+    pass raises :class:`IntegrationError` with the achieved error
     estimate.  Fixed panel/node layout keeps results deterministic.
     """
     if not tol > 0.0:
@@ -210,7 +199,7 @@ def integrate_over_spectrum(
     n_panels = 4
     previous = one_pass(n_panels)
     error_estimate = math.inf
-    while n_panels * 2 * _GL_ORDER <= node_budget:
+    while n_panels * 2 * _GL_ORDER <= _NODE_BUDGET:
         n_panels *= 2
         current = one_pass(n_panels)
         error_estimate = abs(current - previous)

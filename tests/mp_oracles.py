@@ -24,3 +24,22 @@ def mp_fringe(phi: float, visibility: float = 1.0):
     with mpmath.workdps(50):
         c = mpmath.mpf(visibility) * mpmath.cos(mpmath.mpf(phi))
         return (1 + c) / 2, (1 - c) / 2
+
+
+def mp_splitter_pair(m, phi: float):
+    """Joint probabilities (pp, pm, mp, mm) to 50 digits of the pair
+    (|long, long> exp(i*phi) + |short, short>)/sqrt2 whose photon A meets the
+    standard interferometer, port phases (i, i) for + and (1, -1) for - over
+    sqrt2 (long, short), and whose photon B meets the 2x2 matrix ``m``,
+    m[path][port] with path 0 long and 1 short; at the exact binary phi."""
+    with mpmath.workdps(50):
+        r = 1 / mpmath.sqrt(2)
+        carrier = mpmath.expj(mpmath.mpf(phi))
+        side_a = ((1j, 1j), (1, -1))
+        probabilities = []
+        for long_a, short_a in side_a:
+            for port in (0, 1):
+                amp = r * (long_a * r * carrier * mpmath.mpc(m[0][port])
+                           + short_a * r * mpmath.mpc(m[1][port]))
+                probabilities.append(abs(amp) ** 2)
+        return probabilities

@@ -25,6 +25,9 @@ def test_statistical_distance_examples():
         statistical_distance((0.6, 0.6), (0.5, 0.5))
     with pytest.raises(ValueError):
         statistical_distance((0.6, 0.4, 0.0), (0.5, 0.5))
+    for nan_case in (((math.nan, 1.0), (0.5, 0.5)), ((0.5, 0.5), (0.5, math.nan))):
+        with pytest.raises(ValueError):
+            statistical_distance(*nan_case)
 
 
 def test_statistical_distance_is_a_metric():

@@ -135,8 +135,9 @@ def test_classify_interference():
     assert classify_interference(rect_config(10, TWO_PI / 10)) is InterferenceRegime.INTERMEDIATE
     zero = InterferometerConfig(path_delay_tau=0.0, source=Spectrum("rectangular", 100.0, 1.0))
     assert classify_interference(zero) is InterferenceRegime.INTERFERING
-    with pytest.raises(ValueError):
-        classify_interference(rect_config(10, 1.0), ratio_threshold=1.0)
+    for tau in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="path delay must be finite and >= 0"):
+            InterferometerConfig(path_delay_tau=tau, source=zero.source)
 
 
 def test_detection_distribution_validation():

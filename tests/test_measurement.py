@@ -76,6 +76,9 @@ def test_outcome_distribution_is_the_array_law_at_one_point():
 def test_path_amplitudes_must_be_normalized():
     with pytest.raises(ValueError):
         PathAmplitudes(L=1.0, S=1.0)
+    for bad in ((math.nan, 0.7), (0.7, math.nan), (complex(0.6, math.nan), 0.8)):
+        with pytest.raises(ValueError):
+            PathAmplitudes(*bad)
     PathAmplitudes(L=0.6, S=0.8j)
 
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bellsim.bell import (
@@ -17,9 +17,12 @@ from bellsim.bell import (
     quantum_model,
     suppressed_nonlocality_model,
 )
-from bellsim.entangle import ideal_joint_distribution, ideal_joint_probabilities
+from bellsim.entangle import (bob_measurement_rule, ideal_joint_distribution,
+                              ideal_joint_probabilities)
 from bellsim.extensions import BiasedMarginalModel, FalsificationCapError, find_falsifying_N
 from bellsim.interferometer import _fringe, fringe_probabilities
+from bellsim.measurement import (MeasurementMatrix, PathAmplitudes, is_valid_quantum_measurement,
+                                 outcome_distribution)
 
 PI = math.pi
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -87,6 +90,21 @@ def test_array_rules_match_their_scalar_view(pairs, visibility, bias):
     for m, p in enumerate(phi.tolist()):
         scalar = ideal_joint_distribution(p, visibility).as_tuple()
         assert np.max(np.abs(batch[:, m] - scalar)) <= 1e-15, p
+
+
+@PROPERTY
+@given(st.lists(st.complex_numbers(max_magnitude=1.0), min_size=4, max_size=4), phase_pairs)
+def test_bob_marginal_is_half_the_photon_count(entries, pairs):
+    """Side A's marginal of the pair with splitter m on side B is half the
+    total count of one photon through m, so a non-unitary m signals by
+    exactly its failure to conserve the photon."""
+    m = MeasurementMatrix(*entries)
+    assume(not is_valid_quantum_measurement(m).valid)
+    phi_a, phi_b = np.array(pairs).T
+    p = bob_measurement_rule(m).probabilities(phi_a, phi_b)
+    for k, phi in enumerate((phi_a + phi_b).tolist()):
+        total = outcome_distribution(m, PathAmplitudes.balanced(), phi).total
+        assert p[0, k] + p[1, k] == pytest.approx(0.5 * total, rel=1e-15, abs=1e-300)
 
 
 @PROPERTY
