@@ -21,13 +21,16 @@ value the rows used, defaults included.
 Rows run in grid order on the calling thread, a block of up to
 ``_BLOCK_ROWS`` grid points at a time.  A subcommand's row function takes
 the block as one float array per axis and returns output columns plus one
-error text per row.  Three row kinds run as arrays where their inputs are
-finite: the ideal Franson law, the dphi = 0 fringe, and ``unitarity``,
-which builds and checks each distinct splitter matrix of a block once and
-takes the port law (``measurement.outcome_probabilities``) at its rows'
-phases as one array.  Their arithmetic gives the scalar library functions'
-bits.  Every other row, and every row with a non-finite input, calls the
-library once per point.
+error text per row.  Four row kinds run as arrays where their inputs are
+finite: the ideal Franson law, the physical one
+(``entangle.physical_joint_probabilities`` over the block's delays, with
+the window each row's ``auto`` implies), the dphi = 0 fringe, and
+``unitarity``, which builds and checks each distinct splitter matrix of a
+block once and takes the port law (``measurement.outcome_probabilities``)
+at its rows' phases as one array.  Their arithmetic gives the bits of the
+library's one-point calls.  Every other row, every row with a non-finite
+input or an invalid distribution, and every row of a physical block whose
+law raises, calls the library once per point.
 
 Each block is formatted by column and written before the next one runs, so
 no artifact is held in memory whole.  A float ``repr`` is most of a cheap
@@ -386,20 +389,21 @@ def _unitarity_rows(spec: ScanSpec, start: int, points: dict) -> tuple[list, lis
     return columns, errors
 
 
+def _franson_spectra(spec: ScanSpec) -> tuple[Spectrum, Spectrum]:
+    p = spec.params
+    return (Spectrum(shape=p["shape"], center=p["pump_center"], bandwidth=p["pump_bandwidth"]),
+            Spectrum(shape=p["shape"], center=p["offset_center"],
+                     bandwidth=p["offset_bandwidth"], signed=True))
+
+
 def _franson_physical_config(spec: ScanSpec, tau_b: float) -> entangle.FransonConfig:
     p = spec.params
     window = p["coincidence_window"]
     if window == "auto":
         window = 0.5 * min(p["tau_a"], tau_b)
-    return entangle.FransonConfig(
-        pump=Spectrum(shape=p["shape"], center=p["pump_center"],
-                      bandwidth=p["pump_bandwidth"]),
-        photon_offset=Spectrum(shape=p["shape"], center=p["offset_center"],
-                               bandwidth=p["offset_bandwidth"], signed=True),
-        tau_a=p["tau_a"],
-        tau_b=tau_b,
-        coincidence_window=window,
-    )
+    pump, photon_offset = _franson_spectra(spec)
+    return entangle.FransonConfig(pump=pump, photon_offset=photon_offset, tau_a=p["tau_a"],
+                                  tau_b=tau_b, coincidence_window=window)
 
 
 def _row_franson(spec: ScanSpec, index: int, point: dict) -> tuple:
@@ -415,23 +419,49 @@ def _row_franson(spec: ScanSpec, index: int, point: dict) -> tuple:
             dist.p_mp, dist.p_mm, entangle.marginal(dist, "A"), entangle.marginal(dist, "B"))
 
 
-def _franson_rows(spec: ScanSpec, start: int, points: dict) -> tuple[list, list[str]]:
-    """Ideal rows take the fringe law of the block as one array where the
-    phase is finite and the distribution valid; physical rows, and ideal
-    rows the array law does not give, go through :func:`_row_franson`."""
-    if spec.params["mode"] == "physical":
-        return _pointwise(_row_franson)(spec, start, points)
-    phi, visibility = points["phi"], spec.params["visibility"]
-    finite = np.isfinite(phi)
-    p = np.full((4, phi.size), math.nan)
+def _franson_physical_block(spec: ScanSpec, tau_b: np.ndarray) -> tuple:
+    """Phase and visibility columns and (4, M) probabilities of the physical
+    law over the block, NaN at rows it does not give: a delay that no
+    ``FransonConfig`` accepts, or every row when the block raises."""
+    p = spec.params
+    phase, visibility = np.full(tau_b.size, math.nan), np.full(tau_b.size, math.nan)
+    probabilities = np.full((4, tau_b.size), math.nan)
+    given = (tau_b >= 0.0) & (tau_b < math.inf)
+    window = p["coincidence_window"]
+    if window == "auto":
+        window = 0.5 * np.minimum(p["tau_a"], tau_b[given])
+    elif window is not None:
+        window = np.full(np.count_nonzero(given), float(window))
     try:
-        p[:, finite] = entangle.ideal_joint_probabilities(phi[finite], visibility)
-    except ValueError:  # a visibility outside [0, 1], which every row reports
+        rows = entangle.physical_joint_probabilities(*_franson_spectra(spec), p["tau_a"],
+                                                     tau_b[given], window)
+    except ValueError:  # each row reports its own error through the one-point law
         pass
+    else:
+        phase[given], visibility[given] = rows.mean_phase, rows.visibility
+        probabilities[:, given] = rows.probabilities
+    return phase, visibility, probabilities
+
+
+def _franson_rows(spec: ScanSpec, start: int, points: dict) -> tuple[list, list[str]]:
+    """Both modes take their law of the block as one array: the ideal fringe
+    law where the phase is finite, the physical four-path law where the
+    delay is valid.  Rows the array law leaves missing or invalid go through
+    :func:`_row_franson`."""
+    if spec.params["mode"] == "physical":
+        phase, visibility, p = _franson_physical_block(spec, points["tau_b"])
+    else:
+        phase, visibility = points["phi"], spec.params["visibility"]
+        finite = np.isfinite(phase)
+        p = np.full((4, phase.size), math.nan)
+        try:
+            p[:, finite] = entangle.ideal_joint_probabilities(phase[finite], visibility)
+        except ValueError:  # a visibility outside [0, 1], which every row reports
+            pass
+        visibility = [visibility] * phase.size
     pp, pm, mp, mm = p
-    columns = [phi, [visibility] * phi.size, pp + mm, pm + mp, pp, pm, mp, mm,
-               pp + pm, pp + mp]
-    errors = [""] * phi.size
+    columns = [phase, visibility, pp + mm, pm + mp, pp, pm, mp, mm, pp + pm, pp + mp]
+    errors = [""] * phase.size
     _fill_points(spec, _row_franson, start, points,
                  np.flatnonzero(~probability.valid_columns(p)).tolist(), columns, errors)
     return columns, errors

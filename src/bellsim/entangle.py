@@ -11,7 +11,9 @@ interference carries the nonlocal fringe.  The module provides
 * correlation models: array rules validated once per batch, the only
   representation of a joint distribution over setting phases,
 * the full four-path spectral model with per-pair coherence factors and
-  coincidence-window post-selection; each factor is a product of two
+  coincidence-window post-selection, as one array law over side B's delay
+  and the window (:func:`physical_joint_probabilities`) whose one-point view
+  is :func:`physical_joint_distribution`; each factor is a product of two
   closed-form envelopes, real because every spectral density is even about
   its center, and the fringe visibility is read from the harmonic of a
   phase on one long arm, with no quadrature,
@@ -29,6 +31,7 @@ Everything is a pure function of its inputs.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
@@ -129,8 +132,12 @@ class FransonResult:
 
 def downconverted_frequencies(cfg: FransonConfig) -> tuple[float, float]:
     """Center frequencies w/2 +- w_off; their sum equals w exactly."""
-    w = cfg.pump.center
-    w_off = cfg.photon_offset.center
+    return _center_frequencies(cfg.pump, cfg.photon_offset)
+
+
+def _center_frequencies(pump: Spectrum, photon_offset: Spectrum) -> tuple[float, float]:
+    w = pump.center
+    w_off = photon_offset.center
     if abs(w_off) >= w / 2.0:
         raise ValueError(
             f"offset {w_off!r} must satisfy |offset| < pump/2 = {w / 2.0!r}: "
@@ -262,8 +269,52 @@ _CLASS_COEFFS: dict[str, tuple[complex, ...]] = {
 }
 
 
-def physical_joint_distribution(cfg: FransonConfig) -> FransonResult:
-    """Four-path spectral model with coincidence post-selection.
+# Population |c|^2 of each path class per outcome pair, as a (4, 1) column.
+_POPULATIONS = {name: np.array([[abs(c) ** 2] for c in coeffs])
+                for name, coeffs in _CLASS_COEFFS.items()}
+
+
+def _pair(u: str, v: str) -> tuple:
+    a = [cu * cv.conjugate() for cu, cv in zip(_CLASS_COEFFS[u], _CLASS_COEFFS[v])]
+    return (u, v, _CLASSES[u][0] - _CLASSES[v][0],
+            np.array([[z.real] for z in a]), np.array([[z.imag] for z in a]))
+
+
+# Interference pairs (u, v) of classes, in the order the sums run.  Step is
+# +1 when only u takes side A's long arm (u carries exp(i chi)), -1 when only
+# v does and 0 when chi cancels; a = c_u c_v* per outcome pair, as (4, 1)
+# real and imaginary columns.
+_PAIRS = tuple(_pair(u, v) for u, v in itertools.combinations(_CLASSES, 2))
+
+
+@dataclass(frozen=True)
+class FransonRows:
+    """The four-path model at M side-B delays, one column per delay.
+
+    ``probabilities`` is the (4, M) array (pp, pm, mp, mm), clamped at 0 but
+    not validated; ``kept`` is the (4, M) mask of the path classes (ll, ss,
+    ls, sl) that survive post-selection.
+    """
+
+    probabilities: np.ndarray
+    visibility: np.ndarray
+    mean_phase: np.ndarray
+    kept: np.ndarray
+
+
+def _check_delays(name: str, values: np.ndarray) -> None:
+    bad = ~((values >= 0.0) & (values < math.inf))
+    if bad.any():
+        raise ValueError(f"{name} must be finite and >= 0, got {values[bad][0].item()!r}")
+
+
+def physical_joint_probabilities(
+    pump: Spectrum, photon_offset: Spectrum, tau_a: float, tau_b: np.ndarray,
+    window: np.ndarray | None = None,
+) -> FransonRows:
+    """Four-path spectral model with coincidence post-selection, at every
+    side-B delay tau_b[m] with coincidence window window[m] (``None``: no
+    post-selection), as arrays.
 
     Sums the surviving path-class populations and every interference term
     between kept classes, each weighted by its coherence factor: the pump
@@ -276,53 +327,95 @@ def physical_joint_distribution(cfg: FransonConfig) -> FransonResult:
     the constant part; every other pair adds to the harmonic h, so that
     p(chi) = const + Re(h exp(i chi)), and the visibility is
     |h_pp + h_mm| / (const_pp + const_mm).
+
+    Each row gets the bits of the one-point evaluation: carriers and
+    envelopes are the scalar ``cmath``/``math`` functions at the rows that
+    keep their class or pair, complex products are written out in real
+    arithmetic as Python rounds them, the modulus is libm ``hypot`` as for
+    ``abs`` of a complex, sums keep the class and pair order, and each row's
+    normalization is the builtin ``sum`` of its four entries.
+    A dropped class or pair adds nothing.  Delays and windows must be finite
+    and >= 0.
     """
-    w_a, w_b = downconverted_frequencies(cfg)
+    tau_b = np.asarray(tau_b, dtype=float)
+    _check_delays("tau_a", np.array([tau_a], dtype=float))
+    _check_delays("tau_b", tau_b)
+    if window is not None:
+        window = np.asarray(window, dtype=float)
+        _check_delays("coincidence window", window)
+    w_a, w_b = _center_frequencies(pump, photon_offset)
+    zero = np.zeros_like(tau_b)
+    long_a = np.full_like(tau_b, tau_a)
     # Delays (ta, tb) of the two photons in each path class.
-    delays = {name: (cfg.tau_a if a_long else 0.0, cfg.tau_b if b_long else 0.0)
+    delays = {name: (long_a if a_long else zero, tau_b if b_long else zero)
               for name, (a_long, b_long) in _CLASSES.items()}
+    kept = {name: np.abs(ta - tb) <= window if window is not None
+            else np.ones(tau_b.shape, dtype=bool)
+            for name, (ta, tb) in delays.items()}
+
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as floats give them
+        # Carrier phase factor of each class at the center frequencies.
+        carrier = {}
+        for name, (ta, tb) in delays.items():
+            rows = np.flatnonzero(kept[name])
+            z = np.zeros(tau_b.shape, dtype=complex)
+            z[rows] = [cmath.exp(1j * x) for x in (w_a * ta[rows] + w_b * tb[rows]).tolist()]
+            carrier[name] = (z.real, z.imag)
+
+        # Classes u and v differ in phase by alpha*w + beta*w_off, with
+        # alpha = (d_a + d_b)/2 and beta = d_a - d_b from the arm-delay
+        # differences.
+        const = sum(np.where(kept[name], _POPULATIONS[name], 0.0) for name in _CLASSES)
+        h_re, h_im = np.zeros(const.shape), np.zeros(const.shape)
+        for u, v, step, a_re, a_im in _PAIRS:
+            rows = np.flatnonzero(kept[u] & kept[v])
+            if not rows.size:
+                continue
+            d_a = (delays[u][0] - delays[v][0])[rows].tolist()
+            d_b = (delays[u][1] - delays[v][1])[rows].tolist()
+            factor = 2.0 * np.array([pump.envelope(0.5 * (da + db))
+                                     * photon_offset.envelope(da - db)
+                                     for da, db in zip(d_a, d_b)], dtype=float)
+            u_re, u_im = carrier[u][0][rows], carrier[u][1][rows]
+            v_re, v_im = carrier[v][0][rows], -carrier[v][1][rows]  # conjugated
+            # (a * carrier_u) * conj(carrier_v), as complex products round
+            b_re = a_re * u_re - a_im * u_im
+            b_im = a_re * u_im + a_im * u_re
+            cross_re = b_re * v_re - b_im * v_im
+            cross_im = b_re * v_im + b_im * v_re
+            if step == 0:
+                const[:, rows] += factor * cross_re
+            else:
+                h_re[:, rows] += factor * cross_re
+                h_im[:, rows] += step * (factor * cross_im)  # conjugated when step < 0
+
+        raw = const + h_re
+        weight = np.array([sum(column) for column in raw.T.tolist()], dtype=float)
+        q = raw / weight
+        probabilities = np.where(0.0 > q, 0.0, q)
+        equal = const[0] + const[3]
+        modulus = np.hypot(h_re[0] + h_re[3], h_im[0] + h_im[3])
+        visibility = np.zeros(tau_b.shape)
+        positive = equal > 0.0
+        visibility[positive] = modulus[positive] / equal[positive]
+        mean_phase = w_a * tau_a + w_b * tau_b
+
+    return FransonRows(probabilities=probabilities, visibility=visibility,
+                       mean_phase=mean_phase, kept=np.array([kept[name] for name in _CLASSES]))
+
+
+def physical_joint_distribution(cfg: FransonConfig) -> FransonResult:
+    """:func:`physical_joint_probabilities` at the one delay and window of
+    ``cfg``, with its distribution validated."""
     window = cfg.coincidence_window
-    kept = [name for name, (ta, tb) in delays.items()
-            if window is None or abs(ta - tb) <= window]
-    if not kept:
-        raise ValueError("coincidence window rejects every path class")
-
-    # Carrier phase factor of each class at the center frequencies.
-    carrier = {name: cmath.exp(1j * (w_a * delays[name][0] + w_b * delays[name][1]))
-               for name in kept}
-
-    # Classes u and v differ in phase by alpha*w + beta*w_off, with
-    # alpha = (d_a + d_b)/2 and beta = d_a - d_b from the arm-delay differences.
-    const = [sum(abs(_CLASS_COEFFS[name][k]) ** 2 for name in kept) for k in range(4)]
-    harmonic = [0j] * 4
-    for i, u in enumerate(kept):
-        for v in kept[i + 1:]:
-            d_a = delays[u][0] - delays[v][0]
-            d_b = delays[u][1] - delays[v][1]
-            coherence = (cfg.pump.envelope(0.5 * (d_a + d_b))
-                         * cfg.photon_offset.envelope(d_a - d_b))
-            # +1 when only u takes side A's long arm (u carries exp(i chi)),
-            # -1 when only v does, 0 when chi cancels.
-            step = _CLASSES[u][0] - _CLASSES[v][0]
-            for k, (cu, cv) in enumerate(zip(_CLASS_COEFFS[u], _CLASS_COEFFS[v])):
-                cross = cu * cv.conjugate() * carrier[u] * carrier[v].conjugate()
-                term = 2.0 * coherence * cross
-                if step == 0:
-                    const[k] += term.real
-                else:
-                    harmonic[k] += term if step > 0 else term.conjugate()
-
-    raw = [c + h.real for c, h in zip(const, harmonic)]
-    weight = sum(raw)
-    dist = JointDistribution(*[max(p / weight, 0.0) for p in raw])
-    equal = const[0] + const[3]
-    visibility = abs(harmonic[0] + harmonic[3]) / equal if equal > 0.0 else 0.0
-
+    rows = physical_joint_probabilities(cfg.pump, cfg.photon_offset, cfg.tau_a,
+                                        np.array([cfg.tau_b], dtype=float),
+                                        None if window is None else np.array([window], dtype=float))
     return FransonResult(
-        distribution=dist,
-        visibility=visibility,
-        mean_phase=w_a * cfg.tau_a + w_b * cfg.tau_b,
-        kept_classes=tuple(kept),
+        distribution=JointDistribution(*rows.probabilities[:, 0].tolist()),
+        visibility=rows.visibility[0].item(),
+        mean_phase=rows.mean_phase[0].item(),
+        kept_classes=tuple(name for name, kept in zip(_CLASSES, rows.kept[:, 0]) if kept),
     )
 
 

@@ -30,6 +30,10 @@ from .entangle import marginal
 from .probability import check_distribution
 
 _FIRST_CHUNK = 64  # chain lengths in the first scan chunk; later chunks double
+# The longest cap up to which the tests check that the float pi-chain bound
+# 1.5 * I(N, pi) never rises, so that bisection finds the scan's witness; it
+# covers every cap the CLI accepts.
+_MONOTONE_UP_TO = 10 ** 7
 
 
 class FalsificationCapError(RuntimeError):
@@ -101,36 +105,66 @@ def find_falsifying_N(
 ) -> FalsificationWitness:
     """Smallest N whose quantum bound 1.5 * I(N, theta) drops below D.
 
-    Scans upward from N = 2 over chunks of the array closed form (64 chain
-    lengths at first, doubling up to :data:`~bellsim.bell.BATCH`), which
-    equals the scalar :func:`quantum_I_closed_form` bit for bit, and takes
-    the first chain length whose bound is below D.  Reports the bound on
-    either side of the crossing.  Raises :class:`FalsificationCapError`
-    (carrying the bound at the cap) if the cap is reached first -- which
-    cannot happen for theta = pi and D > 0, but guards misuse at other
-    angles.
+    At theta = pi with a cap of at most ``_MONOTONE_UP_TO`` (10^7), bisects
+    [2, n_cap] with the scalar :func:`quantum_I_closed_form`, in about
+    log2(n_cap) evaluations.  The result is the scan's, exactly: the float
+    bound 1.5 * I(N, pi) never rises from one N to the next up to that cap
+    (the tests check every step), so "bound < D" is false below the witness
+    and true from it on.  At any other angle, or a larger cap, the bound
+    need not be monotone, and the search scans upward from N = 2 over chunks
+    of the array closed form (64 chain lengths at first, doubling up to
+    :data:`~bellsim.bell.BATCH`), which equals the scalar form bit for bit.
+    The witness reports the bound on both sides of the crossing.  Raises
+    :class:`FalsificationCapError` (carrying the bound at the cap) if no N
+    up to the cap is below D; at theta = pi, exactly when the bound at the
+    cap is not.
     """
     if not 0.0 < distance <= 1.0:
         raise ValueError(f"distance must lie in (0, 1], got {distance!r}")
     if n_cap < 2:
         raise ValueError(f"n_cap must be >= 2, got {n_cap!r}")
+    if theta == math.pi and n_cap <= _MONOTONE_UP_TO:
+        n = _bisect_pi_chain(distance, n_cap)
+    else:
+        n = _scan_chain(distance, theta, n_cap)
+    if n is None:
+        raise FalsificationCapError(distance, n_cap, 1.5 * quantum_I_closed_form(n_cap, theta))
+    i_value = quantum_I_closed_form(n, theta)
+    previous_i = quantum_I_closed_form(n - 1, theta) if n > 2 else None
+    return FalsificationWitness(
+        n=n, bound=1.5 * i_value, i_value=i_value,
+        previous_bound=None if previous_i is None else 1.5 * previous_i,
+        previous_i=previous_i,
+        distance=distance,
+    )
+
+
+def _bisect_pi_chain(distance: float, n_cap: int) -> int | None:
+    """Smallest N in [2, n_cap] with 1.5 * I(N, pi) < D, or None; the bound
+    must not rise over that range."""
+    if not 1.5 * quantum_I_closed_form(n_cap, math.pi) < distance:
+        return None
+    low, high = 1, n_cap  # the bound is below D at high and not at low (or low < 2)
+    while high - low > 1:
+        mid = (low + high) // 2
+        if 1.5 * quantum_I_closed_form(mid, math.pi) < distance:
+            high = mid
+        else:
+            low = mid
+    return int(high)
+
+
+def _scan_chain(distance: float, theta: float, n_cap: int) -> int | None:
+    """First N in [2, n_cap] with 1.5 * I(N, theta) < D, or None."""
     start, size = 2, _FIRST_CHUNK
     while start <= n_cap:
         ns = np.arange(start, min(start + size, n_cap + 1))
         below = np.flatnonzero(1.5 * quantum_I_closed_form_array(ns, theta) < distance)
         if below.size:
-            n = int(ns[below[0]])
-            i_value = quantum_I_closed_form(n, theta)
-            previous_i = quantum_I_closed_form(n - 1, theta) if n > 2 else None
-            return FalsificationWitness(
-                n=n, bound=1.5 * i_value, i_value=i_value,
-                previous_bound=None if previous_i is None else 1.5 * previous_i,
-                previous_i=previous_i,
-                distance=distance,
-            )
+            return int(ns[below[0]])
         start += size
         size = min(2 * size, BATCH)
-    raise FalsificationCapError(distance, n_cap, 1.5 * quantum_I_closed_form(n_cap, theta))
+    return None
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,15 @@ frequency; the integrand receives the absolute frequencies center + offset.
 a coherence time, and :data:`RATIO_THRESHOLD` the one factor by which the
 coherence-ratio checks read "much longer than".
 
-All functions are pure; there is no shared mutable state.
+All functions are pure.  The one shared state is a memo of the quadrature's
+read-only panel layouts, one per panel count, which depend on nothing but
+that count; it goes with the quadrature once no library caller is left.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -163,6 +166,21 @@ def heisenberg_product(spectrum: Spectrum, tau_c: float | None = None) -> float:
     return tau_c * HBAR * spectrum.bandwidth
 
 
+@functools.cache
+def _panel_layout(n_panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of ``n_panels`` equal panels of unit
+    half-width centered at 1 - n, 3 - n, ..., n - 1, read-only.
+
+    The nodes are exactly symmetric about 0.  Scaled by a panel half-width h
+    they are the nodes of :func:`integrate_over_spectrum`'s pass with
+    n_panels panels.  At most 11 panel counts fit the node budget.
+    """
+    nodes = (np.arange(1 - n_panels, n_panels, 2.0)[:, None] + _GL_NODES).ravel()
+    weights = np.tile(_GL_WEIGHTS, n_panels)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def integrate_over_spectrum(
     spectrum: Spectrum,
     f: Callable[[np.ndarray], np.ndarray],
@@ -177,7 +195,8 @@ def integrate_over_spectrum(
     and ``f`` at center + u.  Panels are doubled until two successive
     refinements agree within ``tol``; exceeding 2**16 nodes in a single
     pass raises :class:`IntegrationError` with the achieved error
-    estimate.  Fixed panel/node layout keeps results deterministic.
+    estimate.  Fixed panel/node layout keeps results deterministic; each
+    pass scales the memoized layout of its panel count.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -187,11 +206,11 @@ def integrate_over_spectrum(
     weighted = spectrum.shape is not SpectrumShape.RECTANGULAR
 
     def one_pass(n_panels: int) -> float:
-        # Equal panels of half-width h centered at h*(1 - n), h*(3 - n), ...,
-        # h*(n - 1): the nodes are exactly symmetric about the center.
         h = half / n_panels
-        offsets = h * (np.arange(1 - n_panels, n_panels, 2.0)[:, None] + _GL_NODES).ravel()
-        weights = np.tile(h * _GL_WEIGHTS, n_panels)
+        nodes, unit_weights = _panel_layout(n_panels)
+        # Each product rounds once, as h * _GL_WEIGHTS tiled would.
+        offsets = h * nodes
+        weights = h * unit_weights
         if weighted:
             weights *= spectrum.density(offsets)
         return k * float(np.dot(weights, f(center + offsets)))

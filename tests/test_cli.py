@@ -504,14 +504,32 @@ def _values(values) -> str:
     return ",".join(map(repr, values))
 
 
-# Full-scale artifacts on stdout, each of at least 20 000 rows, by sha256 of
-# their bytes.  The unitarity grid repeats each reflection phase over 200
-# phases, so block edges fall inside a phase's run; it holds -0.0 next to
-# 0.0, the unitary pi/2, a NaN phase and an infinite phi (error rows), and
-# the point (0.801322977421273, 6.781800114893231).  The ideal franson JSON
-# embeds its 20 000 grid values in spec.grids.  The interf digest was
-# re-recorded when both fringe ports took the half-angle forms (worst cell
-# 3.1e-16 relative to 50-digit mpmath, 2.4e-9 before).
+# Side-B delays of the physical Franson digests: 0, -0.0 and tau_a itself,
+# windows' edges (0.5, 0.6, 1.5, 1.6 ns), delays whose carrier phase or
+# envelope argument overflows (1e200, 1e300), three invalid ones, a 1 001-point
+# ps-scale mismatch sweep and a 301-point sweep over 0..3 ns; 1 315 rows, so
+# the scan crosses a block edge.
+_TAU_B = ([0.0, -0.0, 1e-9, 5e-10, 6e-10, 1.5e-9, 1.6e-9, 2e-9, 1e200, 1e300,
+           -1e-9, math.nan, math.inf]
+          + [1e-9 * (1.0 + 2e-3 * (k / 500 - 1.0)) for k in range(1001)]
+          + [3e-9 * k / 300 for k in range(301)])
+# Distances of the extensions digests: the deep benchmark anchors (1e-5 has
+# witness 185 056; 1.5e-6 is a cap error), the ends of (0, 1], invalid
+# values, and 10^(-k/20) down to 7.9e-7, below the default cap's reach.
+_DISTANCES = ([0.1, 1e-3, 1e-4, 3e-5, 1e-5, 1.5e-6, 1.0, 0.0, -1.0, 1.5, math.nan, math.inf]
+              + [10.0 ** (-k / 20) for k in range(1, 123)])
+
+# Artifacts on stdout by sha256 of their bytes.  The unitarity grid repeats
+# each reflection phase over 200 phases, so block edges fall inside a
+# phase's run; it holds -0.0 next to 0.0, the unitary pi/2, a NaN phase and
+# an infinite phi (error rows), and the point (0.801322977421273,
+# 6.781800114893231).  The ideal franson JSON embeds its 20 000 grid values
+# in spec.grids.  The interf digest was re-recorded when both fringe ports
+# took the half-angle forms (worst cell 3.1e-16 relative to 50-digit mpmath,
+# 2.4e-9 before).  The wave-packet interf rows (dphi > 0), the physical
+# Franson rows for each window kind and shape, and the extensions witnesses
+# at theta = pi and 2.5 were recorded before their array and bisection paths
+# existed.
 FULL_SCALE_DIGESTS = [
     ("unitarity",
      ["unitarity",
@@ -527,6 +545,45 @@ FULL_SCALE_DIGESTS = [
     ("interf_monochromatic",
      ["interf", "--grid", "phi=linspace:-10:10:20000", "--grid", "dphi=0"],
      0, "d787c983ee7843478b533215f8d441ac5d1c744e13058efeac568662dd31844a"),
+    ("interf_wavepacket",
+     ["interf", "--grid", "phi=linspace:-3.5:9.5:401",
+      "--grid", "dphi=0.5,3.14,6.283185307179586,20,200"],
+     0, "340d908b383218dce85239ed3a896f59a2837dad137fbf41f4b43f635f614f92"),
+    ("interf_wavepacket_edges_json",
+     ["interf", "--grid", "phi=" + _values([0.0, -0.0, PI, -PI, 1e-300, 1e3, math.nan, math.inf]),
+      "--grid", "dphi=" + _values([0.0, 1e-6, 0.5, 4 * PI, 50.0, 1000.0, -1.0, math.inf,
+                                   math.nan]),
+      "--tolerance", "1e-12", "--format", "json"],
+     1, "eee40374b7d7a97acc5a6211cabc4f580049dfdb266c77e485beb1a4ee311a82"),
+    ("franson_physical_none",
+     ["franson", "--grid", "tau_b=" + _values(_TAU_B), *FRANSON_PHYSICAL,
+      "--coincidence-window", "none"],
+     1, "0a610c92389556dfe45bd5198c381257e705e04ecdc83fbe1754c81e7ac8e687"),
+    ("franson_physical_auto_json",
+     ["franson", "--grid", "tau_b=" + _values(_TAU_B), *FRANSON_PHYSICAL, "--format", "json"],
+     1, "3ee3d4d24931c9569f44d33712535cc78a0147a3308a8ce5255c339048bd7aeb"),
+    ("franson_physical_fixed",  # ll is dropped beyond 0.6 ns of mismatch
+     ["franson", "--grid", "tau_b=" + _values(_TAU_B), *FRANSON_PHYSICAL,
+      "--coincidence-window", "6e-10"],
+     1, "85e03d2dcd2a561766cced47fc0f84f30d1e908ddd78b80f20d7ae3835f5f395"),
+    ("franson_physical_gaussian",
+     ["franson", "--grid", "tau_b=" + _values(_TAU_B), *FRANSON_PHYSICAL, "--shape", "gaussian"],
+     1, "408bd6c25cc87cfa34060a92ca0edb4ddbcefa3842a61f22258f16692f678277"),
+    ("franson_physical_gaussian_none",
+     ["franson", "--grid", "tau_b=" + _values(_TAU_B), *FRANSON_PHYSICAL, "--shape", "gaussian",
+      "--coincidence-window", "none"],
+     1, "907b1bdafd4516c21f3af7b52af1e9454e5077e0b1ce387922a0195b57467c38"),
+    ("extensions_pi",
+     ["extensions", "--grid", "d=" + _values(_DISTANCES)],
+     1, "b0c859236deb273784103a00e01d8bef8de8087940768794586d03d6ff74e616"),
+    ("extensions_small_cap_json",
+     ["extensions", "--grid", "d=" + _values(_DISTANCES[:40]), "--n-cap", "1000",
+      "--format", "json"],
+     1, "394422d82d7ee6e903ee3b1b394e070d23091b556836d87213dc42e7acaf3f6f"),
+    ("extensions_theta",
+     ["extensions", "--grid", "d=" + _values(_DISTANCES[:60]), "--theta", "2.5",
+      "--n-cap", "5000"],
+     1, "183ec094f01a6bd5ad916c9984625adde802e8fed764de42f113ee42567abe96"),
 ]
 
 

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from bellsim.bell import ChainedConfig, chained_I, quantum_I_closed_form, quantum_model
+from bellsim import cli, extensions
+from bellsim.bell import (ChainedConfig, chained_I, quantum_I_closed_form,
+                          quantum_I_closed_form_array, quantum_model)
 from bellsim.entangle import marginal
 from bellsim.extensions import (
     BiasedMarginalModel,
@@ -153,3 +155,18 @@ def test_leggett_demo():
         leggett_inconsistency_demo(0.0)
     with pytest.raises(ValueError):
         leggett_inconsistency_demo(0.7)
+
+
+def test_pi_chain_bound_never_rises_up_to_the_bisection_limit():
+    """find_falsifying_N bisects at theta = pi because the float bound
+    1.5 * I(N, pi) never rises from one N to the next up to this limit, which
+    covers every cap the CLI accepts."""
+    limit = extensions._MONOTONE_UP_TO
+    assert cli._MAX_CHAIN <= limit
+    chunk = 2 ** 20
+    previous = math.inf
+    for start in range(2, limit + 1, chunk):
+        bound = 1.5 * quantum_I_closed_form_array(np.arange(start, min(start + chunk, limit + 1)),
+                                                  PI)
+        assert bound[0] <= previous and not np.any(bound[1:] > bound[:-1]), start
+        previous = bound[-1]

@@ -1,6 +1,7 @@
 """Hypothesis properties of the fringe law, the array correlation models and
 the witness scan."""
 
+import cmath
 import math
 
 import numpy as np
@@ -17,12 +18,16 @@ from bellsim.bell import (
     quantum_model,
     suppressed_nonlocality_model,
 )
-from bellsim.entangle import (bob_measurement_rule, ideal_joint_distribution,
-                              ideal_joint_probabilities)
+from bellsim.entangle import (_CLASS_COEFFS, _CLASSES, FransonConfig, bob_measurement_rule,
+                              downconverted_frequencies, ideal_joint_distribution,
+                              ideal_joint_probabilities, physical_joint_distribution,
+                              physical_joint_probabilities)
 from bellsim.extensions import BiasedMarginalModel, FalsificationCapError, find_falsifying_N
 from bellsim.interferometer import _fringe, fringe_probabilities
 from bellsim.measurement import (MeasurementMatrix, PathAmplitudes, is_valid_quantum_measurement,
                                  outcome_distribution)
+from bellsim.probability import valid_columns
+from bellsim.spectra import Spectrum
 
 PI = math.pi
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -142,19 +147,42 @@ def scalar_scan(distance: float, theta: float, n_cap: int) -> tuple:
     return ("cap", 1.5 * previous)
 
 
-@PROPERTY
-@given(st.floats(-3.0, 0.0), st.sampled_from([PI, 2.5]))
-def test_witness_equals_scalar_scan(log_distance, theta):
-    distance = 10.0 ** log_distance
-    n_cap = 4000
+def witness_or_cap(distance: float, theta: float, n_cap: int) -> tuple:
     try:
         w = find_falsifying_N(distance, theta, n_cap)
     except FalsificationCapError as err:
         assert err.n_cap == n_cap
-        got = ("cap", err.bound_at_cap)
-    else:
-        got = (w.n, w.bound, w.i_value, w.previous_bound, w.previous_i)
-    assert got == scalar_scan(distance, theta, n_cap)
+        return ("cap", err.bound_at_cap)
+    return (w.n, w.bound, w.i_value, w.previous_bound, w.previous_i)
+
+
+# The smallest caps, caps on either side of the end of the scan's first
+# chunk (chain lengths 2 to 65), and a longer one.
+CAPS = [2, 3, 64, 65, 4000]
+
+
+@PROPERTY
+@given(st.floats(-3.0, 0.0), st.sampled_from([PI, 2.5]), st.sampled_from(CAPS))
+def test_witness_equals_scalar_scan(log_distance, theta, n_cap):
+    distance = 10.0 ** log_distance
+    assert witness_or_cap(distance, theta, n_cap) == scalar_scan(distance, theta, n_cap)
+
+
+@pytest.mark.parametrize("theta", [PI, 2.5])
+@pytest.mark.parametrize("n_cap", CAPS)
+def test_witness_at_and_just_past_the_cap_equals_scalar_scan(theta, n_cap):
+    """Distances whose first chain length below them is n_cap itself, or
+    n_cap + 1 (a cap error): the bound at n_cap, one ulp above it, and the
+    bound at n_cap - 1."""
+    at_cap = 1.5 * quantum_I_closed_form(n_cap, theta)
+    distances = [at_cap, math.nextafter(at_cap, 0.0), math.nextafter(at_cap, 2.0)]
+    if n_cap > 2:
+        distances.append(1.5 * quantum_I_closed_form(n_cap - 1, theta))
+    for distance in distances:
+        want = scalar_scan(distance, theta, n_cap)
+        assert witness_or_cap(distance, theta, n_cap) == want
+        if theta == PI:  # the bound falls at every step, so each edge is hit
+            assert want[0] == ("cap" if distance <= at_cap else n_cap)
 
 
 def test_cap_error_reports_the_bound_at_the_cap():
@@ -163,3 +191,85 @@ def test_cap_error_reports_the_bound_at_the_cap():
     assert err.value.bound_at_cap == 1.5 * quantum_I_closed_form(10 ** 6, PI)
     assert str(err.value) == (f"no N <= 1000000 with bound < 1.5e-06: bound at the cap is "
                               f"{1.5 * quantum_I_closed_form(10 ** 6, PI)!r}")
+
+
+def pointwise_physical(cfg: FransonConfig) -> tuple:
+    """Oracle: the scalar four-path law the array law replaced, in plain
+    Python complex arithmetic; (probabilities, visibility, kept classes)."""
+    w_a, w_b = downconverted_frequencies(cfg)
+    delays = {name: (cfg.tau_a if a_long else 0.0, cfg.tau_b if b_long else 0.0)
+              for name, (a_long, b_long) in _CLASSES.items()}
+    window = cfg.coincidence_window
+    kept = [name for name, (ta, tb) in delays.items()
+            if window is None or abs(ta - tb) <= window]
+    carrier = {name: cmath.exp(1j * (w_a * delays[name][0] + w_b * delays[name][1]))
+               for name in kept}
+    const = [sum(abs(_CLASS_COEFFS[name][k]) ** 2 for name in kept) for k in range(4)]
+    harmonic = [0j] * 4
+    for i, u in enumerate(kept):
+        for v in kept[i + 1:]:
+            d_a = delays[u][0] - delays[v][0]
+            d_b = delays[u][1] - delays[v][1]
+            coherence = (cfg.pump.envelope(0.5 * (d_a + d_b))
+                         * cfg.photon_offset.envelope(d_a - d_b))
+            step = _CLASSES[u][0] - _CLASSES[v][0]
+            for k, (cu, cv) in enumerate(zip(_CLASS_COEFFS[u], _CLASS_COEFFS[v])):
+                term = 2.0 * coherence * (cu * cv.conjugate() * carrier[u]
+                                          * carrier[v].conjugate())
+                if step == 0:
+                    const[k] += term.real
+                else:
+                    harmonic[k] += term if step > 0 else term.conjugate()
+    raw = [c + h.real for c, h in zip(const, harmonic)]
+    weight = sum(raw)
+    equal = const[0] + const[3]
+    visibility = abs(harmonic[0] + harmonic[3]) / equal if equal > 0.0 else 0.0
+    return [max(p / weight, 0.0) for p in raw], visibility, tuple(kept)
+
+
+TAU_A = 1e-9
+# Side-B delays: 0 and -0.0, tau_a and the edges of the auto window, a
+# delay far past every coherence time, the ps-scale mismatches where the
+# fringe washes out, and anything up to 3 ns.
+side_b_delays = st.one_of(
+    st.sampled_from([0.0, -0.0, TAU_A, 0.5 * TAU_A, 1.5 * TAU_A, 2 * TAU_A, 1e200]),
+    st.floats(TAU_A * (1 - 2e-3), TAU_A * (1 + 2e-3)),
+    st.floats(0.0, 3 * TAU_A),
+)
+
+
+@PROPERTY
+@given(st.lists(side_b_delays, min_size=1, max_size=30),
+       st.sampled_from(["none", "auto", "fixed"]),
+       st.one_of(st.sampled_from([0.0, 0.5 * TAU_A, 0.6 * TAU_A, TAU_A]),
+                 st.floats(0.0, 3 * TAU_A)),
+       st.sampled_from(["rectangular", "gaussian"]),
+       st.sampled_from([(2.4e15, 6.28e3, 0.0), (2.4e15, 6.28e9, 1e13)]))
+def test_physical_block_law_equals_its_one_point_view(tau_b, window_kind, fixed, shape, setup):
+    """The four-path law over M delays gives each row the bits of M one-point
+    calls, and of the pointwise law it replaced, for every window kind and
+    both spectral shapes."""
+    pump_center, pump_bandwidth, offset_center = setup
+    pump = Spectrum(shape, pump_center, pump_bandwidth)
+    offset = Spectrum(shape, offset_center, 6.28e12, signed=True)
+    windows = [None if window_kind == "none" else fixed if window_kind == "fixed"
+               else 0.5 * min(TAU_A, t) for t in tau_b]
+    block = physical_joint_probabilities(pump, offset, TAU_A, np.array(tau_b),
+                                         None if window_kind == "none" else np.array(windows))
+    valid = valid_columns(block.probabilities)
+    for m, (t, window) in enumerate(zip(tau_b, windows)):
+        try:
+            point = physical_joint_distribution(FransonConfig(pump, offset, TAU_A, t, window))
+        except ValueError:
+            assert not valid[m], t
+            continue
+        assert valid[m], t
+        assert bits(block.probabilities[:, m]) == bits(point.distribution.as_tuple()), t
+        assert bits([block.visibility[m], block.mean_phase[m]]) == bits(
+            [point.visibility, point.mean_phase]), t
+        assert point.kept_classes == tuple(
+            name for name, kept in zip(_CLASSES, block.kept[:, m]) if kept)
+        probabilities, visibility, kept = pointwise_physical(
+            FransonConfig(pump, offset, TAU_A, t, window))
+        assert bits(block.probabilities[:, m]) == bits(probabilities), t
+        assert bits([block.visibility[m]]) == bits([visibility]) and kept == point.kept_classes

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellsim import spectra
 from bellsim.spectra import (
     PLANCK_CONSTANT,
     IntegrationError,
@@ -162,6 +163,61 @@ def test_integration_failure_reports_estimate():
         integrate_over_spectrum(s, lambda w: np.cos(w * 1.0), tol=1e-10)
     assert err.value.error_estimate > 1e-10
     assert err.value.nodes_used <= 2 ** 16
+
+
+def unmemoized_integral(spectrum, f, tol):
+    """integrate_over_spectrum as it was before its panel layouts were
+    memoized: each pass builds its nodes and weights from scratch."""
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    half, center, k = spectrum.half_width, spectrum.center, spectrum.normalization
+
+    def one_pass(n_panels):
+        h = half / n_panels
+        offsets = h * (np.arange(1 - n_panels, n_panels, 2.0)[:, None] + nodes).ravel()
+        w = np.tile(h * weights, n_panels)
+        if spectrum.shape != "rectangular":
+            w *= spectrum.density(offsets)
+        return k * float(np.dot(w, f(center + offsets)))
+
+    n_panels = 4
+    previous = one_pass(n_panels)
+    error_estimate = math.inf
+    while n_panels * 2 * 16 <= 2 ** 16:
+        n_panels *= 2
+        current = one_pass(n_panels)
+        error_estimate = abs(current - previous)
+        if error_estimate <= tol:
+            return current
+        previous = current
+    return ("failed", previous, error_estimate)
+
+
+def test_panel_layouts_are_shared_and_read_only():
+    nodes, weights = spectra._panel_layout(8)
+    assert spectra._panel_layout(8)[0] is nodes
+    assert nodes.shape == weights.shape == (8 * 16,)
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
+    with pytest.raises(ValueError):
+        weights *= 2.0
+
+
+@pytest.mark.parametrize("shape", ["rectangular", "gaussian"])
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13, 1e-17])
+def test_memoized_quadrature_equals_the_unmemoized_pass(shape, tol):
+    """Bit for bit, including the value and estimate of a failure (the
+    optical rectangle at tol = 1e-17)."""
+    for center, bandwidth, delay in [(3.0, 0.5, 1.0), (12.0, 20.0, 1.0), (250.0, 200.0, 1.0),
+                                     (2.4e15, 6.28e12, 1e-9), (0.0, 7.0, 0.3)]:
+        s = Spectrum(shape=shape, center=center, bandwidth=bandwidth, signed=True)
+        f = lambda w: np.cos(w * delay)  # noqa: E731
+        try:
+            got = integrate_over_spectrum(s, f, tol)
+        except IntegrationError as err:
+            got = ("failed", err.value, err.error_estimate)
+        # The shortest round-trip repr tells every two floats apart.
+        assert repr(got) == repr(unmemoized_integral(s, f, tol)), (center, bandwidth, delay)
 
 
 def test_coherence_time():
