@@ -21,16 +21,19 @@ value the rows used, defaults included.
 Rows run in grid order on the calling thread, a block of up to
 ``_BLOCK_ROWS`` grid points at a time.  A subcommand's row function takes
 the block as one float array per axis and returns output columns plus one
-error text per row.  Four row kinds run as arrays where their inputs are
-finite: the ideal Franson law, the physical one
+error text per row.  Five row kinds run as arrays where their inputs are
+valid: the ideal Franson law, the physical one
 (``entangle.physical_joint_probabilities`` over the block's delays, with
-the window each row's ``auto`` implies), the dphi = 0 fringe, and
+the window each row's ``auto`` implies), the dphi = 0 fringe, the dphi > 0
+wave packets (``interferometer.wavepacket_probabilities``, one quadrature
+per group of up to ``_WAVEPACKET_ROWS`` rows that share dphi), and
 ``unitarity``, which builds and checks each distinct splitter matrix of a
 block once and takes the port law (``measurement.outcome_probabilities``)
 at its rows' phases as one array.  Their arithmetic gives the bits of the
-library's one-point calls.  Every other row, every row with a non-finite
-input or an invalid distribution, and every row of a physical block whose
-law raises, calls the library once per point.
+library's one-point calls.  Every other row calls the library once per
+point: a row with an invalid input or distribution, a wave packet whose
+quadrature does not converge, and a physical row at which the law raises
+(the block is split in halves until such a row stands alone).
 
 Each block is formatted by column and written before the next one runs, so
 no artifact is held in memory whole.  A float ``repr`` is most of a cheap
@@ -343,15 +346,37 @@ def _row_interf(spec: ScanSpec, index: int, point: dict) -> tuple:
     return _wavepacket_probabilities(point["phi"], point["dphi"], spec.params["tolerance"])
 
 
+# Rows per wave-packet quadrature call.  Its largest array holds a phase per
+# row and node: at most 16 x 2**16 floats (8 MiB), reached when every row
+# spends the whole node budget.
+_WAVEPACKET_ROWS = 16
+
+
 def _interf_rows(spec: ScanSpec, start: int, points: dict) -> tuple[list, list[str]]:
     """Rows at dphi = 0 with a finite phi take both ports from the fringe
-    law as one array; every other row goes through :func:`_row_interf`."""
+    law as one array.  Rows that :func:`_wavepacket_probabilities` accepts
+    are grouped by the bits of dphi and take
+    ``interferometer.wavepacket_probabilities`` at the centers it would
+    build, ``_WAVEPACKET_ROWS`` rows a call.  Every other row, and every row
+    whose quadrature does not converge, goes through :func:`_row_interf`."""
     phi, dphi = points["phi"], points["dphi"]
     monochromatic = (dphi == 0.0) & np.isfinite(phi)
     p = np.full((2, phi.size), math.nan)
     p[:, monochromatic] = interferometer.fringe_probabilities(phi[monochromatic])
+    with np.errstate(over="ignore", invalid="ignore"):
+        # _wavepacket_probabilities' center, not finite where a phi or dphi
+        # is not, or where math.ceil would overflow on the turns
+        center = phi + (np.ceil((dphi / 2.0 - phi) / _TWO_PI) + 1.0) * _TWO_PI
+        wave = (dphi > 0.0) & np.isfinite(center) & (center > dphi / 2.0)
+    bits = dphi.view(np.int64)
+    for key in set(bits[wave].tolist()):
+        group = np.flatnonzero(wave & (bits == key))
+        for first in range(0, group.size, _WAVEPACKET_ROWS):
+            rows = group[first:first + _WAVEPACKET_ROWS]
+            p[:, rows] = interferometer.wavepacket_probabilities(
+                center[rows], dphi[rows[0]].item(), spec.params["tolerance"])
     columns, errors = list(p), [""] * phi.size
-    _fill_points(spec, _row_interf, start, points, np.flatnonzero(~monochromatic).tolist(),
+    _fill_points(spec, _row_interf, start, points, np.flatnonzero(np.isnan(p[0])).tolist(),
                  columns, errors)
     return columns, errors
 
@@ -422,24 +447,32 @@ def _row_franson(spec: ScanSpec, index: int, point: dict) -> tuple:
 def _franson_physical_block(spec: ScanSpec, tau_b: np.ndarray) -> tuple:
     """Phase and visibility columns and (4, M) probabilities of the physical
     law over the block, NaN at rows it does not give: a delay that no
-    ``FransonConfig`` accepts, or every row when the block raises."""
+    ``FransonConfig`` accepts, or a row at which the law raises.
+
+    A row's law does not depend on the other rows, so a block whose law
+    raises is split in halves until each failing row stands alone."""
     p = spec.params
     phase, visibility = np.full(tau_b.size, math.nan), np.full(tau_b.size, math.nan)
     probabilities = np.full((4, tau_b.size), math.nan)
-    given = (tau_b >= 0.0) & (tau_b < math.inf)
+    given = np.flatnonzero((tau_b >= 0.0) & (tau_b < math.inf))
     window = p["coincidence_window"]
     if window == "auto":
         window = 0.5 * np.minimum(p["tau_a"], tau_b[given])
     elif window is not None:
-        window = np.full(np.count_nonzero(given), float(window))
-    try:
-        rows = entangle.physical_joint_probabilities(*_franson_spectra(spec), p["tau_a"],
-                                                     tau_b[given], window)
-    except ValueError:  # each row reports its own error through the one-point law
-        pass
-    else:
-        phase[given], visibility[given] = rows.mean_phase, rows.visibility
-        probabilities[:, given] = rows.probabilities
+        window = np.full(given.size, float(window))
+    pending = [np.arange(given.size)]
+    while pending:
+        part = pending.pop()
+        try:
+            rows = entangle.physical_joint_probabilities(
+                *_franson_spectra(spec), p["tau_a"], tau_b[given[part]],
+                None if window is None else window[part])
+        except ValueError:  # each failing row reports its error through the one-point law
+            if part.size > 1:
+                pending += [part[:part.size // 2], part[part.size // 2:]]
+            continue
+        phase[given[part]], visibility[given[part]] = rows.mean_phase, rows.visibility
+        probabilities[:, given[part]] = rows.probabilities
     return phase, visibility, probabilities
 
 
@@ -458,7 +491,9 @@ def _franson_rows(spec: ScanSpec, start: int, points: dict) -> tuple[list, list[
             p[:, finite] = entangle.ideal_joint_probabilities(phase[finite], visibility)
         except ValueError:  # a visibility outside [0, 1], which every row reports
             pass
-        visibility = [visibility] * phase.size
+        # A float is written once per block; an int from a config keeps its cells.
+        visibility = (np.full(phase.size, visibility) if isinstance(visibility, float)
+                      else [visibility] * phase.size)
     pp, pm, mp, mm = p
     columns = [phase, visibility, pp + mm, pm + mp, pp, pm, mp, mm, pp + pm, pp + mp]
     errors = [""] * phase.size

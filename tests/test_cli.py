@@ -4,12 +4,15 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 
-from bellsim import cli
+from bellsim import cli, entangle
 from bellsim.bell import quantum_I_closed_form
 from bellsim.cli import (ConfigError, ScanSpec, _wavepacket_probabilities, _Writer,
                          load_config, main, run_scan)
@@ -814,3 +817,60 @@ def test_json_spec_writes_directly_given_grid_values_as_json_does(capsys, subcom
             "subcommand": subcommand, "grids": {name: list(v) for name, v in grids.items()}}
     assert text == json.dumps({"rows": doc["rows"], "spec": spec}, indent=2, sort_keys=True) + "\n"
     assert all(isinstance(row[name], float) for row in doc["rows"] for name in grids)
+
+
+def test_wavepacket_quadrature_stays_within_its_memory_bound():
+    """Groups longer than _WAVEPACKET_ROWS whose rows all spend the node
+    budget (dphi = 1e5): the traced peak of the block holds one call's
+    full-budget phase array and stays within 16 MiB."""
+    phi = np.linspace(0.0, 6.0, 2 * cli._WAVEPACKET_ROWS + 3)
+    points = {"phi": phi, "dphi": np.full(phi.size, 1e5)}
+    spec = ScanSpec(subcommand="interf", grids={}, params={"tolerance": 1e-10})
+    cli._interf_rows(spec, 0, {axis: values[:1] for axis, values in points.items()})
+    tracemalloc.start()  # after the panel layouts are memoized
+    try:
+        _, errors = cli._interf_rows(spec, 0, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(error.startswith("IntegrationError") and "after 65536 nodes" in error
+               for error in errors)
+    assert 8 * cli._WAVEPACKET_ROWS * 2 ** 16 <= peak <= 16 * 2 ** 20
+
+
+def test_physical_block_sends_only_failing_rows_to_the_one_point_law(tmp_path):
+    """Without a window the carrier phase overflows at tau_b = 1e300; only
+    those rows go through the one-point law, and every row equals it."""
+    tau_b = [1e-9 * (1.0 + 1e-4 * k) for k in range(40)]
+    tau_b[3] = tau_b[30] = 1e300
+    tau_b[17] = 1e200  # finite carriers, no error
+    out = tmp_path / "out.csv"
+    spec = ScanSpec(subcommand="franson", grids={"tau_b": tuple(tau_b)},
+                    params={**PHYSICAL_PARAMS, "coincidence_window": None}, output=str(out))
+    with mock.patch.object(entangle, "physical_joint_distribution",
+                           wraps=entangle.physical_joint_distribution) as one_point:
+        assert run_scan(spec) == 1
+    assert one_point.call_count == 2
+    params = cli.validate_spec(spec)
+    for row, t in zip(read_rows(out), tau_b):
+        try:
+            want = [repr(v) for v in cli._row_franson(replace(spec, params=params), 0,
+                                                       {"tau_b": t})]
+        except ValueError as e:
+            assert row["error"] == f"ValueError: {e}" == "ValueError: math domain error"
+        else:
+            assert [row[c] for c in cli._SUBCOMMANDS["franson"].columns] == want
+
+
+@pytest.mark.parametrize("visibility, cells", [(1, {"1"}), (1.0, {"1.0"}), (0.25, {"0.25"})])
+def test_ideal_franson_visibility_column(tmp_path, visibility, cells):
+    """A float visibility is one constant array per block, written once; an
+    int from a config keeps its int cells."""
+    spec = ScanSpec(subcommand="franson", grids={"phi": (0.0, 1.0, 2.0)},
+                    params={"visibility": visibility})
+    columns, _ = cli._franson_rows(replace(spec, params=cli.validate_spec(spec)), 0,
+                                   {"phi": np.array([0.0, 1.0, 2.0])})
+    assert isinstance(columns[1], np.ndarray) == isinstance(visibility, float)
+    out = tmp_path / "out.csv"
+    assert run_scan(replace(spec, output=str(out))) == 0
+    assert {row["visibility"] for row in read_rows(out)} == cells

@@ -14,8 +14,9 @@ from bellsim.interferometer import (
     probability_wavepacket,
     quantum_detection_distribution,
     sample_events,
+    wavepacket_probabilities,
 )
-from bellsim.spectra import Spectrum
+from bellsim.spectra import IntegrationError, Spectrum
 from mp_oracles import mp_fringe
 
 TWO_PI = 2.0 * math.pi
@@ -126,6 +127,31 @@ def test_wavepacket_stays_in_unit_interval():
         )
         p = probability_wavepacket(+1, cfg, 1e-10)
         assert 0.0 <= p <= 1.0
+
+
+@pytest.mark.parametrize("bandwidth", [1e-9, 0.5, 3.14, 20.0, 700.0, 1e5])
+def test_wavepacket_rows_equal_the_one_point_law(bandwidth):
+    """Column r is probability_wavepacket(+1) at unit delay and center r, and
+    1 minus it, bit for bit; at 1e5 every quadrature runs out of nodes and
+    every column is NaN."""
+    centers = bandwidth / 2.0 + np.array([1e-6, 0.3, 1.0, 2.5, 6.0, 40.0, 1e6])
+    got = wavepacket_probabilities(centers, bandwidth)
+    assert got.shape == (2, centers.size)
+    for r, center in enumerate(centers.tolist()):
+        cfg = InterferometerConfig(1.0, Spectrum("rectangular", center, bandwidth))
+        try:
+            p_plus = probability_wavepacket(+1, cfg)
+        except IntegrationError:
+            assert np.isnan(got[:, r]).all()
+        else:
+            assert [repr(p) for p in got[:, r].tolist()] == [repr(p_plus), repr(1.0 - p_plus)]
+    assert np.isnan(got).all() == (bandwidth == 1e5)
+
+
+@pytest.mark.parametrize("center", [0.25, 0.0, -1.0, math.nan, math.inf])
+def test_wavepacket_rows_reject_centers_a_spectrum_rejects(center):
+    with pytest.raises(ValueError, match="must be finite and exceed bandwidth/2"):
+        wavepacket_probabilities(np.array([3.0, center]), 0.5)
 
 
 def test_classify_interference():

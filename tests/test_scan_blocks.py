@@ -101,6 +101,23 @@ def interf_reference(phi):
     return probability_monochromatic(+1, phi), probability_monochromatic(-1, phi)
 
 
+# Phases and bandwidth-delay products at which a wave-packet row is rejected
+# (phi = 1e300 shifts to the center 0.0; -1.7e308 with dphi = 1e308 overflows
+# the shift, which ends the scan), fails to converge (dphi = 5e-324, whose
+# estimate is NaN) or loses every digit of its center (1e17).
+WAVE_PHIS = [1e17, -1e17, 1e300, -1.7e308, -0.0, 0.0, PI, *NON_FINITE]
+WAVE_DPHIS = [5e-324, 1e-300, 1e-9, 0.5, 3.14, 2 * PI, 700.0, 1e308, -1.0, *NON_FINITE]
+
+
+def wavepacket_reference(phi, dphi, tol):
+    """The row's cells as the one-point law writes them, and its error text."""
+    try:
+        p_plus, p_minus = cli._wavepacket_probabilities(phi, dphi, tol)
+    except cli._ROW_ERRORS as e:
+        return None, f"{type(e).__name__}: {e}"
+    return [repr(p_plus), repr(p_minus)], ""
+
+
 def franson_reference(visibility):
     def evaluate(phi):
         d = ideal_joint_distribution(phi, visibility)
@@ -142,6 +159,31 @@ def test_ideal_franson_rows_match_the_scalar_joint_law(phis, visibility, fmt, ro
     assert_artifact(code, text, fmt, ["phi", *cli._SUBCOMMANDS["franson"].columns, "error"],
                     rows, {"subcommand": "franson", "grids": {"phi": phis},
                            "params": {"mode": "ideal", "visibility": visibility}})
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.one_of(st.sampled_from(WAVE_PHIS), st.floats(-1e3, 1e3)),
+                          st.one_of(st.sampled_from(WAVE_DPHIS), st.floats(1e-3, 1e3))),
+                min_size=1, max_size=40),
+       st.floats(-12.0, -6.0).map(lambda e: 10.0 ** e), st.sampled_from([1, 3, 16]))
+def test_wavepacket_block_rows_equal_the_one_point_law(points, tol, rows_per_call):
+    """Each row of a block with dphi != 0 equals _wavepacket_probabilities
+    bit for bit, or carries its error text; a row whose one-point law raises
+    outside the row errors makes the block raise the same."""
+    phi, dphi = (np.array(axis, dtype=float) for axis in zip(*points))
+    spec = cli.ScanSpec("interf", {}, params={"tolerance": tol})
+    want = []
+    try:
+        want = [wavepacket_reference(*point, tol) for point in points]
+    except OverflowError as e:
+        with pytest.raises(OverflowError, match=str(e)):
+            cli._interf_rows(spec, 0, {"phi": phi, "dphi": dphi})
+        return
+    with mock.patch.object(cli, "_WAVEPACKET_ROWS", rows_per_call):
+        (p_plus, p_minus), errors = cli._interf_rows(spec, 0, {"phi": phi, "dphi": dphi})
+    got = [(None if error else [repr(p_plus[i].item()), repr(p_minus[i].item())], error)
+           for i, error in enumerate(errors)]
+    assert got == want
 
 
 def assert_unitarity_scan(phases, phis, phase_outer, fmt, rows_per_block):
