@@ -184,8 +184,9 @@ def chained_I(model, cfg: ChainedConfig) -> ChainedResult:
         if start == 0:
             contributions[0] = p[0, 0] + p[3, 0]
     contributions.flags.writeable = False
-    # fsum: plain accumulation loses ~2e-12 against the closed form at N = 10^4
-    i_value = math.fsum(contributions)
+    # fsum: plain accumulation loses ~2e-12 against the closed form at N = 10^4;
+    # over a list, whose floats it reads without a numpy scalar per term
+    i_value = math.fsum(contributions.tolist())
     return ChainedResult(
         i_value=i_value,
         contributions=contributions,

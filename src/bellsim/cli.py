@@ -16,7 +16,8 @@ defaults and :func:`validate_spec` derive from the entries, so flags,
 config documents and ``ScanSpec`` objects are checked alike: a wrongly
 typed config value, or a parameter or grid given where it does not apply,
 exits 2.  The JSON artifact's ``spec.params`` records every parameter
-value the rows used, defaults included.
+value the rows used, defaults included.  The parser is built once per
+process and shared by every :func:`main` call; a parse does not change it.
 
 Rows run in grid order on the calling thread, a block of up to
 ``_BLOCK_ROWS`` grid points at a time.  A subcommand's row function takes
@@ -61,6 +62,7 @@ outside row evaluation, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -250,8 +252,8 @@ def _resolve_grid(name: str, value) -> tuple[float, ...]:
         raise ConfigError(f"grid {name!r} is empty; grids must be nonempty")
     try:
         if isinstance(value, dict):
-            value = np.linspace(float(start), float(stop), num)
-        return tuple(float(x) for x in value)
+            return tuple(np.linspace(float(start), float(stop), num).tolist())
+        return tuple(map(float, value))
     except OverflowError:
         raise ConfigError(f"grid {name!r}: a value is out of float range") from None
 
@@ -333,7 +335,11 @@ def _wavepacket_probabilities(phi: float, dphi: float, tol: float) -> tuple[floa
         raise ValueError(f"dphi must be finite and >= 0, got {dphi!r}")
     if not math.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi!r}")
-    turns = math.ceil((dphi / 2.0 - phi) / _TWO_PI) + 1
+    shift = dphi / 2.0 - phi
+    if shift == math.inf:
+        raise ValueError(f"phi {phi!r} lies too far below dphi/2 ({dphi / 2.0!r}): "
+                         f"the shift to a positive spectrum center overflows")
+    turns = math.ceil(shift / _TWO_PI) + 1
     cfg = interferometer.InterferometerConfig(
         path_delay_tau=1.0,
         source=Spectrum(shape="rectangular", center=phi + turns * _TWO_PI, bandwidth=dphi),
@@ -674,9 +680,11 @@ def validate_spec(spec: ScanSpec) -> dict:
                 raise axis.inapplicable(spec.subcommand, f"a {axis.name!r} grid")
         elif not scanned and axis.default is _REQUIRED:
             raise axis.missing(spec.subcommand, f"a {axis.name!r} grid")
-        elif scanned:
-            for value in spec.grids[axis.name]:
-                axis.check_most(f"grid {axis.name!r} values", value)
+        elif scanned and axis.most is not None:
+            values = spec.grids[axis.name]
+            over = np.flatnonzero(np.asarray(values) > axis.most)
+            if over.size:
+                axis.check_most(f"grid {axis.name!r} values", values[over[0]])
     return params
 
 
@@ -900,7 +908,10 @@ def _parse_grid_option(text: str) -> tuple[str, tuple[float, ...]]:
     return name, _resolve_grid(name, grid)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: it reads only the tables, and a
+    parse leaves it as it was (``--grid`` appends to a copy of its default)."""
     parser = argparse.ArgumentParser(
         prog="bellsim",
         description="Parameter scans over interference, unitarity, two-photon "

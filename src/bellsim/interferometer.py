@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,6 +202,26 @@ def local_detection_distribution(phi: float) -> DetectionDistribution:
     )
 
 
+# Each thread's generator for sample_events, and the zero counter and empty
+# buffer of a fresh Philox state (the setter copies them).
+_generators = threading.local()
+_ZEROS = np.zeros(4, dtype=np.uint64)
+
+
+def _keyed_generator(seed: int, stream: int) -> np.random.Generator:
+    """This thread's generator, re-keyed to (seed, stream) at counter 0 with
+    an empty buffer: the stream of a fresh ``Philox(key=[seed, stream])``."""
+    rng = getattr(_generators, "rng", None)
+    if rng is None:
+        rng = _generators.rng = np.random.Generator(np.random.Philox(0))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS, "key": np.array([seed, stream], dtype=np.uint64)},
+        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return rng
+
+
 def sample_events(
     dist: DetectionDistribution, n: int, seed: int, stream: int = 0
 ) -> EventCounts:
@@ -209,7 +230,10 @@ def sample_events(
     Concurrent scans must pass distinct ``stream`` indices derived from task
     coordinates rather than share a generator; (seed, stream) keys a
     counter-based generator, so any assignment of streams to tasks yields
-    reproducible, independent counts.
+    reproducible, independent counts.  Each thread holds one Philox
+    generator and re-keys it per call, which gives the counts of a fresh
+    ``Generator(Philox(key=[seed, stream]))``: the generator's only other
+    state, its binomial cache, is a function of the (n, p) it is asked for.
     """
     if n <= 0:
         raise ValueError(f"sample size must be positive, got {n!r}")
@@ -218,6 +242,5 @@ def sample_events(
             raise ValueError(f"{name} must be a non-negative 64-bit integer, got {value!r}")
     probs = np.array(dist.as_tuple(), dtype=float)
     probs = probs / probs.sum()  # exact zeros stay zero
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
-    counts = rng.multinomial(n, probs)
-    return EventCounts(*(int(c) for c in counts))
+    counts = _keyed_generator(seed, stream).multinomial(n, probs)
+    return EventCounts(*counts.tolist())

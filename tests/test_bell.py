@@ -295,3 +295,12 @@ def test_visibility_degrades_quantum_value():
     values = [chained_I(quantum_model(v), cfg).i_value for v in (1.0, 0.9, 0.7, 0.5)]
     assert all(a < b for a, b in zip(values, values[1:]))
     assert chained_I(quantum_model(0.0), cfg).i_value == pytest.approx(2.0, abs=1e-12)
+
+
+def test_i_value_is_the_fsum_of_its_contributions():
+    # fsum is correctly rounded, so summing the list or the array elements
+    # gives the same bits
+    for n in (*range(2, 401), 10 ** 5):
+        for model in (quantum_model(), quantum_model(0.9)):
+            result = chained_I(model, ChainedConfig(n=n, theta=PI))
+            assert result.i_value == math.fsum(iter(result.contributions)), n

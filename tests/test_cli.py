@@ -783,9 +783,11 @@ def test_linspace_over_the_row_budget_is_rejected_before_it_is_built(
     (["chained", "--grid", "n=2,10000001"], "grid 'n' values must be at most 10000000, "
                                             "got 10000001.0"),
     (["chained", "--grid", "n=inf"], "grid 'n' values must be at most 10000000, got inf"),
+    (["chained", "--grid", "n=nan,2,3e7,2e7"], "grid 'n' values must be at most 10000000, "
+                                               "got 30000000.0"),
     (["extensions", "--grid", "d=0.5", "--n-cap", "10000001"],
      "'n_cap' must be at most 10000000, got 10000001"),
-], ids=["chained_n", "chained_inf", "extensions_n_cap"])
+], ids=["chained_n", "chained_inf", "chained_first_over", "extensions_n_cap"])
 def test_chain_over_the_chain_budget_exits_two(tmp_path, monkeypatch, capsys, argv, message):
     _with_row(monkeypatch, argv[0], lambda *args: pytest.fail("a row ran"))
     out = tmp_path / "out.csv"
@@ -874,3 +876,54 @@ def test_ideal_franson_visibility_column(tmp_path, visibility, cells):
     out = tmp_path / "out.csv"
     assert run_scan(replace(spec, output=str(out))) == 0
     assert {row["visibility"] for row in read_rows(out)} == cells
+
+
+def test_overflowing_wavepacket_shift_is_an_error_row(tmp_path):
+    # dphi/2 - phi overflows at phi = -1.7e308, dphi = 1e308; the other rows
+    # of the block keep the bytes they have in scans of their own
+    with pytest.raises(ValueError, match="shift to a positive spectrum center overflows"):
+        _wavepacket_probabilities(-1.7e308, 1e308, 1e-10)
+    out = tmp_path / "out.csv"
+    assert main(["interf", "--grid", "phi=0,-1.7e308,3", "--grid", "dphi=0.5,1e308,0",
+                 "--output", str(out)]) == 1
+    lines = out.read_text().splitlines()
+    assert len(lines) == 10
+    failed = [line for line in lines[1:] if not line.endswith(",")]
+    center = ("ValueError: center 5e+307 must exceed bandwidth/2 (5e+307) "
+              "to keep the support positive")
+    assert failed == [
+        "0.0,1e+308,,," + center,
+        "-1.7e+308,1e+308,,,ValueError: phi -1.7e+308 lies too far below dphi/2 (5e+307): "
+        "the shift to a positive spectrum center overflows",
+        "3.0,1e+308,,," + center]
+    for line in lines[1:]:
+        if line.endswith(","):
+            phi, dphi = line.split(",")[:2]
+            one = tmp_path / "one.csv"
+            assert main(["interf", "--grid", f"phi={phi}", "--grid", f"dphi={dphi}",
+                         "--output", str(one)]) == 0
+            assert one.read_text().splitlines()[1] == line
+
+
+def test_parser_is_built_once_and_calls_do_not_leak(tmp_path, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    first, second = tmp_path / "first.json", tmp_path / "second.csv"
+    assert main(["interf", "--grid", "phi=0,1", "--grid", "dphi=0.5", "--tolerance", "1e-8",
+                 "--format", "json", "--output", str(first)]) == 0
+    assert json.loads(first.read_text())["spec"]["params"] == {"tolerance": 1e-8}
+    # No grid, parameter or option of the first call reaches the second.
+    assert main(["interf", "--grid", "phi=2", "--output", str(second)]) == 0
+    assert second.read_text().splitlines()[0] == "phi,p_plus,p_minus,error"
+    assert main(["interf", "--grid", "phi=2", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["spec"]["grids"] == {"phi": [2.0]}
+    assert doc["spec"]["params"] == {"tolerance": 1e-10}
+    # A config error after good calls still exits 2, and --help still exits 0.
+    assert main(["interf", "--grid", "phi=0", "--grid", "phi=1"]) == 2
+    assert "grid 'phi' is given twice" in capsys.readouterr().err
+    assert main(["chained", "--grid", "n=2", "--tolerance", "1e-8"]) == 2
+    capsys.readouterr()
+    assert main(["interf", "--help"]) == 0
+    assert "--tolerance" in capsys.readouterr().out
+    assert main(["sample", "--grid", "phi=0", "--seed", "1", "--n", "10"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "phi,n_plus,n_minus,n_double,n_null,error"

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -242,3 +244,58 @@ def test_sampling_frequencies_match_probabilities(model, seed):
                 assert count == round(n * p)
             else:
                 assert abs(count - n * p) <= 4.0 * sigma
+
+
+def _fresh_counts(dist, n, seed, stream):
+    probs = np.array(dist.as_tuple(), dtype=float)
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, stream], dtype=np.uint64)))
+    return tuple(rng.multinomial(n, probs / probs.sum()).tolist())
+
+
+_SAMPLED = [
+    (quantum_detection_distribution(0.7), 10 ** 6),
+    (local_detection_distribution(1.0), 1),
+    (DetectionDistribution(0.0, 0.0, 1.0, 0.0), 17),
+    (DetectionDistribution(0.25, 0.25, 0.25, 0.25), 12345),
+    (quantum_detection_distribution(math.pi), 10 ** 9),
+]
+
+
+def test_rekeyed_sampling_equals_a_fresh_philox_per_key():
+    # Keys interleave, so each call follows one drawn under another key.
+    keys = [(3, 0), (2 ** 64 - 1, 5), (3, 1), (0, 2 ** 64 - 1), (3, 0), (7, 7)]
+    for dist, n in _SAMPLED:
+        for seed, stream in keys:
+            got = sample_events(dist, n, seed=seed, stream=stream)
+            assert (got.n_plus, got.n_minus, got.n_double, got.n_null) == (
+                _fresh_counts(dist, n, seed, stream))
+
+
+def test_two_threads_sampling_at_once_keep_their_streams():
+    tasks = [(dist, n, seed, stream) for dist, n in _SAMPLED
+             for seed in (11, 2 ** 64 - 1) for stream in range(200)]
+    want = [_fresh_counts(*task) for task in tasks]
+    start = threading.Barrier(2)
+    results = {}
+
+    def draw(name, order):
+        start.wait()
+        results[name] = {i: sample_events(tasks[i][0], tasks[i][1], seed=tasks[i][2],
+                                          stream=tasks[i][3]) for i in order}
+
+    threads = [threading.Thread(target=draw, args=(name, order))
+               for name, order in (("forward", range(len(tasks))),
+                                   ("backward", range(len(tasks) - 1, -1, -1)))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads between a re-key and its draw
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 2
+    for counts in results.values():
+        assert [(c.n_plus, c.n_minus, c.n_double, c.n_null)
+                for _, c in sorted(counts.items())] == want
