@@ -45,8 +45,8 @@ class ChainedConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"need at least 2 settings per side, got n={self.n!r}")
-        if self.theta < 0.0:
-            raise ValueError(f"theta must be >= 0, got {self.theta!r}")
+        if not 0.0 <= self.theta < math.inf:
+            raise ValueError(f"theta must be finite and >= 0, got {self.theta!r}")
 
     @property
     def settings(self) -> tuple[float, ...]:

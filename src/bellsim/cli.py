@@ -9,7 +9,7 @@ document, or both (flags win).
 Every parameter is declared once, as a ``_Param`` entry: scan parameters
 and grid axes in ``_SUBCOMMANDS``, common options on their ``ScanSpec``
 field.  A parameter sits in the table of each subcommand whose rows read
-it: ``tolerance`` belongs to ``interf`` (the wave-packet quadrature) and
+it: ``tolerance`` belongs to ``interf`` (the wave-packet contrast) and
 ``unitarity`` (the unitarity check), and ``seed`` is required by
 ``sample``.  The argparse parser, the copy of flags into the spec, the
 defaults and :func:`validate_spec` derive from the entries, so flags,
@@ -22,19 +22,20 @@ process and shared by every :func:`main` call; a parse does not change it.
 Rows run in grid order on the calling thread, a block of up to
 ``_BLOCK_ROWS`` grid points at a time.  A subcommand's row function takes
 the block as one float array per axis and returns output columns plus one
-error text per row.  Five row kinds run as arrays where their inputs are
+error text per row.  Four row kinds run as arrays where their inputs are
 valid: the ideal Franson law, the physical one
 (``entangle.physical_joint_probabilities`` over the block's delays, with
-the window each row's ``auto`` implies), the dphi = 0 fringe, the dphi > 0
-wave packets (``interferometer.wavepacket_probabilities``, one quadrature
-per group of up to ``_WAVEPACKET_ROWS`` rows that share dphi), and
-``unitarity``, which builds and checks each distinct splitter matrix of a
-block once and takes the port law (``measurement.outcome_probabilities``)
-at its rows' phases as one array.  Their arithmetic gives the bits of the
-library's one-point calls.  Every other row calls the library once per
-point: a row with an invalid input or distribution, a wave packet whose
-quadrature does not converge, and a physical row at which the law raises
-(the block is split in halves until such a row stands alone).
+the window each row's ``auto`` implies), ``interf``, and ``unitarity``,
+which builds and checks each distinct splitter matrix of a block once and
+takes the port law (``measurement.outcome_probabilities``) at its rows'
+phases as one array.  An ``interf`` row is a wave packet whose fringe is
+the fringe law (``interferometer.fringe_probabilities``) at the contrast
+of its bandwidth-delay product dphi: 1 at dphi = 0, otherwise one
+quadrature (``interferometer.wavepacket_contrast``) per distinct dphi of a
+block.  Their arithmetic gives the bits of the one-point calls.  Every
+other row calls the library once per point: a row with an invalid input or
+distribution, and a physical row at which the law raises (the block is
+split in halves until such a row stands alone).
 
 Each block is formatted by column and written before the next one runs, so
 no artifact is held in memory whole.  A float ``repr`` is most of a cheap
@@ -78,7 +79,6 @@ from .spectra import IntegrationError, Spectrum
 USAGE_ERROR = 2
 ROW_ERROR = 1
 
-_TWO_PI = 2.0 * math.pi
 _REQUIRED = object()  # default of a parameter that must be given where it applies
 
 # Budgets of one scan, checked before any grid is built or any row runs: its
@@ -323,66 +323,53 @@ def _pointwise(point_row):
     return row
 
 
-def _wavepacket_probabilities(phi: float, dphi: float, tol: float) -> tuple[float, float]:
-    """Fringe probabilities at center phase phi and bandwidth-delay product dphi.
+def _wavepacket_ports(phi: np.ndarray, contrast: float) -> np.ndarray:
+    """The (2, M) ports (1 +- contrast*cos(phi))/2: the fringe law at
+    visibility |contrast|, with its ports swapped where the contrast is
+    negative."""
+    p = interferometer.fringe_probabilities(phi, abs(contrast))
+    return p[::-1] if contrast < 0.0 else p
 
-    Realized with a unit delay and a rectangular spectrum whose center is
-    phi shifted by whole turns to keep the support positive.  A row at
-    dphi = 0 with a finite phi takes the monochromatic law in
-    :func:`_interf_rows` instead.
-    """
+
+def _wavepacket_probabilities(phi: float, dphi: float, tol: float) -> tuple[float, float]:
+    """Fringe probabilities at center phase phi and bandwidth-delay product
+    dphi: a rectangular spectrum at unit delay, whose contrast
+    ``interferometer.wavepacket_contrast`` gives to ``tol``."""
     if not 0.0 <= dphi < math.inf:
         raise ValueError(f"dphi must be finite and >= 0, got {dphi!r}")
     if not math.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi!r}")
-    shift = dphi / 2.0 - phi
-    if shift == math.inf:
-        raise ValueError(f"phi {phi!r} lies too far below dphi/2 ({dphi / 2.0!r}): "
-                         f"the shift to a positive spectrum center overflows")
-    turns = math.ceil(shift / _TWO_PI) + 1
-    cfg = interferometer.InterferometerConfig(
-        path_delay_tau=1.0,
-        source=Spectrum(shape="rectangular", center=phi + turns * _TWO_PI, bandwidth=dphi),
-    )
-    p_plus = interferometer.probability_wavepacket(+1, cfg, tol)
-    return p_plus, 1.0 - p_plus
+    p_plus, p_minus = _wavepacket_ports(np.array([phi]),
+                                        interferometer.wavepacket_contrast(dphi, tol))
+    return p_plus.item(), p_minus.item()
 
 
 def _row_interf(spec: ScanSpec, index: int, point: dict) -> tuple:
     return _wavepacket_probabilities(point["phi"], point["dphi"], spec.params["tolerance"])
 
 
-# Rows per wave-packet quadrature call.  Its largest array holds a phase per
-# row and node: at most 16 x 2**16 floats (8 MiB), reached when every row
-# spends the whole node budget.
-_WAVEPACKET_ROWS = 16
-
-
 def _interf_rows(spec: ScanSpec, start: int, points: dict) -> tuple[list, list[str]]:
-    """Rows at dphi = 0 with a finite phi take both ports from the fringe
-    law as one array.  Rows that :func:`_wavepacket_probabilities` accepts
-    are grouped by the bits of dphi and take
-    ``interferometer.wavepacket_probabilities`` at the centers it would
-    build, ``_WAVEPACKET_ROWS`` rows a call.  Every other row, and every row
-    whose quadrature does not converge, goes through :func:`_row_interf`."""
+    """Rows with a finite phi and a finite dphi >= 0 take the contrast of
+    their dphi, one quadrature per distinct dphi in the block, and both
+    ports of :func:`_wavepacket_ports` as one array; a contrast that does
+    not converge is the error of each of its rows.  Every other row goes
+    through :func:`_row_interf`, which reports its invalid input."""
     phi, dphi = points["phi"], points["dphi"]
-    monochromatic = (dphi == 0.0) & np.isfinite(phi)
     p = np.full((2, phi.size), math.nan)
-    p[:, monochromatic] = interferometer.fringe_probabilities(phi[monochromatic])
-    with np.errstate(over="ignore", invalid="ignore"):
-        # _wavepacket_probabilities' center, not finite where a phi or dphi
-        # is not, or where math.ceil would overflow on the turns
-        center = phi + (np.ceil((dphi / 2.0 - phi) / _TWO_PI) + 1.0) * _TWO_PI
-        wave = (dphi > 0.0) & np.isfinite(center) & (center > dphi / 2.0)
-    bits = dphi.view(np.int64)
-    for key in set(bits[wave].tolist()):
-        group = np.flatnonzero(wave & (bits == key))
-        for first in range(0, group.size, _WAVEPACKET_ROWS):
-            rows = group[first:first + _WAVEPACKET_ROWS]
-            p[:, rows] = interferometer.wavepacket_probabilities(
-                center[rows], dphi[rows[0]].item(), spec.params["tolerance"])
-    columns, errors = list(p), [""] * phi.size
-    _fill_points(spec, _row_interf, start, points, np.flatnonzero(np.isnan(p[0])).tolist(),
+    errors = [""] * phi.size
+    given = np.isfinite(phi) & (dphi >= 0.0) & (dphi < math.inf)
+    # Float keys: -0.0 joins 0.0, whose contrast is the same 1.0.
+    for value in set(dphi[given].tolist()):
+        rows = given & (dphi == value)
+        try:
+            contrast = interferometer.wavepacket_contrast(value, spec.params["tolerance"])
+        except IntegrationError as e:
+            for i in np.flatnonzero(rows).tolist():
+                errors[i] = f"{type(e).__name__}: {e}"
+            continue
+        p[:, rows] = _wavepacket_ports(phi[rows], contrast)
+    columns = list(p)
+    _fill_points(spec, _row_interf, start, points, np.flatnonzero(~given).tolist(),
                  columns, errors)
     return columns, errors
 
@@ -652,6 +639,9 @@ def validate_spec(spec: ScanSpec) -> dict:
             )
         if not values:
             raise ConfigError(f"grid {name!r} is empty; grids must be nonempty")
+        # A ScanSpec built directly may hold ints and bools, which rows take as floats.
+        if not all(isinstance(x, (int, float)) for x in values):
+            raise ConfigError(f"grid {name!r}: expected a list of real numbers")
     rows = math.prod(len(values) for values in spec.grids.values())
     if rows > _MAX_ROWS:
         raise ConfigError(f"the grids give {rows} rows; a scan may have at most {_MAX_ROWS}")

@@ -123,6 +123,8 @@ def find_falsifying_N(
         raise ValueError(f"distance must lie in (0, 1], got {distance!r}")
     if n_cap < 2:
         raise ValueError(f"n_cap must be >= 2, got {n_cap!r}")
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta!r}")
     if theta == math.pi and n_cap <= _MONOTONE_UP_TO:
         n = _bisect_pi_chain(distance, n_cap)
     else:

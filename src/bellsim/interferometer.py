@@ -2,8 +2,8 @@
 
 Covers the fringe law (1 +- V cos(phi))/2 of the two ports, whose halves are
 the ideal Franson pair's joint law (:mod:`bellsim.entangle`); its wave-packet
-generalization by integration over a source spectrum, pointwise and, for
-many centers of one bandwidth, as one batched quadrature; classification of
+generalization by integration over a source spectrum, and the contrast
+that a rectangular spectrum gives that fringe at unit delay; classification of
 the interference regime by the ratio of coherence time to a finite path
 delay; the alternative independent-detectors model (which produces double
 counts and missed counts); and seeded multinomial event sampling.  A general
@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .probability import check_distribution
-from .spectra import (RATIO_THRESHOLD, IntegrationError, Spectrum, coherence_time,
-                      integrate_over_spectrum)
+from .spectra import RATIO_THRESHOLD, Spectrum, coherence_time, integrate_over_spectrum
 
 
 class InterferenceRegime(str, enum.Enum):
@@ -134,37 +133,23 @@ def probability_wavepacket(a: int, cfg: InterferometerConfig, tol: float = 1e-10
     return min(max(p, 0.0), 1.0)
 
 
-def wavepacket_probabilities(centers: np.ndarray, bandwidth: float,
-                             tol: float = 1e-10) -> np.ndarray:
-    """Ports (p_plus, 1 - p_plus) of wave packets at unit path delay, one per
-    rectangular spectrum of ``bandwidth`` centered at ``centers[r]``, as a
-    (2, R) array; NaN in the columns whose quadrature does not converge.
+def wavepacket_contrast(bandwidth: float, tol: float = 1e-10) -> float:
+    """Fringe contrast of a wave packet whose rectangular spectrum of
+    ``bandwidth`` meets a unit path delay.
 
-    Column r has the bits of :func:`probability_wavepacket` (+1) at that
-    spectrum and delay, and of 1 minus it: one quadrature over the offsets
-    of a signed spectrum centered at 0.0, whose nodes 0.0 + u are the
-    offsets u themselves, integrates cos(centers[r] + u) for every row, the
-    one-point integrand cos((centers[r] + u) * 1.0), and each row keeps the
-    pass at which it converged.  Each center must be finite and exceed
-    bandwidth/2, as a one-point spectrum requires.
+    It is the mean of cos(u) over the offsets u of the spectrum from its
+    center, sin(x)/x at x = bandwidth/2: one quadrature over a signed
+    spectrum centered at 0.0, to ``tol``, clamped to [-1, 1] because its sum
+    can round to 1 + 2.2e-16.  Zero bandwidth gives 1.0.  The density is
+    even about its center, so the mean of sin(u) vanishes and the packet's
+    fringe at center phase phi is the contrast times cos(phi): its ports are
+    (1 +- c cos(phi))/2, the fringe law at visibility |c| with the two ports
+    swapped where c < 0 (2*pi < bandwidth < 4*pi, for one).
     """
+    if bandwidth == 0.0:
+        return 1.0
     offsets = Spectrum(shape="rectangular", center=0.0, bandwidth=bandwidth, signed=True)
-    centers = np.asarray(centers, dtype=float)
-    bad = ~(np.isfinite(centers) & (centers > bandwidth / 2.0))
-    if bad.any():
-        raise ValueError(f"center {centers[bad][0].item()!r} must be finite and exceed "
-                         f"bandwidth/2 ({bandwidth / 2.0!r})")
-
-    def fringes(u: np.ndarray) -> np.ndarray:
-        phase = np.add.outer(centers, u)
-        return np.cos(phase, out=phase)
-
-    try:
-        fringe = integrate_over_spectrum(offsets, fringes, tol)
-    except IntegrationError as e:
-        fringe = e.value  # NaN at the rows that did not converge
-    p_plus = np.minimum(np.maximum(0.5 * (1.0 + fringe), 0.0), 1.0)
-    return np.array((p_plus, 1.0 - p_plus))
+    return min(max(integrate_over_spectrum(offsets, np.cos, tol), -1.0), 1.0)
 
 
 def classify_interference(cfg: InterferometerConfig) -> InterferenceRegime:

@@ -11,27 +11,17 @@ adaptive panel-based Gauss-Legendre quadrature with a hard node budget.
 Its nodes are offsets from the spectrum's center, at which the density is
 evaluated, so a narrow spectrum keeps full resolution at an optical center
 frequency; the integrand receives the absolute frequencies center + offset.
-An integrand may return one row of values per integral, so that many
-integrals over one spectrum share each pass; every row gets the bits of its
-own one-row call.  A row that exhausts the node budget is NaN in the
-error's value, and a caller sends just that row to its one-point path,
-which raises the error with that row's own message
-(:func:`bellsim.interferometer.wavepacket_probabilities` and the CLI's
-``interf`` rows do).
 
 :func:`coherence_time` (2*pi/bandwidth, in seconds) is the one spelling of
 a coherence time, and :data:`RATIO_THRESHOLD` the one factor by which the
 coherence-ratio checks read "much longer than".
 
-All functions are pure.  The one shared state is a memo of the quadrature's
-read-only panel layouts, one per panel count, which depend on nothing but
-that count; it goes with the quadrature once no library caller is left.
+All functions are pure; there is no shared mutable state.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -61,22 +51,15 @@ class SpectrumShape(str, enum.Enum):
 
 
 class IntegrationError(RuntimeError):
-    """Quadrature did not reach the requested tolerance within the node budget.
+    """Quadrature did not reach the requested tolerance within the node budget."""
 
-    For an integrand with a row axis, ``value`` and ``error_estimate`` are
-    arrays with one entry per row: ``value`` holds each converged row's
-    integral and NaN at every row that did not converge, and the message
-    reports the largest estimate.
-    """
-
-    def __init__(self, value: float | np.ndarray, error_estimate: float | np.ndarray,
-                 nodes_used: int, tol: float):
+    def __init__(self, value: float, error_estimate: float, nodes_used: int, tol: float):
         self.value = value
         self.error_estimate = error_estimate
         self.nodes_used = nodes_used
         self.tol = tol
         super().__init__(
-            f"integration did not converge: estimated error {np.max(error_estimate):.3e} "
+            f"integration did not converge: estimated error {error_estimate:.3e} "
             f"> tol {tol:.3e} after {nodes_used} nodes (value so far {value!r})"
         )
 
@@ -180,44 +163,21 @@ def heisenberg_product(spectrum: Spectrum, tau_c: float | None = None) -> float:
     return tau_c * HBAR * spectrum.bandwidth
 
 
-@functools.cache
-def _panel_layout(n_panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights of ``n_panels`` equal panels of unit
-    half-width centered at 1 - n, 3 - n, ..., n - 1, read-only.
-
-    The nodes are exactly symmetric about 0.  Scaled by a panel half-width h
-    they are the nodes of :func:`integrate_over_spectrum`'s pass with
-    n_panels panels.  At most 11 panel counts fit the node budget.
-    """
-    nodes = (np.arange(1 - n_panels, n_panels, 2.0)[:, None] + _GL_NODES).ravel()
-    weights = np.tile(_GL_WEIGHTS, n_panels)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
 def integrate_over_spectrum(
     spectrum: Spectrum,
     f: Callable[[np.ndarray], np.ndarray],
     tol: float = 1e-10,
-) -> float | np.ndarray:
+) -> float:
     """Integral of f(w) against the normalized density, to absolute error <= tol.
 
-    ``f`` must accept a 1-D numpy array of n absolute frequencies and be
-    bounded on the support.  It returns n values, and the integral is a
-    float; or an (R, n) array, one row per integrand, and the integrals are
-    an (R,) array.  The Gauss-Legendre nodes are built as offsets u in
-    [-half_width, half_width] from the center; the density is evaluated at u
-    (a gaussian one folded into the weights, a rectangular one skipped) and
-    ``f`` at center + u.  Panels are doubled until two successive
-    refinements agree within ``tol``; each row keeps the value of the pass
-    at which it converged, and its bits equal those of the integral of that
-    row alone, because each row takes its own dot product with the weights.
-    When a row has not converged after a pass of 2**16 nodes,
-    :class:`IntegrationError` is raised with the achieved error estimate;
-    for a batched integrand its ``value`` keeps the rows that converged and
-    is NaN at the rows that did not, so a caller can send only those to a
-    one-row path.  Fixed panel/node layout keeps results deterministic;
-    each pass scales the memoized layout of its panel count.
+    ``f`` must accept a 1-D numpy array of absolute frequencies and be
+    bounded on the support.  The Gauss-Legendre nodes are built as offsets
+    u in [-half_width, half_width] from the center; the density is evaluated
+    at u (a gaussian one folded into the weights, a rectangular one skipped)
+    and ``f`` at center + u.  Panels are doubled until two successive
+    refinements agree within ``tol``; exceeding 2**16 nodes in a single
+    pass raises :class:`IntegrationError` with the achieved error
+    estimate.  Fixed panel/node layout keeps results deterministic.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -225,43 +185,25 @@ def integrate_over_spectrum(
     center = spectrum.center
     k = spectrum.normalization
     weighted = spectrum.shape is not SpectrumShape.RECTANGULAR
-    batched = False
 
-    def one_pass(n_panels: int) -> list[float]:
-        nonlocal batched
+    def one_pass(n_panels: int) -> float:
+        # Equal panels of half-width h centered at h*(1 - n), h*(3 - n), ...,
+        # h*(n - 1): the nodes are exactly symmetric about the center.
         h = half / n_panels
-        nodes, unit_weights = _panel_layout(n_panels)
-        # Each product rounds once, as h * _GL_WEIGHTS tiled would.
-        offsets = h * nodes
-        weights = h * unit_weights
+        offsets = h * (np.arange(1 - n_panels, n_panels, 2.0)[:, None] + _GL_NODES).ravel()
+        weights = np.tile(h * _GL_WEIGHTS, n_panels)
         if weighted:
             weights *= spectrum.density(offsets)
-        values = f(center + offsets)
-        batched = np.ndim(values) == 2
-        # A dot product per contiguous row: a matrix-vector product, or a
-        # strided row, may sum in another order than the one-row call.
-        rows = np.ascontiguousarray(values) if batched else [values]
-        return [k * float(np.dot(weights, row)) for row in rows]
+        return k * float(np.dot(weights, f(center + offsets)))
 
     n_panels = 4
     previous = one_pass(n_panels)
-    value = [math.nan] * len(previous)
-    error_estimate = [math.inf] * len(previous)
-    pending = range(len(previous))
-    while pending and n_panels * 2 * _GL_ORDER <= _NODE_BUDGET:
+    error_estimate = math.inf
+    while n_panels * 2 * _GL_ORDER <= _NODE_BUDGET:
         n_panels *= 2
         current = one_pass(n_panels)
-        for r in pending:
-            error_estimate[r] = abs(current[r] - previous[r])
-            if error_estimate[r] <= tol:
-                value[r] = current[r]  # never NaN: a NaN estimate fails the test
-        pending = [r for r in pending if math.isnan(value[r])]
+        error_estimate = abs(current - previous)
+        if error_estimate <= tol:
+            return current
         previous = current
-    if not batched:
-        if pending:
-            raise IntegrationError(previous[0], error_estimate[0], n_panels * _GL_ORDER, tol)
-        return value[0]
-    value = np.array(value)
-    if pending:
-        raise IntegrationError(value, np.array(error_estimate), n_panels * _GL_ORDER, tol)
-    return value
+    raise IntegrationError(previous, error_estimate, n_panels * _GL_ORDER, tol)

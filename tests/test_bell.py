@@ -35,8 +35,9 @@ def test_chained_config_settings():
     assert abs((settings[-1] - settings[0]) - 5 * step) <= 1e-15
     with pytest.raises(ValueError):
         ChainedConfig(n=1, theta=PI)
-    with pytest.raises(ValueError):
-        ChainedConfig(n=2, theta=-0.1)
+    for theta in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="theta must be finite and >= 0"):
+            ChainedConfig(n=2, theta=theta)
 
 
 def test_quantum_chsh_point():

@@ -5,10 +5,12 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from bellsim import cli, entangle
 from bellsim.bell import quantum_I_closed_form
 from bellsim.cli import (ConfigError, ScanSpec, _wavepacket_probabilities, _Writer,
                          load_config, main, run_scan)
+from bellsim.interferometer import InterferometerConfig, probability_wavepacket
+from bellsim.spectra import Spectrum
 
 PI = math.pi
 
@@ -529,10 +533,12 @@ _DISTANCES = ([0.1, 1e-3, 1e-4, 3e-5, 1e-5, 1.5e-6, 1.0, 0.0, -1.0, 1.5, math.na
 # 6.781800114893231).  The ideal franson JSON embeds its 20 000 grid values
 # in spec.grids.  The interf digest was re-recorded when both fringe ports
 # took the half-angle forms (worst cell 3.1e-16 relative to 50-digit mpmath,
-# 2.4e-9 before).  The wave-packet interf rows (dphi > 0), the physical
-# Franson rows for each window kind and shape, and the extensions witnesses
-# at theta = pi and 2.5 were recorded before their array and bisection paths
-# existed.
+# 2.4e-9 before).  The wave-packet interf rows (dphi > 0) were re-recorded
+# when they became the fringe law at one contrast per dphi (cells moved by
+# at most 1.6e-15; worst cell 8.0e-16 from the 50-digit sinc law, 1.5e-15
+# before).  The physical Franson rows for each window kind and shape, and
+# the extensions witnesses at theta = pi and 2.5 were recorded before their
+# array and bisection paths existed.
 FULL_SCALE_DIGESTS = [
     ("unitarity",
      ["unitarity",
@@ -551,13 +557,13 @@ FULL_SCALE_DIGESTS = [
     ("interf_wavepacket",
      ["interf", "--grid", "phi=linspace:-3.5:9.5:401",
       "--grid", "dphi=0.5,3.14,6.283185307179586,20,200"],
-     0, "340d908b383218dce85239ed3a896f59a2837dad137fbf41f4b43f635f614f92"),
+     0, "2d7fee2e12aa6797f8d0fbc0d4757d9dc4e4004d90f83473e0fa284f0e425d86"),
     ("interf_wavepacket_edges_json",
      ["interf", "--grid", "phi=" + _values([0.0, -0.0, PI, -PI, 1e-300, 1e3, math.nan, math.inf]),
       "--grid", "dphi=" + _values([0.0, 1e-6, 0.5, 4 * PI, 50.0, 1000.0, -1.0, math.inf,
                                    math.nan]),
       "--tolerance", "1e-12", "--format", "json"],
-     1, "eee40374b7d7a97acc5a6211cabc4f580049dfdb266c77e485beb1a4ee311a82"),
+     1, "b2d9cdeff1dd0822acc3b98086103f219e8228c795c6a26a730bc0a643e1fadc"),
     ("franson_physical_none",
      ["franson", "--grid", "tau_b=" + _values(_TAU_B), *FRANSON_PHYSICAL,
       "--coincidence-window", "none"],
@@ -617,8 +623,12 @@ def test_full_scale_artifact_digests(capsys, name, argv, code, digest):
      "takes parameter 'visibility' only when model is 'quantum'"),
     ("franson", {"phi": (0.0,), "tau_b": (1e-9,)}, {},
      "takes a 'tau_b' grid only when mode is 'physical'"),
+    ("chained", {"n": ("a",)}, {}, "grid 'n': expected a list of real numbers"),
+    ("interf", {"phi": (0.0, 1.0), "dphi": (0.5, None)}, {},
+     "grid 'dphi': expected a list of real numbers"),
 ], ids=["real", "real_bool", "int", "window", "mode", "model", "required_param",
-        "required_grid", "unknown", "inapplicable_param", "inapplicable_grid"])
+        "required_grid", "unknown", "inapplicable_param", "inapplicable_grid",
+        "grid_text_chained", "grid_none_interf"])
 def test_direct_spec_is_checked_like_flags_and_config(subcommand, grids, params, message):
     with pytest.raises(ConfigError, match=message):
         run_scan(ScanSpec(subcommand=subcommand, grids=grids, params=params))
@@ -659,7 +669,8 @@ def test_config_real_parameters_take_ints_and_keep_them(tmp_path):
 
 @pytest.mark.parametrize("argv, message", [
     (["franson", "--grid", "phi=nan"], "ValueError: probability nan outside [0, 1]"),
-    (["chained", "--grid", "n=3", "--theta", "nan"], "ValueError: probability nan outside [0, 1]"),
+    (["chained", "--grid", "n=3", "--theta", "nan"],
+     "ValueError: theta must be finite and >= 0, got nan"),
     (["chained", "--grid", "n=-inf"], "ValueError: n must be an integer, got -inf"),
     (["chained", "--grid", "n=nan"], "ValueError: n must be an integer, got nan"),
     (["interf", "--grid", "phi=nan"], "ValueError: phi must be finite, got nan"),
@@ -682,6 +693,23 @@ def test_non_finite_inputs_give_error_rows(tmp_path, argv, message):
     assert row["error"] == message
     assert all(value == "" for name, value in row.items()
                if name not in ("phi", "n", "dphi", "reflection_phase", "tau_b", "error"))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["chained", "--grid", "n=2,3", "--theta", "inf"],
+     "ValueError: theta must be finite and >= 0, got inf"),
+    (["extensions", "--grid", "d=0.1,0.01", "--theta", "nan"],
+     "ValueError: theta must be finite, got nan"),
+    (["extensions", "--grid", "d=0.1,0.01", "--theta", "inf"],
+     "ValueError: theta must be finite, got inf"),
+], ids=["chained_inf", "extensions_nan", "extensions_inf"])
+def test_non_finite_theta_gives_error_rows_without_warnings(tmp_path, argv, message):
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv + ["--output", str(out)]) == 1
+    with out.open(newline="") as fh:
+        assert [row["error"] for row in csv.DictReader(fh)] == [message] * 2
 
 
 def _with_row(monkeypatch, subcommand, row):
@@ -822,14 +850,14 @@ def test_json_spec_writes_directly_given_grid_values_as_json_does(capsys, subcom
 
 
 def test_wavepacket_quadrature_stays_within_its_memory_bound():
-    """Groups longer than _WAVEPACKET_ROWS whose rows all spend the node
-    budget (dphi = 1e5): the traced peak of the block holds one call's
-    full-budget phase array and stays within 16 MiB."""
-    phi = np.linspace(0.0, 6.0, 2 * cli._WAVEPACKET_ROWS + 3)
+    """Rows of one dphi whose contrast spends the node budget (dphi = 1e5)
+    share one quadrature: the traced peak of the block holds its
+    full-budget node arrays and stays within 4 MiB."""
+    phi = np.linspace(0.0, 6.0, 35)
     points = {"phi": phi, "dphi": np.full(phi.size, 1e5)}
     spec = ScanSpec(subcommand="interf", grids={}, params={"tolerance": 1e-10})
     cli._interf_rows(spec, 0, {axis: values[:1] for axis, values in points.items()})
-    tracemalloc.start()  # after the panel layouts are memoized
+    tracemalloc.start()  # after numpy's first-call allocations
     try:
         _, errors = cli._interf_rows(spec, 0, points)
         peak = tracemalloc.get_traced_memory()[1]
@@ -837,7 +865,7 @@ def test_wavepacket_quadrature_stays_within_its_memory_bound():
         tracemalloc.stop()
     assert all(error.startswith("IntegrationError") and "after 65536 nodes" in error
                for error in errors)
-    assert 8 * cli._WAVEPACKET_ROWS * 2 ** 16 <= peak <= 16 * 2 ** 20
+    assert 8 * 2 ** 16 <= peak <= 4 * 2 ** 20
 
 
 def test_physical_block_sends_only_failing_rows_to_the_one_point_law(tmp_path):
@@ -878,31 +906,42 @@ def test_ideal_franson_visibility_column(tmp_path, visibility, cells):
     assert {row["visibility"] for row in read_rows(out)} == cells
 
 
-def test_overflowing_wavepacket_shift_is_an_error_row(tmp_path):
-    # dphi/2 - phi overflows at phi = -1.7e308, dphi = 1e308; the other rows
-    # of the block keep the bytes they have in scans of their own
-    with pytest.raises(ValueError, match="shift to a positive spectrum center overflows"):
-        _wavepacket_probabilities(-1.7e308, 1e308, 1e-10)
-    out = tmp_path / "out.csv"
-    assert main(["interf", "--grid", "phi=0,-1.7e308,3", "--grid", "dphi=0.5,1e308,0",
-                 "--output", str(out)]) == 1
-    lines = out.read_text().splitlines()
-    assert len(lines) == 10
-    failed = [line for line in lines[1:] if not line.endswith(",")]
-    center = ("ValueError: center 5e+307 must exceed bandwidth/2 (5e+307) "
-              "to keep the support positive")
-    assert failed == [
-        "0.0,1e+308,,," + center,
-        "-1.7e+308,1e+308,,,ValueError: phi -1.7e+308 lies too far below dphi/2 (5e+307): "
-        "the shift to a positive spectrum center overflows",
-        "3.0,1e+308,,," + center]
-    for line in lines[1:]:
-        if line.endswith(","):
-            phi, dphi = line.split(",")[:2]
-            one = tmp_path / "one.csv"
-            assert main(["interf", "--grid", f"phi={phi}", "--grid", f"dphi={dphi}",
-                         "--output", str(one)]) == 0
-            assert one.read_text().splitlines()[1] == line
+def _interf_rows_of(argv, tmp_path):
+    out = tmp_path / "interf.csv"
+    assert main(["interf", *argv, "--output", str(out)]) == 0
+    return read_rows(out)
+
+
+def test_wavepacket_rows_match_the_sinc_law(tmp_path):
+    """Rows with dphi > 0 of the interf_wavepacket digest and at phases far
+    beyond a turn are within 1e-15 of (1 +- sinc(dphi/2) cos(phi))/2 to 50
+    digits, at the exact binary inputs.  No phase is shifted by whole turns,
+    so phi = -1.7e308 keeps its fringe."""
+    digest = {name: argv for name, argv, _, _ in FULL_SCALE_DIGESTS}["interf_wavepacket"]
+    rows = (_interf_rows_of(digest[1:], tmp_path)
+            + _interf_rows_of(["--grid", "phi=1e17,-1e17,1e300,-1.7e308",
+                               "--grid", "dphi=0.5,3.14,20"], tmp_path))
+    assert len(rows) == 2005 + 12
+    with mpmath.workdps(50):
+        for row in rows:
+            phi, dphi = mpmath.mpf(float(row["phi"])), mpmath.mpf(float(row["dphi"]))
+            p_plus = (1 + mpmath.sinc(dphi / 2) * mpmath.cos(phi)) / 2
+            assert abs(float(row["p_plus"]) - p_plus) <= 1e-15, row
+            assert abs(float(row["p_minus"]) - (1 - p_plus)) <= 1e-15, row
+
+
+@pytest.mark.parametrize("dphi", [1e-9, 0.5, 3.14, 2 * PI, 20.0, 200.0])
+def test_wavepacket_rows_equal_probability_wavepacket_at_the_shifted_center(tmp_path, dphi):
+    """A row is the one-point law probability_wavepacket of a rectangular
+    spectrum at unit delay whose center is phi shifted by whole turns to
+    keep the support positive, to within 3e-15 for |phi| <= 10."""
+    for row in _interf_rows_of(["--grid", "phi=linspace:-10:10:201",
+                                "--grid", f"dphi={dphi!r}"], tmp_path):
+        phi = float(row["phi"])
+        turns = math.ceil((dphi / 2.0 - phi) / (2.0 * PI)) + 1
+        cfg = InterferometerConfig(1.0, Spectrum("rectangular", phi + turns * 2.0 * PI, dphi))
+        assert abs(float(row["p_plus"]) - probability_wavepacket(+1, cfg)) <= 3e-15
+        assert abs(float(row["p_minus"]) - probability_wavepacket(-1, cfg)) <= 3e-15
 
 
 def test_parser_is_built_once_and_calls_do_not_leak(tmp_path, capsys):

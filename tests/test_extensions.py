@@ -115,6 +115,12 @@ def test_find_falsifying_n_cap_guard():
         find_falsifying_N(0.5, 0.0, n_cap=100)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_find_falsifying_n_rejects_non_finite_theta(theta):
+    with pytest.raises(ValueError, match="theta must be finite"):
+        find_falsifying_N(0.1, theta=theta)
+
+
 def test_biased_marginal_model_structure():
     model = BiasedMarginalModel(base=quantum_model(), bias=0.1)
     assert model.subensemble_marginal(0) == pytest.approx((0.6, 0.4), abs=1e-12)

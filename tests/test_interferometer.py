@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,10 +17,10 @@ from bellsim.interferometer import (
     probability_wavepacket,
     quantum_detection_distribution,
     sample_events,
-    wavepacket_probabilities,
+    wavepacket_contrast,
 )
 from bellsim.spectra import IntegrationError, Spectrum
-from mp_oracles import mp_fringe
+from mp_oracles import mp_envelope, mp_fringe
 
 TWO_PI = 2.0 * math.pi
 
@@ -133,27 +134,52 @@ def test_wavepacket_stays_in_unit_interval():
 
 @pytest.mark.parametrize("bandwidth", [1e-9, 0.5, 3.14, 20.0, 700.0, 1e5])
 def test_wavepacket_rows_equal_the_one_point_law(bandwidth):
-    """Column r is probability_wavepacket(+1) at unit delay and center r, and
-    1 minus it, bit for bit; at 1e5 every quadrature runs out of nodes and
-    every column is NaN."""
-    centers = bandwidth / 2.0 + np.array([1e-6, 0.3, 1.0, 2.5, 6.0, 40.0, 1e6])
-    got = wavepacket_probabilities(centers, bandwidth)
-    assert got.shape == (2, centers.size)
-    for r, center in enumerate(centers.tolist()):
+    """The ports (1 +- c cos(center))/2 at c = wavepacket_contrast(bandwidth)
+    are probability_wavepacket(+1) and (-1) at unit delay and that center,
+    to within the rounding of the one-point law's phases center + u; at 1e5
+    both quadratures run out of nodes."""
+    centers = bandwidth / 2.0 + np.array([1e-6, 0.3, 1.0, 2.5, 6.0, 40.0])
+    if bandwidth == 1e5:
+        with pytest.raises(IntegrationError, match="after 65536 nodes"):
+            wavepacket_contrast(bandwidth)
+        with pytest.raises(IntegrationError, match="after 65536 nodes"):
+            probability_wavepacket(+1, InterferometerConfig(
+                1.0, Spectrum("rectangular", centers[0].item(), bandwidth)))
+        return
+    contrast = wavepacket_contrast(bandwidth)
+    rows = fringe_probabilities(centers, abs(contrast))
+    if contrast < 0.0:
+        rows = rows[::-1]
+    for (p_plus, p_minus), center in zip(rows.T.tolist(), centers.tolist()):
         cfg = InterferometerConfig(1.0, Spectrum("rectangular", center, bandwidth))
-        try:
-            p_plus = probability_wavepacket(+1, cfg)
-        except IntegrationError:
-            assert np.isnan(got[:, r]).all()
-        else:
-            assert [repr(p) for p in got[:, r].tolist()] == [repr(p_plus), repr(1.0 - p_plus)]
-    assert np.isnan(got).all() == (bandwidth == 1e5)
+        bound = 4e-16 + 2.2e-16 * (center + bandwidth / 2.0)
+        assert abs(p_plus - probability_wavepacket(+1, cfg)) <= bound
+        assert abs(p_minus - probability_wavepacket(-1, cfg)) <= bound
 
 
-@pytest.mark.parametrize("center", [0.25, 0.0, -1.0, math.nan, math.inf])
-def test_wavepacket_rows_reject_centers_a_spectrum_rejects(center):
-    with pytest.raises(ValueError, match="must be finite and exceed bandwidth/2"):
-        wavepacket_probabilities(np.array([3.0, center]), 0.5)
+@pytest.mark.parametrize("bandwidth", [1e-300, 2.7907623893510446e-09, 7.00523504030721e-10,
+                                       1e-6, 0.5, 3.14, TWO_PI, 3 * math.pi, 4 * math.pi,
+                                       20.0, 700.0])
+def test_wavepacket_contrast_matches_mpmath_sinc(bandwidth):
+    """sin(x)/x at x = bandwidth/2, negative between 2 pi and 4 pi, and never
+    outside [-1, 1]: at 2.79e-9 and 7.0e-10 the quadrature's sum rounds to
+    1 + 2.2e-16, and at 1e-300 to 1 - 2.2e-16."""
+    contrast = wavepacket_contrast(bandwidth)
+    assert -1.0 <= contrast <= 1.0
+    with mpmath.workdps(50):
+        assert abs(contrast - mp_envelope("rectangular", bandwidth, 1)) <= 2.3e-16
+    assert wavepacket_contrast(bandwidth, 1e-13) == pytest.approx(contrast, abs=1e-15)
+
+
+@pytest.mark.parametrize("bandwidth", [0.0, -0.0])
+def test_zero_bandwidth_has_full_contrast(bandwidth):
+    assert wavepacket_contrast(bandwidth) == 1.0
+
+
+@pytest.mark.parametrize("bandwidth", [-1.0, math.nan, math.inf])
+def test_wavepacket_contrast_rejects_bandwidths_a_spectrum_rejects(bandwidth):
+    with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+        wavepacket_contrast(bandwidth)
 
 
 def test_classify_interference():

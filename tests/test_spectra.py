@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellsim import spectra
 from bellsim.spectra import (
     PLANCK_CONSTANT,
     IntegrationError,
@@ -166,8 +165,8 @@ def test_integration_failure_reports_estimate():
 
 
 def unmemoized_integral(spectrum, f, tol):
-    """integrate_over_spectrum as it was before its panel layouts were
-    memoized: each pass builds its nodes and weights from scratch."""
+    """The reference pass of integrate_over_spectrum: each pass builds its
+    nodes and weights from scratch."""
     nodes, weights = np.polynomial.legendre.leggauss(16)
     half, center, k = spectrum.half_width, spectrum.center, spectrum.normalization
 
@@ -192,22 +191,12 @@ def unmemoized_integral(spectrum, f, tol):
     return ("failed", previous, error_estimate)
 
 
-def test_panel_layouts_are_shared_and_read_only():
-    nodes, weights = spectra._panel_layout(8)
-    assert spectra._panel_layout(8)[0] is nodes
-    assert nodes.shape == weights.shape == (8 * 16,)
-    assert not nodes.flags.writeable and not weights.flags.writeable
-    with pytest.raises(ValueError):
-        nodes[0] = 0.0
-    with pytest.raises(ValueError):
-        weights *= 2.0
-
-
 @pytest.mark.parametrize("shape", ["rectangular", "gaussian"])
 @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13, 1e-17])
 def test_memoized_quadrature_equals_the_unmemoized_pass(shape, tol):
-    """Bit for bit, including the value and estimate of a failure (the
-    optical rectangle at tol = 1e-17)."""
+    """integrate_over_spectrum equals the reference pass bit for bit,
+    including the value and estimate of a failure (the optical rectangle at
+    tol = 1e-17); the interf contrasts take their bits from it."""
     for center, bandwidth, delay in [(3.0, 0.5, 1.0), (12.0, 20.0, 1.0), (250.0, 200.0, 1.0),
                                      (2.4e15, 6.28e12, 1e-9), (0.0, 7.0, 0.3)]:
         s = Spectrum(shape=shape, center=center, bandwidth=bandwidth, signed=True)
@@ -218,61 +207,6 @@ def test_memoized_quadrature_equals_the_unmemoized_pass(shape, tol):
             got = ("failed", err.value, err.error_estimate)
         # The shortest round-trip repr tells every two floats apart.
         assert repr(got) == repr(unmemoized_integral(s, f, tol)), (center, bandwidth, delay)
-
-
-def scalar_outcome(spectrum, f, tol):
-    """The integral, or the estimate and node count of its failure, and the
-    nodes of the pass it stopped at."""
-    sizes = []
-
-    def counted(w):
-        sizes.append(w.size)
-        return f(w)
-
-    try:
-        return integrate_over_spectrum(spectrum, counted, tol), max(sizes)
-    except IntegrationError as err:
-        assert err.nodes_used == max(sizes) == 2 ** 16
-        return ("failed", err.error_estimate), max(sizes)
-
-
-@pytest.mark.parametrize("shape", ["rectangular", "gaussian"])
-@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13])
-def test_batched_integrand_equals_per_row_calls(shape, tol):
-    """Each row of an (R, n) integrand has the bits of its own one-row call,
-    whichever pass it converges at.  Rows that fail (a NaN delay, and for
-    the rectangle the longest delays, past the node budget) make the batch
-    raise; its error's value is NaN at those rows alone and keeps the other
-    rows, and each estimate is the row's own."""
-    s = Spectrum(shape=shape, center=1.5e3, bandwidth=40.0)
-    delays = np.array([0.0, 1e-3, 0.05, 0.3, 1.0, 2.5, 7.0, 31.0, 97.0, 400.0, 3e3, math.nan])
-    want, nodes = zip(*(scalar_outcome(s, lambda w, t=t: np.cos(w * t), tol) for t in delays))
-    failed = [isinstance(w, tuple) for w in want]
-    assert len(set(nodes)) >= 4  # rows converge at several passes
-    assert failed[-1] and not any(failed[:10])
-
-    def rows(w):
-        return np.cos(np.multiply.outer(delays, w))
-
-    with pytest.raises(IntegrationError) as err:
-        integrate_over_spectrum(s, rows, tol)
-    assert err.value.nodes_used == 2 ** 16
-    assert [math.isnan(v) for v in err.value.value.tolist()] == failed
-    for value, estimate, w in zip(err.value.value.tolist(),
-                                  err.value.error_estimate.tolist(), want):
-        assert repr(estimate) == repr(w[1]) if isinstance(w, tuple) else repr(value) == repr(w)
-
-    got = integrate_over_spectrum(s, lambda w: rows(w)[:10], tol)
-    assert got.shape == (10,)
-    assert [repr(v) for v in got.tolist()] == [repr(w) for w in want[:10]]
-
-
-def test_batched_failure_message_reports_the_largest_estimate():
-    s = Spectrum(shape="rectangular", center=1.5e3, bandwidth=40.0)
-    with pytest.raises(IntegrationError, match="after 65536 nodes") as err:
-        integrate_over_spectrum(s, lambda w: np.cos(np.multiply.outer([1.0, 3e3], w)), 1e-10)
-    assert f"estimated error {err.value.error_estimate[1]:.3e} > tol" in str(err.value)
-    assert err.value.error_estimate[1] > err.value.error_estimate[0]
 
 
 def test_coherence_time():
