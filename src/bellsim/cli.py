@@ -20,22 +20,17 @@ value the rows used, defaults included.  The parser is built once per
 process and shared by every :func:`main` call; a parse does not change it.
 
 Rows run in grid order on the calling thread, a block of up to
-``_BLOCK_ROWS`` grid points at a time.  A subcommand's row function takes
-the block as one float array per axis and returns output columns plus one
-error text per row.  Four row kinds run as arrays where their inputs are
-valid: the ideal Franson law, the physical one
-(``entangle.physical_joint_probabilities`` over the block's delays, with
-the window each row's ``auto`` implies), ``interf``, and ``unitarity``,
-which builds and checks each distinct splitter matrix of a block once and
-takes the port law (``measurement.outcome_probabilities``) at its rows'
-phases as one array.  An ``interf`` row is a wave packet whose fringe is
-the fringe law (``interferometer.fringe_probabilities``) at the contrast
-of its bandwidth-delay product dphi: 1 at dphi = 0, otherwise one
-quadrature (``interferometer.wavepacket_contrast``) per distinct dphi of a
-block.  Their arithmetic gives the bits of the one-point calls.  Every
-other row calls the library once per point: a row with an invalid input or
-distribution, and a physical row at which the law raises (the block is
-split in halves until such a row stands alone).
+``_BLOCK_ROWS`` grid points at a time.  Each grid axis's entry has a domain
+(finite, finite and >= 0, or an integer), checked over the block as one
+array: a row with a value outside it is an error row, "ValueError: <axis>
+must be <noun>, got <value>", naming the first such axis in table order.
+The subcommand's row function sees only the other grid points, as one
+float array per axis with their row numbers, and returns output columns
+plus one error text per row.  ``interf``, ``unitarity`` and both Franson
+modes are array laws over the block; a block whose physical law fails is
+split in halves until each failing row stands alone and takes its own
+error.  ``chained``, ``extensions`` and ``sample`` call the library once
+per row.
 
 Each block is formatted by column and written before the next one runs, so
 no artifact is held in memory whole.  A float ``repr`` is most of a cheap
@@ -135,12 +130,27 @@ _SEED = _Kind("a non-negative 64-bit integer", int,
 
 
 @dataclass(frozen=True)
+class _Domain:
+    """The values a grid axis's rows take; a row with any other value is an
+    error row, "ValueError: <axis> must be <noun>, got <value>"."""
+
+    noun: str
+    holds: Callable[[np.ndarray], np.ndarray]  # mask of the values inside
+
+
+_FINITE = _Domain("finite", np.isfinite)
+_DELAY = _Domain("finite and >= 0", lambda v: (v >= 0.0) & (v < math.inf))
+_WHOLE = _Domain("an integer", lambda v: np.isfinite(v) & (np.trunc(v) == v))
+
+
+@dataclass(frozen=True)
 class _Param:
     """One parameter or grid axis.
 
     Without a default it is required wherever it applies; ``when`` =
     (parameter, value) limits it to one mode or model, and giving it
-    anywhere else is an error.  A value above ``most`` is rejected.
+    anywhere else is an error.  A value above ``most`` is rejected.  A grid
+    axis's ``domain`` makes each row with a value outside it an error row.
     """
 
     name: str
@@ -150,6 +160,7 @@ class _Param:
     choices: tuple = ()
     when: tuple = ()
     most: float | None = None
+    domain: _Domain | None = None
 
     def check(self, value):
         try:
@@ -281,130 +292,81 @@ class _Subcommand:
     grids: tuple[_Param, ...]        # the axes it may scan
     params: tuple[_Param, ...]       # a `when` gate precedes the entries it gates
     columns: tuple[str, ...]         # output columns after the grid values
-    # row(spec, start, points) evaluates a block of grid points, one float
-    # array per axis in `points`; `start` is the index of its first row.  It
-    # returns the output columns, each with one value per row, and one error
-    # text per row; the output cells of a row with an error are left blank.
-    row: Callable[[ScanSpec, int, dict], tuple[list, list[str]]]
+    # row(spec, rows, points) evaluates grid points of a block: `rows` holds
+    # their row numbers and `points` one float array per axis, each value
+    # inside its axis's domain.  It returns the output columns, each with
+    # one value per point, and one error text per point; the output cells of
+    # a row with an error are left blank.
+    row: Callable[[ScanSpec, np.ndarray, dict], tuple[list, list[str]]]
 
 
 # What a failed row raises: its error column says so and the scan goes on.
 _ROW_ERRORS = (ValueError, KeyError, IntegrationError, extensions.FalsificationCapError)
 
 
-def _fill_points(spec: ScanSpec, point_row, start: int, points: dict, rows,
-                 columns: list, errors: list[str]) -> None:
-    """Evaluate the given rows of a block one grid point at a time.
-
-    ``point_row(spec, index, point)`` returns the output values of the row
-    at ``point`` (axis -> float), which go into ``columns``; a row error
-    goes into ``errors`` instead.
-    """
-    values = {axis: array.tolist() for axis, array in points.items()}
-    for i in rows:
-        try:
-            cells = point_row(spec, start + i, {axis: v[i] for axis, v in values.items()})
-        except _ROW_ERRORS as e:
-            errors[i] = f"{type(e).__name__}: {e}"
-        else:
-            for column, cell in zip(columns, cells):
-                column[i] = cell
+def _error_text(e: Exception) -> str:
+    return f"{type(e).__name__}: {e}"
 
 
 def _pointwise(point_row):
-    """The block row function that calls ``point_row`` at every grid point."""
-    def row(spec: ScanSpec, start: int, points: dict) -> tuple[list, list[str]]:
-        size = len(next(iter(points.values())))
+    """The block row function that calls ``point_row(spec, row, point)`` at
+    every grid point, with its row number and its value per axis; the
+    returned output values go into the columns, a row error into the error
+    column instead."""
+    def rows_of(spec: ScanSpec, rows: np.ndarray, points: dict) -> tuple[list, list[str]]:
         # NaN stands in for the cells of failed rows, which are written blank.
-        columns = [[math.nan] * size for _ in _SUBCOMMANDS[spec.subcommand].columns]
-        errors = [""] * size
-        _fill_points(spec, point_row, start, points, range(size), columns, errors)
+        columns = [[math.nan] * rows.size for _ in _SUBCOMMANDS[spec.subcommand].columns]
+        errors = [""] * rows.size
+        values = {axis: array.tolist() for axis, array in points.items()}
+        for i, row in enumerate(rows.tolist()):
+            try:
+                cells = point_row(spec, row, {axis: v[i] for axis, v in values.items()})
+            except _ROW_ERRORS as e:
+                errors[i] = _error_text(e)
+            else:
+                for column, cell in zip(columns, cells):
+                    column[i] = cell
         return columns, errors
-    return row
+    return rows_of
 
 
-def _wavepacket_ports(phi: np.ndarray, contrast: float) -> np.ndarray:
-    """The (2, M) ports (1 +- contrast*cos(phi))/2: the fringe law at
-    visibility |contrast|, with its ports swapped where the contrast is
-    negative."""
-    p = interferometer.fringe_probabilities(phi, abs(contrast))
-    return p[::-1] if contrast < 0.0 else p
-
-
-def _wavepacket_probabilities(phi: float, dphi: float, tol: float) -> tuple[float, float]:
-    """Fringe probabilities at center phase phi and bandwidth-delay product
-    dphi: a rectangular spectrum at unit delay, whose contrast
-    ``interferometer.wavepacket_contrast`` gives to ``tol``."""
-    if not 0.0 <= dphi < math.inf:
-        raise ValueError(f"dphi must be finite and >= 0, got {dphi!r}")
-    if not math.isfinite(phi):
-        raise ValueError(f"phi must be finite, got {phi!r}")
-    p_plus, p_minus = _wavepacket_ports(np.array([phi]),
-                                        interferometer.wavepacket_contrast(dphi, tol))
-    return p_plus.item(), p_minus.item()
-
-
-def _row_interf(spec: ScanSpec, index: int, point: dict) -> tuple:
-    return _wavepacket_probabilities(point["phi"], point["dphi"], spec.params["tolerance"])
-
-
-def _interf_rows(spec: ScanSpec, start: int, points: dict) -> tuple[list, list[str]]:
-    """Rows with a finite phi and a finite dphi >= 0 take the contrast of
-    their dphi, one quadrature per distinct dphi in the block, and both
-    ports of :func:`_wavepacket_ports` as one array; a contrast that does
-    not converge is the error of each of its rows.  Every other row goes
-    through :func:`_row_interf`, which reports its invalid input."""
+def _interf_rows(spec: ScanSpec, rows: np.ndarray, points: dict) -> tuple[list, list[str]]:
+    """Each distinct dphi of the block takes its contrast once and its rows
+    the ports of ``interferometer.wavepacket_ports`` as one array; a
+    contrast that does not converge is the error of each of its rows."""
     phi, dphi = points["phi"], points["dphi"]
     p = np.full((2, phi.size), math.nan)
     errors = [""] * phi.size
-    given = np.isfinite(phi) & (dphi >= 0.0) & (dphi < math.inf)
     # Float keys: -0.0 joins 0.0, whose contrast is the same 1.0.
-    for value in set(dphi[given].tolist()):
-        rows = given & (dphi == value)
+    for value in set(dphi.tolist()):
+        group = dphi == value
         try:
             contrast = interferometer.wavepacket_contrast(value, spec.params["tolerance"])
         except IntegrationError as e:
-            for i in np.flatnonzero(rows).tolist():
-                errors[i] = f"{type(e).__name__}: {e}"
+            for i in np.flatnonzero(group).tolist():
+                errors[i] = _error_text(e)
             continue
-        p[:, rows] = _wavepacket_ports(phi[rows], contrast)
-    columns = list(p)
-    _fill_points(spec, _row_interf, start, points, np.flatnonzero(~given).tolist(),
-                 columns, errors)
-    return columns, errors
+        p[:, group] = interferometer.wavepacket_ports(phi[group], contrast)
+    return list(p), errors
 
 
-def _row_unitarity(spec: ScanSpec, index: int, point: dict) -> tuple:
-    m = measurement.mach_zehnder_effective(point["reflection_phase"])
-    validation = measurement.is_valid_quantum_measurement(m, spec.params["tolerance"])
-    outcome = measurement.outcome_distribution(m, measurement.PathAmplitudes.balanced(),
-                                               point["phi"])
-    return (validation.residual, validation.valid, outcome.p_plus, outcome.p_minus,
-            outcome.total)
-
-
-def _unitarity_rows(spec: ScanSpec, start: int, points: dict) -> tuple[list, list[str]]:
+def _unitarity_rows(spec: ScanSpec, rows: np.ndarray, points: dict) -> tuple[list, list[str]]:
     """Each distinct reflection phase of the block builds and checks its
-    matrix once and takes the port law at its rows' phases as one array;
-    rows with a non-finite input go through :func:`_row_unitarity`."""
+    matrix once and takes the port law at its rows' phases as one array."""
     phase, phi = points["reflection_phase"], points["phi"]
-    residual, p = np.full(phase.size, math.nan), np.full((2, phase.size), math.nan)
-    valid = np.zeros(phase.size, dtype=bool)
-    finite = np.isfinite(phase) & np.isfinite(phi)
+    residual, p = np.empty(phase.size), np.empty((2, phase.size))
+    valid = np.empty(phase.size, dtype=bool)
     bits = phase.view(np.int64)  # which tell -0.0 from 0.0
     amplitudes = measurement.PathAmplitudes.balanced()
     # A set, not np.unique: its first call imports numpy.ma (about 2 MB).
-    for key in set(bits[finite].tolist()):
-        group = np.flatnonzero(finite & (bits == key))
+    for key in set(bits.tolist()):
+        group = np.flatnonzero(bits == key)
         m = measurement.mach_zehnder_effective(phase[group[0]].item())
         validation = measurement.is_valid_quantum_measurement(m, spec.params["tolerance"])
         residual[group] = validation.residual
         valid[group] = validation.valid
         p[:, group] = measurement.outcome_probabilities(m, amplitudes, phi[group])
-    columns, errors = [residual, valid, p[0], p[1], p[0] + p[1]], [""] * phase.size
-    _fill_points(spec, _row_unitarity, start, points, np.flatnonzero(~finite).tolist(),
-                 columns, errors)
-    return columns, errors
+    return [residual, valid, p[0], p[1], p[0] + p[1]], [""] * phase.size
 
 
 def _franson_spectra(spec: ScanSpec) -> tuple[Spectrum, Spectrum]:
@@ -414,85 +376,59 @@ def _franson_spectra(spec: ScanSpec) -> tuple[Spectrum, Spectrum]:
                      bandwidth=p["offset_bandwidth"], signed=True))
 
 
-def _franson_physical_config(spec: ScanSpec, tau_b: float) -> entangle.FransonConfig:
-    p = spec.params
-    window = p["coincidence_window"]
-    if window == "auto":
-        window = 0.5 * min(p["tau_a"], tau_b)
-    pump, photon_offset = _franson_spectra(spec)
-    return entangle.FransonConfig(pump=pump, photon_offset=photon_offset, tau_a=p["tau_a"],
-                                  tau_b=tau_b, coincidence_window=window)
-
-
-def _row_franson(spec: ScanSpec, index: int, point: dict) -> tuple:
-    if spec.params["mode"] == "ideal":
-        phase, visibility = point["phi"], spec.params["visibility"]
-        dist = entangle.ideal_joint_distribution(phase, visibility)
-    else:
-        result = entangle.physical_joint_distribution(
-            _franson_physical_config(spec, point["tau_b"])
-        )
-        dist, phase, visibility = result.distribution, result.mean_phase, result.visibility
-    return (phase, visibility, dist.p_equal, dist.p_differ, dist.p_pp, dist.p_pm,
-            dist.p_mp, dist.p_mm, entangle.marginal(dist, "A"), entangle.marginal(dist, "B"))
-
-
-def _franson_physical_block(spec: ScanSpec, tau_b: np.ndarray) -> tuple:
-    """Phase and visibility columns and (4, M) probabilities of the physical
-    law over the block, NaN at rows it does not give: a delay that no
-    ``FransonConfig`` accepts, or a row at which the law raises.
+def _franson_physical(spec: ScanSpec, tau_b: np.ndarray) -> tuple:
+    """Phase and visibility columns, (4, M) probabilities and error texts of
+    the physical law over the block, with the window each row's ``auto``
+    implies.
 
     A row's law does not depend on the other rows, so a block whose law
-    raises is split in halves until each failing row stands alone."""
+    raises, or gives an invalid distribution, is split in halves until each
+    failing row stands alone and takes its own error."""
     p = spec.params
     phase, visibility = np.full(tau_b.size, math.nan), np.full(tau_b.size, math.nan)
     probabilities = np.full((4, tau_b.size), math.nan)
-    given = np.flatnonzero((tau_b >= 0.0) & (tau_b < math.inf))
+    errors = [""] * tau_b.size
     window = p["coincidence_window"]
     if window == "auto":
-        window = 0.5 * np.minimum(p["tau_a"], tau_b[given])
+        window = 0.5 * np.minimum(p["tau_a"], tau_b)
     elif window is not None:
-        window = np.full(given.size, float(window))
-    pending = [np.arange(given.size)]
+        window = np.full(tau_b.size, float(window))
+    pending = [np.arange(tau_b.size)]
     while pending:
         part = pending.pop()
         try:
             rows = entangle.physical_joint_probabilities(
-                *_franson_spectra(spec), p["tau_a"], tau_b[given[part]],
+                *_franson_spectra(spec), p["tau_a"], tau_b[part],
                 None if window is None else window[part])
-        except ValueError:  # each failing row reports its error through the one-point law
+            probability.check_batch(rows.probabilities, "joint probabilities")
+        except ValueError as e:
             if part.size > 1:
                 pending += [part[:part.size // 2], part[part.size // 2:]]
+            else:
+                errors[part[0]] = _error_text(e)
             continue
-        phase[given[part]], visibility[given[part]] = rows.mean_phase, rows.visibility
-        probabilities[:, given[part]] = rows.probabilities
-    return phase, visibility, probabilities
+        phase[part], visibility[part] = rows.mean_phase, rows.visibility
+        probabilities[:, part] = rows.probabilities
+    return phase, visibility, probabilities, errors
 
 
-def _franson_rows(spec: ScanSpec, start: int, points: dict) -> tuple[list, list[str]]:
+def _franson_rows(spec: ScanSpec, rows: np.ndarray, points: dict) -> tuple[list, list[str]]:
     """Both modes take their law of the block as one array: the ideal fringe
-    law where the phase is finite, the physical four-path law where the
-    delay is valid.  Rows the array law leaves missing or invalid go through
-    :func:`_row_franson`."""
+    law at the phases, or the physical four-path law at the delays."""
     if spec.params["mode"] == "physical":
-        phase, visibility, p = _franson_physical_block(spec, points["tau_b"])
+        phase, visibility, p, errors = _franson_physical(spec, points["tau_b"])
     else:
         phase, visibility = points["phi"], spec.params["visibility"]
-        finite = np.isfinite(phase)
-        p = np.full((4, phase.size), math.nan)
+        errors = [""] * phase.size
         try:
-            p[:, finite] = entangle.ideal_joint_probabilities(phase[finite], visibility)
-        except ValueError:  # a visibility outside [0, 1], which every row reports
-            pass
+            p = entangle.ideal_joint_probabilities(phase, visibility)
+        except ValueError as e:  # a visibility outside [0, 1], which every row reports
+            p, errors = np.full((4, phase.size), math.nan), [_error_text(e)] * phase.size
         # A float is written once per block; an int from a config keeps its cells.
         visibility = (np.full(phase.size, visibility) if isinstance(visibility, float)
                       else [visibility] * phase.size)
     pp, pm, mp, mm = p
-    columns = [phase, visibility, pp + mm, pm + mp, pp, pm, mp, mm, pp + pm, pp + mp]
-    errors = [""] * phase.size
-    _fill_points(spec, _row_franson, start, points,
-                 np.flatnonzero(~probability.valid_columns(p)).tolist(), columns, errors)
-    return columns, errors
+    return [phase, visibility, pp + mm, pm + mp, pp, pm, mp, mm, pp + pm, pp + mp], errors
 
 
 _CHAINED_MODELS = {
@@ -503,10 +439,7 @@ _CHAINED_MODELS = {
 
 
 def _row_chained(spec: ScanSpec, index: int, point: dict) -> tuple:
-    n = point["n"]
-    if not n.is_integer():  # False for +-inf and NaN too
-        raise ValueError(f"n must be an integer, got {n!r}")
-    n = int(n)
+    n = int(point["n"])
     theta = spec.params["theta"]
     model_name = spec.params["model"]
     model = _CHAINED_MODELS[model_name](spec)
@@ -542,7 +475,7 @@ _PHYSICAL = ("mode", "physical")
 _SUBCOMMANDS: dict[str, _Subcommand] = {
     "interf": _Subcommand(
         help="fringe probabilities over phase (and bandwidth-delay) grids",
-        grids=(_Param("phi"), _Param("dphi", default=0.0)),
+        grids=(_Param("phi", domain=_FINITE), _Param("dphi", default=0.0, domain=_DELAY)),
         params=(_Param("tolerance", _TOLERANCE, "tolerance of the wave-packet quadrature "
                        "(rows with dphi > 0)", 1e-10),),
         columns=("p_plus", "p_minus"),
@@ -551,14 +484,15 @@ _SUBCOMMANDS: dict[str, _Subcommand] = {
     "unitarity": _Subcommand(
         help="cross-term residual and port probabilities of "
              "reflection-phase splitter models",
-        grids=(_Param("reflection_phase"), _Param("phi")),
+        grids=(_Param("reflection_phase", domain=_FINITE), _Param("phi", domain=_FINITE)),
         params=(_Param("tolerance", _TOLERANCE, "tolerance of the unitarity check", 1e-10),),
         columns=("residual", "valid", "p_plus", "p_minus", "total"),
         row=_unitarity_rows,
     ),
     "franson": _Subcommand(
         help="two-photon joint distributions, ideal or spectral",
-        grids=(_Param("phi", when=_IDEAL), _Param("tau_b", when=_PHYSICAL)),
+        grids=(_Param("phi", when=_IDEAL, domain=_FINITE),
+               _Param("tau_b", when=_PHYSICAL, domain=_DELAY)),
         params=(
             _Param("mode", _TEXT, "ideal fringe law or the four-path spectral model",
                    "ideal", ("ideal", "physical")),
@@ -582,7 +516,7 @@ _SUBCOMMANDS: dict[str, _Subcommand] = {
     ),
     "chained": _Subcommand(
         help="chained inequality values over a settings-count grid",
-        grids=(_Param("n", most=_MAX_CHAIN),),
+        grids=(_Param("n", most=_MAX_CHAIN, domain=_WHOLE),),
         params=(
             _Param("theta", _REAL, "total phase spread over the chain, rad", math.pi),
             _Param("model", _TEXT, "correlation model", "quantum",
@@ -605,9 +539,10 @@ _SUBCOMMANDS: dict[str, _Subcommand] = {
     ),
     "sample": _Subcommand(
         help="seeded multinomial detection counts over a phase grid",
-        grids=(_Param("phi"),),
+        grids=(_Param("phi", domain=_FINITE),),
         params=(
-            _Param("n", _INT, "runs per phase", 1_000_000),
+            # numpy's multinomial takes n as a C long
+            _Param("n", _INT, "runs per phase", 1_000_000, most=2 ** 63 - 1),
             _Param("model", _TEXT, "detection model", "quantum", tuple(sorted(_SAMPLE_MODELS))),
             _Param("seed", _SEED, "RNG seed (required)"),
         ),
@@ -676,6 +611,40 @@ def validate_spec(spec: ScanSpec) -> dict:
             if over.size:
                 axis.check_most(f"grid {axis.name!r} values", values[over[0]])
     return params
+
+
+def _evaluate(spec: ScanSpec, sub: _Subcommand, rows: np.ndarray,
+              points: dict) -> tuple[list, list[str]]:
+    """Output columns and error texts of the block's grid points.
+
+    A point with a value outside its axis's domain is an error row, which
+    names the first such axis in table order; the row function sees only
+    the other points, and its columns and errors are scattered back."""
+    errors = [""] * rows.size
+    inside = np.ones(rows.size, dtype=bool)
+    for axis in sub.grids:
+        if axis.domain is not None and axis.name in points:
+            values = points[axis.name]
+            outside = inside & ~axis.domain.holds(values)
+            for i in np.flatnonzero(outside).tolist():
+                errors[i] = (f"ValueError: {axis.name} must be {axis.domain.noun}, "
+                             f"got {values[i].item()!r}")
+            inside &= ~outside
+    if inside.all():
+        return sub.row(spec, rows, points)
+    kept = np.flatnonzero(inside)
+    # The cells of the error rows are written blank, whatever they hold.
+    columns = [np.zeros(rows.size) for _ in sub.columns]
+    if kept.size:
+        outputs, kept_errors = sub.row(spec, rows[kept],
+                                       {axis: values[kept] for axis, values in points.items()})
+        for k, values in enumerate(outputs):
+            # an array column keeps its dtype; a list column becomes an object array
+            columns[k] = np.zeros(rows.size, getattr(values, "dtype", object))
+            columns[k][kept] = values
+        for i, error in zip(kept.tolist(), kept_errors):
+            errors[i] = error
+    return columns, errors
 
 
 # ---------------------------------------------------------------------------
@@ -831,11 +800,12 @@ def run_scan(spec: ScanSpec) -> int:
     try:
         out.write(head)
         for start in range(0, rows, _BLOCK_ROWS):
-            index = np.unravel_index(np.arange(start, min(start + _BLOCK_ROWS, rows)), shape)
+            block = np.arange(start, min(start + _BLOCK_ROWS, rows))
+            index = np.unravel_index(block, shape)
             inputs = [grid[i] for grid, i in zip(grids, index)]
             points = dict(zip(spec.grids, inputs))
-            points.update((name, np.full(index[0].size, value)) for name, value in fixed.items())
-            outputs, errors = sub.row(spec, start, points)
+            points.update((name, np.full(block.size, value)) for name, value in fixed.items())
+            outputs, errors = _evaluate(spec, sub, block, points)
             failures = [i for i, error in enumerate(errors) if error]
             cells = [writer.column(values) if cached is None
                      else list(map(cached.__getitem__, i.tolist()))

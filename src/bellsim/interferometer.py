@@ -2,8 +2,9 @@
 
 Covers the fringe law (1 +- V cos(phi))/2 of the two ports, whose halves are
 the ideal Franson pair's joint law (:mod:`bellsim.entangle`); its wave-packet
-generalization by integration over a source spectrum, and the contrast
-that a rectangular spectrum gives that fringe at unit delay; classification of
+generalization, the fringe at the carrier phase with a contrast integrated
+over the spectrum's offsets from its center, and that contrast for a
+rectangular spectrum at unit delay; classification of
 the interference regime by the ratio of coherence time to a finite path
 delay; the alternative independent-detectors model (which produces double
 counts and missed counts); and seeded multinomial event sampling.  A general
@@ -119,37 +120,50 @@ def probability_monochromatic(a: int, phi: float) -> float:
     return _fringe(phi)[0 if a == 1 else 1]
 
 
+def wavepacket_ports(phi: np.ndarray, contrast: float) -> np.ndarray:
+    """The (2, M) ports (1 +- contrast*cos(phi))/2 of a wave packet at the
+    carrier phases ``phi``: the fringe law at visibility |contrast|, with
+    its ports swapped where the contrast is negative."""
+    p = fringe_probabilities(phi, abs(contrast))
+    return p[::-1] if contrast < 0.0 else p
+
+
+def _contrast(shape: str, bandwidth: float, tau: float, tol: float) -> float:
+    """Mean of cos(u*tau) over the offsets u of a spectrum from its center:
+    one quadrature over the spectrum re-centered at 0.0, to ``tol``, clamped
+    to [-1, 1] because its sum can round to 1 + 2.2e-16."""
+    offsets = Spectrum(shape=shape, center=0.0, bandwidth=bandwidth, signed=True)
+    return min(max(integrate_over_spectrum(offsets, lambda u: np.cos(u * tau), tol), -1.0), 1.0)
+
+
 def probability_wavepacket(a: int, cfg: InterferometerConfig, tol: float = 1e-10) -> float:
     """Fringe probability averaged over the source spectrum.
 
-    Equals the monochromatic law when bandwidth*delay -> 0 and washes out to
-    1/2 when a rectangular spectrum spans a full 2*pi of relative phase.
+    Every density is even about its center, so the packet's fringe is the
+    carrier's, cos(center*tau), times the contrast of the offsets from the
+    center: the port of :func:`wavepacket_ports` at the carrier phase
+    center*tau.  No phase is taken at an absolute frequency, so no digits
+    are lost as the center grows.  Equals the monochromatic law when
+    bandwidth*delay -> 0 and washes out to 1/2 when a rectangular spectrum
+    spans a full 2*pi of relative phase.
     """
     if a not in (1, -1):
         raise ValueError(f"outcome must be +1 or -1, got {a!r}")
-    tau = cfg.path_delay_tau
-    fringe = integrate_over_spectrum(cfg.source, lambda w: np.cos(w * tau), tol)
-    p = 0.5 * (1.0 + a * fringe)
-    return min(max(p, 0.0), 1.0)
+    source, tau = cfg.source, cfg.path_delay_tau
+    contrast = _contrast(source.shape, source.bandwidth, tau, tol)
+    return wavepacket_ports(np.array([source.center * tau]), contrast)[0 if a == 1 else 1].item()
 
 
 def wavepacket_contrast(bandwidth: float, tol: float = 1e-10) -> float:
     """Fringe contrast of a wave packet whose rectangular spectrum of
-    ``bandwidth`` meets a unit path delay.
-
-    It is the mean of cos(u) over the offsets u of the spectrum from its
-    center, sin(x)/x at x = bandwidth/2: one quadrature over a signed
-    spectrum centered at 0.0, to ``tol``, clamped to [-1, 1] because its sum
-    can round to 1 + 2.2e-16.  Zero bandwidth gives 1.0.  The density is
-    even about its center, so the mean of sin(u) vanishes and the packet's
-    fringe at center phase phi is the contrast times cos(phi): its ports are
-    (1 +- c cos(phi))/2, the fringe law at visibility |c| with the two ports
-    swapped where c < 0 (2*pi < bandwidth < 4*pi, for one).
+    ``bandwidth`` meets a unit path delay: the contrast of
+    :func:`probability_wavepacket`, sin(x)/x at x = bandwidth/2.  Zero
+    bandwidth gives 1.0.  It is negative where 2*pi < bandwidth < 4*pi, for
+    one, and :func:`wavepacket_ports` then swaps the two ports.
     """
     if bandwidth == 0.0:
         return 1.0
-    offsets = Spectrum(shape="rectangular", center=0.0, bandwidth=bandwidth, signed=True)
-    return min(max(integrate_over_spectrum(offsets, np.cos, tol), -1.0), 1.0)
+    return _contrast("rectangular", bandwidth, 1.0, tol)
 
 
 def classify_interference(cfg: InterferometerConfig) -> InterferenceRegime:

@@ -16,9 +16,10 @@ import pytest
 
 from bellsim import cli, entangle
 from bellsim.bell import quantum_I_closed_form
-from bellsim.cli import (ConfigError, ScanSpec, _wavepacket_probabilities, _Writer,
+from bellsim.cli import (ConfigError, ScanSpec, _Writer,
                          load_config, main, run_scan)
-from bellsim.interferometer import InterferometerConfig, probability_wavepacket
+from bellsim.interferometer import (InterferometerConfig, probability_wavepacket,
+                                    wavepacket_contrast, wavepacket_ports)
 from bellsim.spectra import Spectrum
 
 PI = math.pi
@@ -487,7 +488,9 @@ def test_csv_artifact_bytes(tmp_path, argv, expected):
 # fringe law took its concordance from cos(phi/2) (franson_ideal at pi,
 # chained_visibility at n = 2; each value moved by at most 1.1e-16).  The
 # two franson_ideal artifacts with failing rows (exit 1) were recorded
-# before rows were evaluated a grid block at a time.
+# before rows were evaluated a grid block at a time; the NaN and inf rows of
+# franson_ideal_non_finite were re-recorded when the phi grid got its domain
+# (they read "probability nan outside [0, 1]" and "math domain error").
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_JSON = [
     ("franson_ideal", ["franson", "--grid", "phi=0,1.5,3.141592653589793"], 0),
@@ -536,7 +539,9 @@ _DISTANCES = ([0.1, 1e-3, 1e-4, 3e-5, 1e-5, 1.5e-6, 1.0, 0.0, -1.0, 1.5, math.na
 # 2.4e-9 before).  The wave-packet interf rows (dphi > 0) were re-recorded
 # when they became the fringe law at one contrast per dphi (cells moved by
 # at most 1.6e-15; worst cell 8.0e-16 from the 50-digit sinc law, 1.5e-15
-# before).  The physical Franson rows for each window kind and shape, and
+# before).  The wave-packet edges were re-recorded when grid values were
+# checked against their axes' domains: its 6 rows with both phi and dphi
+# invalid name phi, the first axis, where they named dphi.  The physical Franson rows for each window kind and shape, and
 # the extensions witnesses at theta = pi and 2.5 were recorded before their
 # array and bisection paths existed.
 FULL_SCALE_DIGESTS = [
@@ -563,7 +568,7 @@ FULL_SCALE_DIGESTS = [
       "--grid", "dphi=" + _values([0.0, 1e-6, 0.5, 4 * PI, 50.0, 1000.0, -1.0, math.inf,
                                    math.nan]),
       "--tolerance", "1e-12", "--format", "json"],
-     1, "b2d9cdeff1dd0822acc3b98086103f219e8228c795c6a26a730bc0a643e1fadc"),
+     1, "c171afdcbbdaf9990d6efdfaab54ce9d51248c9ac7e44b930d4f4aca4427b538"),
     ("franson_physical_none",
      ["franson", "--grid", "tau_b=" + _values(_TAU_B), *FRANSON_PHYSICAL,
       "--coincidence-window", "none"],
@@ -645,14 +650,18 @@ def test_direct_spec_window_text_is_resolved(capsys):
 
 @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
 def test_interf_rejects_non_finite_phase_per_row(tmp_path, phi):
-    with pytest.raises(ValueError, match="phi must be finite"):
-        _wavepacket_probabilities(phi, 3.14, 1e-10)
     out = tmp_path / "out.csv"
     assert main(["interf", "--grid", f"phi=0,{phi!r},1", "--grid", "dphi=3.14",
                  "--output", str(out)]) == 1
-    rows = read_rows(out)
-    assert [row["error"] == "" for row in rows] == [True, False, True]
-    assert "phi must be finite" in rows[1]["error"]
+    with out.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["error"] for row in rows] == ["", f"ValueError: phi must be finite, got {phi!r}",
+                                              ""]
+    # the good rows are the wave-packet ports at the contrast of dphi
+    contrast = wavepacket_contrast(3.14)
+    for row in (rows[0], rows[2]):
+        ports = wavepacket_ports(np.array([float(row["phi"])]), contrast)[:, 0].tolist()
+        assert [row["p_plus"], row["p_minus"]] == list(map(repr, ports))
 
 
 def test_config_real_parameters_take_ints_and_keep_them(tmp_path):
@@ -667,42 +676,74 @@ def test_config_real_parameters_take_ints_and_keep_them(tmp_path):
     assert doc["rows"][0]["i_value"] == pytest.approx(quantum_I_closed_form(2, 3.0), abs=1e-12)
 
 
+# Each grid axis with a domain, the values of a scan that lies inside it,
+# the noun of its error text, and the values outside it to put between them
+# (None: NaN, +-inf and OUTSIDE's value for the axis).  A chained n of +inf
+# is caught earlier, by the chain budget, so that scan exits 2.
+_CHAINED_N = [2.0, 3.0, 5.0, 8.0, 13.0, 21.0, 34.0, 55.0]
+DOMAIN_CASES = [
+    (["interf", "--grid", "dphi=0.5"], "phi", None, "finite", None),
+    (["interf", "--grid", "phi=0.5"], "dphi", None, "finite and >= 0", None),
+    (["unitarity", "--grid", "phi=0.5"], "reflection_phase", None, "finite", None),
+    (["unitarity", "--grid", "reflection_phase=0.7"], "phi", None, "finite", None),
+    (["franson"], "phi", None, "finite", None),
+    (["franson", *FRANSON_PHYSICAL], "tau_b",
+     [1e-9, 1.0005e-9, 2e-9, 5e-10, 1.2e-9, 0.0, 3e-9, 9.99e-10], "finite and >= 0", None),
+    (["chained"], "n", _CHAINED_N, "an integer", None),
+    (["chained"], "n", _CHAINED_N, "an integer", [-math.inf]),
+    (["chained"], "n", _CHAINED_N, "an integer", [math.nan]),
+    (["sample", "--seed", "3", "--n", "1000"], "phi", None, "finite", None),
+]
+OUTSIDE = {"dphi": [-1.0], "tau_b": [-1.0], "n": [2.5]}
+
+
+@pytest.mark.parametrize("argv, axis, inside, noun, outside", DOMAIN_CASES,
+                         ids=["interf", "interf_dphi", "unitarity_reflection_phase",
+                              "unitarity_phi", "franson", "franson_physical_tau_b", "chained",
+                              "chained_n_minus_inf", "chained_n_nan", "sample"])
+def test_non_finite_inputs_give_error_rows(tmp_path, argv, axis, inside, noun, outside):
+    """Values outside an axis's domain (NaN, +-inf, and -1.0 for a delay or
+    2.5 for n, unless the case names its own), put between the values of a
+    scan inside it in one block, give error rows with the domain's text;
+    every other row keeps the bytes of the scan without them (the sample
+    rows keep their streams)."""
+    inside = inside or [0.0, 0.5, 1.5, 3.0, 4.5, 6.0, 2.0, 9.0]
+    if outside is None:
+        outside = ([math.nan, -math.inf] + ([] if axis == "n" else [math.inf])
+                   + OUTSIDE.get(axis, []))
+    mixed = list(inside)
+    for k, value in enumerate(outside):
+        mixed[2 * k + 1] = value
+    texts = {}
+    for name, values in (("inside", inside), ("mixed", mixed)):
+        out = tmp_path / f"{name}.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(argv + ["--grid", f"{axis}=" + _values(values), "--output", str(out)])
+        assert code == (0 if name == "inside" else 1)
+        texts[name] = out.read_text().splitlines()
+    assert len(texts["mixed"]) == len(inside) + 1
+    header = texts["mixed"][0].split(",")
+    for line, want, value in zip(texts["mixed"][1:], texts["inside"][1:], mixed):
+        if value in inside:
+            assert line == want
+            continue
+        row = dict(zip(header, next(csv.reader([line]))))
+        assert row["error"] == f"ValueError: {axis} must be {noun}, got {value!r}"
+        assert all(cell == "" for name, cell in row.items()
+                   if name not in (axis, "phi", "reflection_phase", "dphi", "error"))
+
+
 @pytest.mark.parametrize("argv, message", [
-    (["franson", "--grid", "phi=nan"], "ValueError: probability nan outside [0, 1]"),
-    (["chained", "--grid", "n=3", "--theta", "nan"],
+    (["chained", "--grid", "n=2,3", "--theta", "nan"],
      "ValueError: theta must be finite and >= 0, got nan"),
-    (["chained", "--grid", "n=-inf"], "ValueError: n must be an integer, got -inf"),
-    (["chained", "--grid", "n=nan"], "ValueError: n must be an integer, got nan"),
-    (["interf", "--grid", "phi=nan"], "ValueError: phi must be finite, got nan"),
-    (["interf", "--grid", "phi=0", "--grid", "dphi=inf"],
-     "ValueError: dphi must be finite and >= 0, got inf"),
-    (["unitarity", "--grid", "reflection_phase=nan", "--grid", "phi=0"],
-     "ValueError: reflection_phase must be finite, got nan"),
-    (["unitarity", "--grid", "reflection_phase=0", "--grid", "phi=nan"],
-     "ValueError: phi must be finite, got nan"),
-    (["franson", "--mode", "physical", "--grid", "tau_b=nan", "--pump-center", "2.4e15",
-      "--pump-bandwidth", "6.28e3", "--offset-bandwidth", "6.28e12", "--tau-a", "1e-9"],
-     "ValueError: tau_b must be finite and >= 0, got nan"),
-], ids=["franson", "chained", "chained_n_minus_inf", "chained_n_nan", "interf", "interf_dphi",
-        "unitarity_reflection_phase", "unitarity_phi", "franson_physical_tau_b"])
-def test_non_finite_inputs_give_error_rows(tmp_path, argv, message):
-    out = tmp_path / "out.csv"
-    assert main(argv + ["--output", str(out)]) == 1
-    with out.open(newline="") as fh:
-        (row,) = list(csv.DictReader(fh))
-    assert row["error"] == message
-    assert all(value == "" for name, value in row.items()
-               if name not in ("phi", "n", "dphi", "reflection_phase", "tau_b", "error"))
-
-
-@pytest.mark.parametrize("argv, message", [
     (["chained", "--grid", "n=2,3", "--theta", "inf"],
      "ValueError: theta must be finite and >= 0, got inf"),
     (["extensions", "--grid", "d=0.1,0.01", "--theta", "nan"],
      "ValueError: theta must be finite, got nan"),
     (["extensions", "--grid", "d=0.1,0.01", "--theta", "inf"],
      "ValueError: theta must be finite, got inf"),
-], ids=["chained_inf", "extensions_nan", "extensions_inf"])
+], ids=["chained_nan", "chained_inf", "extensions_nan", "extensions_inf"])
 def test_non_finite_theta_gives_error_rows_without_warnings(tmp_path, argv, message):
     out = tmp_path / "out.csv"
     with warnings.catch_warnings():
@@ -722,10 +763,10 @@ def test_scan_that_raises_outside_rows_leaves_no_file(tmp_path, monkeypatch, cap
     # The first block is written; the second raises what no row error is.
     real = cli._SUBCOMMANDS["interf"].row
 
-    def row(spec, start, points):
-        if start:
+    def row(spec, rows, points):
+        if rows[0]:
             raise RuntimeError("lost the grid")
-        return real(spec, start, points)
+        return real(spec, rows, points)
 
     _with_row(monkeypatch, "interf", row)
     out = tmp_path / "out.csv"
@@ -824,6 +865,24 @@ def test_chain_over_the_chain_budget_exits_two(tmp_path, monkeypatch, capsys, ar
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", [2 ** 63, 10 ** 20])
+def test_sample_size_beyond_a_c_long_exits_two(tmp_path, monkeypatch, capsys, n):
+    # numpy's multinomial takes n as a C long; a larger n used to fail with
+    # an OverflowError in the first row, after the header was written.
+    _with_row(monkeypatch, "sample", lambda *args: pytest.fail("a row ran"))
+    out = tmp_path / "out.csv"
+    argv = ["sample", "--grid", "phi=0,1", "--seed", "1", "--n", str(n), "--output", str(out)]
+    assert main(argv) == 2
+    assert f"'n' must be at most 9223372036854775807, got {n}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sample_size_at_its_limit_runs(capsys):
+    assert main(["sample", "--grid", "phi=0.5", "--seed", "1", "--n", str(2 ** 63 - 1)]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert sum(map(int, row[1:5])) == 2 ** 63 - 1 and row[5] == ""
+
+
 def test_budgets_admit_scans_at_their_limits():
     cli.validate_spec(ScanSpec(subcommand="chained", grids={"n": (2.0, 1e7)}))
     cli.validate_spec(ScanSpec(subcommand="extensions", grids={"d": (0.5,)},
@@ -856,10 +915,10 @@ def test_wavepacket_quadrature_stays_within_its_memory_bound():
     phi = np.linspace(0.0, 6.0, 35)
     points = {"phi": phi, "dphi": np.full(phi.size, 1e5)}
     spec = ScanSpec(subcommand="interf", grids={}, params={"tolerance": 1e-10})
-    cli._interf_rows(spec, 0, {axis: values[:1] for axis, values in points.items()})
+    cli._interf_rows(spec, np.arange(1), {axis: values[:1] for axis, values in points.items()})
     tracemalloc.start()  # after numpy's first-call allocations
     try:
-        _, errors = cli._interf_rows(spec, 0, points)
+        _, errors = cli._interf_rows(spec, np.arange(phi.size), points)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -869,27 +928,34 @@ def test_wavepacket_quadrature_stays_within_its_memory_bound():
 
 
 def test_physical_block_sends_only_failing_rows_to_the_one_point_law(tmp_path):
-    """Without a window the carrier phase overflows at tau_b = 1e300; only
-    those rows go through the one-point law, and every row equals it."""
+    """Without a window the carrier phase overflows at tau_b = 1e300.  The
+    block is split in halves until each such row stands alone and takes its
+    own error, so the law runs at most 2k*ceil(log2 B) + 1 times for k
+    failing rows in a block of B; every other row equals the one-point law
+    physical_joint_distribution bit for bit."""
     tau_b = [1e-9 * (1.0 + 1e-4 * k) for k in range(40)]
     tau_b[3] = tau_b[30] = 1e300
     tau_b[17] = 1e200  # finite carriers, no error
     out = tmp_path / "out.csv"
     spec = ScanSpec(subcommand="franson", grids={"tau_b": tuple(tau_b)},
                     params={**PHYSICAL_PARAMS, "coincidence_window": None}, output=str(out))
-    with mock.patch.object(entangle, "physical_joint_distribution",
-                           wraps=entangle.physical_joint_distribution) as one_point:
+    with mock.patch.object(entangle, "physical_joint_probabilities",
+                           wraps=entangle.physical_joint_probabilities) as law:
         assert run_scan(spec) == 1
-    assert one_point.call_count == 2
-    params = cli.validate_spec(spec)
+    assert law.call_count <= 2 * 2 * math.ceil(math.log2(len(tau_b))) + 1
+    pump = Spectrum("rectangular", 2.4e15, 6.28e3)
+    offset = Spectrum("rectangular", 0.0, 6.28e12, signed=True)
     for row, t in zip(read_rows(out), tau_b):
-        try:
-            want = [repr(v) for v in cli._row_franson(replace(spec, params=params), 0,
-                                                       {"tau_b": t})]
-        except ValueError as e:
-            assert row["error"] == f"ValueError: {e}" == "ValueError: math domain error"
-        else:
-            assert [row[c] for c in cli._SUBCOMMANDS["franson"].columns] == want
+        if t == 1e300:
+            assert row["error"] == "ValueError: math domain error"
+            continue
+        result = entangle.physical_joint_distribution(
+            entangle.FransonConfig(pump, offset, tau_a=1e-9, tau_b=t))
+        d = result.distribution
+        want = (result.mean_phase, result.visibility, d.p_equal, d.p_differ, *d.as_tuple(),
+                entangle.marginal(d, "A"), entangle.marginal(d, "B"))
+        assert [row[c] for c in cli._SUBCOMMANDS["franson"].columns] == list(map(repr, want))
+        assert row["error"] == ""
 
 
 @pytest.mark.parametrize("visibility, cells", [(1, {"1"}), (1.0, {"1.0"}), (0.25, {"0.25"})])
@@ -898,8 +964,8 @@ def test_ideal_franson_visibility_column(tmp_path, visibility, cells):
     int from a config keeps its int cells."""
     spec = ScanSpec(subcommand="franson", grids={"phi": (0.0, 1.0, 2.0)},
                     params={"visibility": visibility})
-    columns, _ = cli._franson_rows(replace(spec, params=cli.validate_spec(spec)), 0,
-                                   {"phi": np.array([0.0, 1.0, 2.0])})
+    columns, _ = cli._franson_rows(replace(spec, params=cli.validate_spec(spec)),
+                                   np.arange(3), {"phi": np.array([0.0, 1.0, 2.0])})
     assert isinstance(columns[1], np.ndarray) == isinstance(visibility, float)
     out = tmp_path / "out.csv"
     assert run_scan(replace(spec, output=str(out))) == 0

@@ -18,6 +18,7 @@ from bellsim.interferometer import (
     quantum_detection_distribution,
     sample_events,
     wavepacket_contrast,
+    wavepacket_ports,
 )
 from bellsim.spectra import IntegrationError, Spectrum
 from mp_oracles import mp_envelope, mp_fringe
@@ -134,10 +135,11 @@ def test_wavepacket_stays_in_unit_interval():
 
 @pytest.mark.parametrize("bandwidth", [1e-9, 0.5, 3.14, 20.0, 700.0, 1e5])
 def test_wavepacket_rows_equal_the_one_point_law(bandwidth):
-    """The ports (1 +- c cos(center))/2 at c = wavepacket_contrast(bandwidth)
-    are probability_wavepacket(+1) and (-1) at unit delay and that center,
-    to within the rounding of the one-point law's phases center + u; at 1e5
-    both quadratures run out of nodes."""
+    """The ports wavepacket_ports(center, c) at c = wavepacket_contrast(bandwidth),
+    which the CLI's rows are, equal probability_wavepacket(+1) and (-1) bit
+    for bit at unit delay and that center: both take the same contrast
+    quadrature and the same carrier phase.  At 1e5 both quadratures run out
+    of nodes."""
     centers = bandwidth / 2.0 + np.array([1e-6, 0.3, 1.0, 2.5, 6.0, 40.0])
     if bandwidth == 1e5:
         with pytest.raises(IntegrationError, match="after 65536 nodes"):
@@ -146,15 +148,26 @@ def test_wavepacket_rows_equal_the_one_point_law(bandwidth):
             probability_wavepacket(+1, InterferometerConfig(
                 1.0, Spectrum("rectangular", centers[0].item(), bandwidth)))
         return
-    contrast = wavepacket_contrast(bandwidth)
-    rows = fringe_probabilities(centers, abs(contrast))
-    if contrast < 0.0:
-        rows = rows[::-1]
+    rows = wavepacket_ports(centers, wavepacket_contrast(bandwidth))
     for (p_plus, p_minus), center in zip(rows.T.tolist(), centers.tolist()):
         cfg = InterferometerConfig(1.0, Spectrum("rectangular", center, bandwidth))
-        bound = 4e-16 + 2.2e-16 * (center + bandwidth / 2.0)
-        assert abs(p_plus - probability_wavepacket(+1, cfg)) <= bound
-        assert abs(p_minus - probability_wavepacket(-1, cfg)) <= bound
+        assert (p_plus, p_minus) == (probability_wavepacket(+1, cfg),
+                                     probability_wavepacket(-1, cfg))
+
+
+@pytest.mark.parametrize("center", [1e3, 1e6, 1e9])
+def test_wavepacket_keeps_its_digits_at_large_centers(center):
+    """The carrier phase center*tau is rounded once, and the contrast is an
+    integral over offsets from the center, so no digits are lost as the
+    center grows: at unit delay and bandwidth 0.5 both ports are within
+    3e-16 of (1 +- sinc(0.25) cos(center))/2 to 50 digits.  (Integrating
+    cos(w*tau) at the absolute frequencies was 9.8e-14 off at 1e6 and
+    7.9e-12 at 1e9.)"""
+    cfg = InterferometerConfig(1.0, Spectrum("rectangular", center, 0.5))
+    with mpmath.workdps(50):
+        p_plus = (1 + mpmath.sinc(mpmath.mpf(0.25)) * mpmath.cos(mpmath.mpf(center))) / 2
+        assert abs(probability_wavepacket(+1, cfg) - p_plus) <= 3e-16
+        assert abs(probability_wavepacket(-1, cfg) - (1 - p_plus)) <= 3e-16
 
 
 @pytest.mark.parametrize("bandwidth", [1e-300, 2.7907623893510446e-09, 7.00523504030721e-10,

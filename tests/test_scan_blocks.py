@@ -20,10 +20,12 @@ from hypothesis import strategies as st
 
 from bellsim import cli
 from bellsim.entangle import ideal_joint_distribution, marginal
-from bellsim.interferometer import probability_monochromatic
+from bellsim.interferometer import (fringe_probabilities, probability_monochromatic,
+                                    wavepacket_contrast)
 from bellsim.measurement import (MeasurementMatrix, PathAmplitudes,
                                  is_valid_quantum_measurement, mach_zehnder_effective,
                                  outcome_probabilities)
+from bellsim.spectra import IntegrationError
 
 PI = math.pi
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
@@ -111,16 +113,27 @@ WAVE_DPHIS = [5e-324, 1e-300, 1e-9, 0.0, 0.5, 3.14, 2 * PI, 3 * PI, 700.0, 1e308
 
 
 def wavepacket_reference(phi, dphi, tol):
-    """The row's cells as the one-point law writes them, and its error text."""
+    """The row's cells and its error text, one point at a time: an input
+    outside its domain (phi first), or the contrast's error, or the ports
+    (1 +- c cos(phi))/2 as the fringe law at |c|, swapped where c < 0."""
+    if not math.isfinite(phi):
+        return None, f"ValueError: phi must be finite, got {phi!r}"
+    if not 0.0 <= dphi < math.inf:
+        return None, f"ValueError: dphi must be finite and >= 0, got {dphi!r}"
     try:
-        p_plus, p_minus = cli._wavepacket_probabilities(phi, dphi, tol)
-    except cli._ROW_ERRORS as e:
-        return None, f"{type(e).__name__}: {e}"
+        contrast = wavepacket_contrast(dphi, tol)
+    except IntegrationError as e:
+        return None, f"IntegrationError: {e}"
+    p_plus, p_minus = fringe_probabilities(np.array([phi]), abs(contrast))[:, 0].tolist()
+    if contrast < 0.0:
+        p_plus, p_minus = p_minus, p_plus
     return [repr(p_plus), repr(p_minus)], ""
 
 
 def franson_reference(visibility):
     def evaluate(phi):
+        if not math.isfinite(phi):
+            raise ValueError(f"phi must be finite, got {phi!r}")
         d = ideal_joint_distribution(phi, visibility)
         return (phi, visibility, d.p_equal, d.p_differ, d.p_pp, d.p_pm, d.p_mp, d.p_mm,
                 marginal(d, "A"), marginal(d, "B"))
@@ -168,12 +181,13 @@ def test_ideal_franson_rows_match_the_scalar_joint_law(phis, visibility, fmt, ro
                 min_size=1, max_size=40),
        st.floats(-12.0, -6.0).map(lambda e: 10.0 ** e))
 def test_wavepacket_block_rows_equal_the_one_point_law(points, tol):
-    """Each row of a block equals _wavepacket_probabilities bit for bit, or
+    """Each row of a block equals the one-point reference bit for bit, or
     carries its error text."""
     phi, dphi = (np.array(axis, dtype=float) for axis in zip(*points))
     spec = cli.ScanSpec("interf", {}, params={"tolerance": tol})
     want = [wavepacket_reference(*point, tol) for point in points]
-    (p_plus, p_minus), errors = cli._interf_rows(spec, 0, {"phi": phi, "dphi": dphi})
+    (p_plus, p_minus), errors = cli._evaluate(spec, cli._SUBCOMMANDS["interf"],
+                                              np.arange(phi.size), {"phi": phi, "dphi": dphi})
     got = [(None if error else [repr(p_plus[i].item()), repr(p_minus[i].item())], error)
            for i, error in enumerate(errors)]
     assert got == want
