@@ -27,10 +27,11 @@ must be <noun>, got <value>", naming the first such axis in table order.
 The subcommand's row function sees only the other grid points, as one
 float array per axis with their row numbers, and returns output columns
 plus one error text per row.  ``interf``, ``unitarity`` and both Franson
-modes are array laws over the block; a block whose physical law fails is
-split in halves until each failing row stands alone and takes its own
-error.  ``chained``, ``extensions`` and ``sample`` call the library once
-per row.
+modes are array laws over the block.  A Franson law runs once per block:
+if it raises, at a fixed parameter outside its domain, every row takes
+that error, and a row whose physical law overflows is a NaN column that
+takes the probability check's text.  ``chained``, ``extensions`` and
+``sample`` call the library once per row.
 
 Each block is formatted by column and written before the next one runs, so
 no artifact is held in memory whole.  A float ``repr`` is most of a cheap
@@ -376,58 +377,43 @@ def _franson_spectra(spec: ScanSpec) -> tuple[Spectrum, Spectrum]:
                      bandwidth=p["offset_bandwidth"], signed=True))
 
 
-def _franson_physical(spec: ScanSpec, tau_b: np.ndarray) -> tuple:
-    """Phase and visibility columns, (4, M) probabilities and error texts of
-    the physical law over the block, with the window each row's ``auto``
-    implies.
-
-    A row's law does not depend on the other rows, so a block whose law
-    raises, or gives an invalid distribution, is split in halves until each
-    failing row stands alone and takes its own error."""
-    p = spec.params
-    phase, visibility = np.full(tau_b.size, math.nan), np.full(tau_b.size, math.nan)
-    probabilities = np.full((4, tau_b.size), math.nan)
-    errors = [""] * tau_b.size
-    window = p["coincidence_window"]
-    if window == "auto":
-        window = 0.5 * np.minimum(p["tau_a"], tau_b)
-    elif window is not None:
-        window = np.full(tau_b.size, float(window))
-    pending = [np.arange(tau_b.size)]
-    while pending:
-        part = pending.pop()
-        try:
-            rows = entangle.physical_joint_probabilities(
-                *_franson_spectra(spec), p["tau_a"], tau_b[part],
-                None if window is None else window[part])
-            probability.check_batch(rows.probabilities, "joint probabilities")
-        except ValueError as e:
-            if part.size > 1:
-                pending += [part[:part.size // 2], part[part.size // 2:]]
-            else:
-                errors[part[0]] = _error_text(e)
-            continue
-        phase[part], visibility[part] = rows.mean_phase, rows.visibility
-        probabilities[:, part] = rows.probabilities
-    return phase, visibility, probabilities, errors
-
-
 def _franson_rows(spec: ScanSpec, rows: np.ndarray, points: dict) -> tuple[list, list[str]]:
-    """Both modes take their law of the block as one array: the ideal fringe
-    law at the phases, or the physical four-path law at the delays."""
-    if spec.params["mode"] == "physical":
-        phase, visibility, p, errors = _franson_physical(spec, points["tau_b"])
+    """Both modes take their law of the block from one call: the ideal fringe
+    law at the phases, or the physical four-path law at the delays, with the
+    window each row's ``auto`` implies.  A law that raises (a fixed parameter
+    outside its domain) gives every row its error; a column that is not a
+    distribution (a physical row whose law overflows to NaN) gives its row
+    the text of ``check_distribution``."""
+    p, size = spec.params, rows.size
+    try:
+        if p["mode"] == "physical":
+            tau_b, window = points["tau_b"], p["coincidence_window"]
+            if window == "auto":
+                window = 0.5 * np.minimum(p["tau_a"], tau_b)
+            elif window is not None:
+                window = np.full(size, float(window))
+            law = entangle.physical_joint_probabilities(*_franson_spectra(spec), p["tau_a"],
+                                                        tau_b, window)
+            phase, visibility, probabilities = law.mean_phase, law.visibility, law.probabilities
+        else:
+            phase, visibility = points["phi"], p["visibility"]
+            probabilities = entangle.ideal_joint_probabilities(phase, visibility)
+            # A float is written once per block; an int from a config keeps its cells.
+            visibility = (np.full(size, visibility) if isinstance(visibility, float)
+                          else [visibility] * size)
+    except ValueError as e:
+        # The cells of the error rows are written blank, whatever they hold.
+        phase = visibility = np.zeros(size)
+        probabilities, errors = np.zeros((4, size)), [_error_text(e)] * size
     else:
-        phase, visibility = points["phi"], spec.params["visibility"]
-        errors = [""] * phase.size
-        try:
-            p = entangle.ideal_joint_probabilities(phase, visibility)
-        except ValueError as e:  # a visibility outside [0, 1], which every row reports
-            p, errors = np.full((4, phase.size), math.nan), [_error_text(e)] * phase.size
-        # A float is written once per block; an int from a config keeps its cells.
-        visibility = (np.full(phase.size, visibility) if isinstance(visibility, float)
-                      else [visibility] * phase.size)
-    pp, pm, mp, mm = p
+        errors = [""] * size
+        for i in np.flatnonzero(~probability.valid_columns(probabilities)).tolist():
+            try:
+                probability.check_distribution(probabilities[:, i].tolist(),
+                                               "joint probabilities")
+            except ValueError as e:
+                errors[i] = _error_text(e)
+    pp, pm, mp, mm = probabilities
     return [phase, visibility, pp + mm, pm + mp, pp, pm, mp, mm, pp + pm, pp + mp], errors
 
 

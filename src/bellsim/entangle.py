@@ -12,8 +12,10 @@ interference carries the nonlocal fringe.  The module provides
   representation of a joint distribution over setting phases,
 * the full four-path spectral model with per-pair coherence factors and
   coincidence-window post-selection, as one array law over side B's delay
-  and the window (:func:`physical_joint_probabilities`) whose one-point view
-  is :func:`physical_joint_distribution`; each factor is a product of two
+  and the window (:func:`physical_joint_probabilities`), total over the
+  rows (a row that overflows is a NaN column; only an input outside its
+  domain raises), whose one-point view is
+  :func:`physical_joint_distribution`; each factor is a product of two
   closed-form envelopes, real because every spectral density is even about
   its center, and the fringe visibility is read from the harmonic of a
   phase on one long arm, with no quadrature,
@@ -30,7 +32,6 @@ Everything is a pure function of its inputs.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -105,14 +106,10 @@ class FransonConfig:
     coincidence_window: float | None = None
 
     def __post_init__(self):
-        for name in ("tau_a", "tau_b"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-        window = self.coincidence_window
-        if window is not None and not 0.0 <= window < math.inf:
-            raise ValueError(f"coincidence window must be finite and >= 0 or None, "
-                             f"got {window!r}")
+        _check_delays("tau_a", self.tau_a)
+        _check_delays("tau_b", self.tau_b)
+        if self.coincidence_window is not None:
+            _check_delays("coincidence window", self.coincidence_window)
 
 
 @dataclass(frozen=True)
@@ -292,8 +289,9 @@ class FransonRows:
     """The four-path model at M side-B delays, one column per delay.
 
     ``probabilities`` is the (4, M) array (pp, pm, mp, mm), clamped at 0 but
-    not validated; ``kept`` is the (4, M) mask of the path classes (ll, ss,
-    ls, sl) that survive post-selection.
+    not validated (a row whose law overflows is a NaN column); ``kept`` is
+    the (4, M) mask of the path classes (ll, ss, ls, sl) that survive
+    post-selection.
     """
 
     probabilities: np.ndarray
@@ -302,7 +300,8 @@ class FransonRows:
     kept: np.ndarray
 
 
-def _check_delays(name: str, values: np.ndarray) -> None:
+def _check_delays(name: str, values) -> None:
+    values = np.asarray(values, dtype=float).reshape(-1)
     bad = ~((values >= 0.0) & (values < math.inf))
     if bad.any():
         raise ValueError(f"{name} must be finite and >= 0, got {values[bad][0].item()!r}")
@@ -328,17 +327,27 @@ def physical_joint_probabilities(
     p(chi) = const + Re(h exp(i chi)), and the visibility is
     |h_pp + h_mm| / (const_pp + const_mm).
 
-    Each row gets the bits of the one-point evaluation: carriers and
-    envelopes are the scalar ``cmath``/``math`` functions at the rows that
-    keep their class or pair, complex products are written out in real
-    arithmetic as Python rounds them, the modulus is libm ``hypot`` as for
-    ``abs`` of a complex, sums keep the class and pair order, and each row's
-    normalization is the builtin ``sum`` of its four entries.
-    A dropped class or pair adds nothing.  Delays and windows must be finite
-    and >= 0.
+    Each row gets the bits of the scalar law in Python complex arithmetic.
+    A carrier exp(i x) is numpy's ``cos`` and ``sin`` of x, which round as
+    libm's do (and so as ``cmath.exp``) and give NaN, not an error, where x
+    overflows.  The envelopes keep libm's bits too: the rectangle's is
+    numpy's ``sin``, the gaussian's maps libm ``exp`` over the elements,
+    since numpy's float64 ``exp`` differs from libm's in the last bit at
+    some arguments.  Complex products are written out in real arithmetic as
+    Python rounds them, the modulus is libm ``hypot`` as for ``abs`` of a
+    complex, sums keep the class and pair order, and each row's
+    normalization adds its four entries left to right (the builtin ``sum``
+    compensates from Python 3.12 on).
+    A dropped class or pair adds nothing: its terms are masked out.
+
+    No row's arithmetic raises: a row whose carrier phase or envelope
+    argument overflows is a NaN column, which the caller's validity check
+    rejects.  Only inputs outside their domains raise: delays and windows
+    must be finite and >= 0, and the offset center below half the pump
+    center.
     """
     tau_b = np.asarray(tau_b, dtype=float)
-    _check_delays("tau_a", np.array([tau_a], dtype=float))
+    _check_delays("tau_a", tau_a)
     _check_delays("tau_b", tau_b)
     if window is not None:
         window = np.asarray(window, dtype=float)
@@ -354,13 +363,12 @@ def physical_joint_probabilities(
             for name, (ta, tb) in delays.items()}
 
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as floats give them
-        # Carrier phase factor of each class at the center frequencies.
+        # Carrier phase factor (real, imaginary) of each class at the center
+        # frequencies.
         carrier = {}
         for name, (ta, tb) in delays.items():
-            rows = np.flatnonzero(kept[name])
-            z = np.zeros(tau_b.shape, dtype=complex)
-            z[rows] = [cmath.exp(1j * x) for x in (w_a * ta[rows] + w_b * tb[rows]).tolist()]
-            carrier[name] = (z.real, z.imag)
+            x = w_a * ta + w_b * tb
+            carrier[name] = (np.cos(x), np.sin(x))
 
         # Classes u and v differ in phase by alpha*w + beta*w_off, with
         # alpha = (d_a + d_b)/2 and beta = d_a - d_b from the arm-delay
@@ -368,40 +376,32 @@ def physical_joint_probabilities(
         const = sum(np.where(kept[name], _POPULATIONS[name], 0.0) for name in _CLASSES)
         h_re, h_im = np.zeros(const.shape), np.zeros(const.shape)
         for u, v, step, a_re, a_im in _PAIRS:
-            rows = np.flatnonzero(kept[u] & kept[v])
-            if not rows.size:
-                continue
-            d_a = (delays[u][0] - delays[v][0])[rows].tolist()
-            d_b = (delays[u][1] - delays[v][1])[rows].tolist()
-            factor = 2.0 * np.array([pump.envelope(0.5 * (da + db))
-                                     * photon_offset.envelope(da - db)
-                                     for da, db in zip(d_a, d_b)], dtype=float)
-            u_re, u_im = carrier[u][0][rows], carrier[u][1][rows]
-            v_re, v_im = carrier[v][0][rows], -carrier[v][1][rows]  # conjugated
+            both = kept[u] & kept[v]
+            d_a = delays[u][0] - delays[v][0]
+            d_b = delays[u][1] - delays[v][1]
+            factor = 2.0 * (pump.envelope(0.5 * (d_a + d_b)) * photon_offset.envelope(d_a - d_b))
+            u_re, u_im = carrier[u]
+            v_re, v_im = carrier[v][0], -carrier[v][1]  # conjugated
             # (a * carrier_u) * conj(carrier_v), as complex products round
             b_re = a_re * u_re - a_im * u_im
             b_im = a_re * u_im + a_im * u_re
             cross_re = b_re * v_re - b_im * v_im
             cross_im = b_re * v_im + b_im * v_re
             if step == 0:
-                const[:, rows] += factor * cross_re
+                const += np.where(both, factor * cross_re, 0.0)
             else:
-                h_re[:, rows] += factor * cross_re
-                h_im[:, rows] += step * (factor * cross_im)  # conjugated when step < 0
+                h_re += np.where(both, factor * cross_re, 0.0)
+                # conjugated when step < 0
+                h_im += np.where(both, step * (factor * cross_im), 0.0)
 
         raw = const + h_re
-        weight = np.array([sum(column) for column in raw.T.tolist()], dtype=float)
-        q = raw / weight
-        probabilities = np.where(0.0 > q, 0.0, q)
+        q = raw / (raw[0] + raw[1] + raw[2] + raw[3])
         equal = const[0] + const[3]
         modulus = np.hypot(h_re[0] + h_re[3], h_im[0] + h_im[3])
-        visibility = np.zeros(tau_b.shape)
-        positive = equal > 0.0
-        visibility[positive] = modulus[positive] / equal[positive]
-        mean_phase = w_a * tau_a + w_b * tau_b
-
-    return FransonRows(probabilities=probabilities, visibility=visibility,
-                       mean_phase=mean_phase, kept=np.array([kept[name] for name in _CLASSES]))
+        return FransonRows(probabilities=np.where(0.0 > q, 0.0, q),
+                           visibility=np.where(equal > 0.0, modulus / equal, 0.0),
+                           mean_phase=w_a * tau_a + w_b * tau_b,
+                           kept=np.array([kept[name] for name in _CLASSES]))
 
 
 def physical_joint_distribution(cfg: FransonConfig) -> FransonResult:

@@ -123,9 +123,9 @@ class Spectrum:
         x = offset / self.bandwidth
         return np.exp(-4.0 * math.log(2.0) * x * x)
 
-    def envelope(self, gamma: float) -> float:
+    def envelope(self, gamma) -> np.ndarray:
         """K * integral of cos(gamma*(w - center)) against the density, in
-        closed form.
+        closed form, at every element of the array ``gamma``.
 
         The rectangle gives sin(x)/x with x = gamma*bandwidth/2, and 1.0 at
         x = 0.  The gaussian gives exp(-gamma^2 bandwidth^2 / (16 ln 2)), the
@@ -134,12 +134,22 @@ class Spectrum:
         which changes nothing at double precision.  Both densities are even
         about the center, so the matching sine integral is zero and the
         envelope is real and exactly even in gamma.
+
+        Each element has the bits of the scalar ``math`` formula: numpy's
+        float64 ``sin`` rounds as libm's does, but its float64 ``exp`` is a
+        SIMD kernel that differs from libm's in the last bit at some
+        arguments, so the gaussian maps libm ``exp`` over the elements.  An
+        argument that overflows gives NaN (rectangle) or 0.0 (gaussian),
+        without a warning.
         """
-        if self.shape is SpectrumShape.RECTANGULAR:
-            x = 0.5 * gamma * self.bandwidth
-            return math.sin(x) / x if x else 1.0
-        g = gamma * self.bandwidth
-        return math.exp(-g * g / (16.0 * math.log(2.0)))
+        gamma = np.asarray(gamma, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.shape is SpectrumShape.RECTANGULAR:
+                x = 0.5 * gamma * self.bandwidth
+                return np.where(x == 0.0, 1.0, np.sin(x) / x)
+            g = gamma * self.bandwidth
+            arg = -g * g / (16.0 * math.log(2.0))
+        return np.fromiter(map(math.exp, arg.ravel().tolist()), float, arg.size).reshape(arg.shape)
 
 
 def coherence_time(spectrum: Spectrum) -> float:

@@ -515,10 +515,11 @@ def _values(values) -> str:
 
 
 # Side-B delays of the physical Franson digests: 0, -0.0 and tau_a itself,
-# windows' edges (0.5, 0.6, 1.5, 1.6 ns), delays whose carrier phase or
-# envelope argument overflows (1e200, 1e300), three invalid ones, a 1 001-point
-# ps-scale mismatch sweep and a 301-point sweep over 0..3 ns; 1 315 rows, so
-# the scan crosses a block edge.
+# windows' edges (0.5, 0.6, 1.5, 1.6 ns), a delay far past every coherence
+# time (1e200) and one whose carrier phase and envelope arguments overflow
+# without a window (1e300: a NaN column, "probability nan outside [0, 1]"),
+# three invalid ones, a 1 001-point ps-scale mismatch sweep and a 301-point
+# sweep over 0..3 ns; 1 315 rows, so the scan crosses a block edge.
 _TAU_B = ([0.0, -0.0, 1e-9, 5e-10, 6e-10, 1.5e-9, 1.6e-9, 2e-9, 1e200, 1e300,
            -1e-9, math.nan, math.inf]
           + [1e-9 * (1.0 + 2e-3 * (k / 500 - 1.0)) for k in range(1001)]
@@ -541,9 +542,13 @@ _DISTANCES = ([0.1, 1e-3, 1e-4, 3e-5, 1e-5, 1.5e-6, 1.0, 0.0, -1.0, 1.5, math.na
 # at most 1.6e-15; worst cell 8.0e-16 from the 50-digit sinc law, 1.5e-15
 # before).  The wave-packet edges were re-recorded when grid values were
 # checked against their axes' domains: its 6 rows with both phi and dphi
-# invalid name phi, the first axis, where they named dphi.  The physical Franson rows for each window kind and shape, and
-# the extensions witnesses at theta = pi and 2.5 were recorded before their
-# array and bisection paths existed.
+# invalid name phi, the first axis, where they named dphi.  The physical
+# Franson rows for each window kind and shape, and the extensions witnesses
+# at theta = pi and 2.5, were recorded before their array and bisection
+# paths existed.  franson_physical_none was re-recorded when the physical
+# law became total array arithmetic: its one row whose law overflows
+# (tau_b = 1e300) reads "probability nan outside [0, 1]", where it read
+# "math domain error"; no other cell changed.
 FULL_SCALE_DIGESTS = [
     ("unitarity",
      ["unitarity",
@@ -572,7 +577,7 @@ FULL_SCALE_DIGESTS = [
     ("franson_physical_none",
      ["franson", "--grid", "tau_b=" + _values(_TAU_B), *FRANSON_PHYSICAL,
       "--coincidence-window", "none"],
-     1, "0a610c92389556dfe45bd5198c381257e705e04ecdc83fbe1754c81e7ac8e687"),
+     1, "dc1d381fec0eca6e3a4940f6aaf3aebe396227a798ac46191774810cd8b2f8ea"),
     ("franson_physical_auto_json",
      ["franson", "--grid", "tau_b=" + _values(_TAU_B), *FRANSON_PHYSICAL, "--format", "json"],
      1, "3ee3d4d24931c9569f44d33712535cc78a0147a3308a8ce5255c339048bd7aeb"),
@@ -927,11 +932,36 @@ def test_wavepacket_quadrature_stays_within_its_memory_bound():
     assert 8 * 2 ** 16 <= peak <= 4 * 2 ** 20
 
 
-def test_physical_block_sends_only_failing_rows_to_the_one_point_law(tmp_path):
-    """Without a window the carrier phase overflows at tau_b = 1e300.  The
-    block is split in halves until each such row stands alone and takes its
-    own error, so the law runs at most 2k*ceil(log2 B) + 1 times for k
-    failing rows in a block of B; every other row equals the one-point law
+@pytest.mark.parametrize("argv, error", [
+    (["--coincidence-window", "-1"], "coincidence window must be finite and >= 0, got -1.0"),
+    (["--offset-center", "2e15"],
+     "offset 2000000000000000.0 must satisfy |offset| < pump/2 = 1200000000000000.0: "
+     "a down-converted frequency would be negative"),
+    (["--tau-a", "-1"], "tau_a must be finite and >= 0, got -1.0"),
+    (["--pump-bandwidth", "-1"], "bandwidth must be positive and finite, got -1.0"),
+], ids=["window", "offset_center", "tau_a", "pump_bandwidth"])
+def test_fixed_parameter_failure_runs_the_physical_law_once_per_block(tmp_path, argv, error):
+    """A fixed parameter outside its domain fails every row: each block of a
+    3 000-row scan builds both spectra once and calls the law once (none
+    when a spectrum is invalid), and every row carries the same text."""
+    out = tmp_path / "out.csv"
+    with mock.patch.object(cli, "_franson_spectra", wraps=cli._franson_spectra) as spectra, \
+            mock.patch.object(entangle, "physical_joint_probabilities",
+                              wraps=entangle.physical_joint_probabilities) as law:
+        assert main(["franson", *FRANSON_PHYSICAL, *argv, "--grid",
+                     "tau_b=linspace:1e-9:2e-9:3000", "--output", str(out)]) == 1
+    assert spectra.call_count == 3
+    assert law.call_count == (0 if argv[0] == "--pump-bandwidth" else 3)
+    with out.open(newline="") as f:
+        errors = [row["error"] for row in csv.DictReader(f)]
+    assert len(errors) == 3000 and set(errors) == {f"ValueError: {error}"}
+
+
+def test_physical_rows_that_overflow_take_the_probability_check_text(tmp_path):
+    """Without a window the carrier phase and the envelope arguments overflow
+    at tau_b = 1e300: the law runs once for the block and those rows are NaN
+    columns, which read the probability check's text; every other row, 1e200
+    (finite carriers) included, equals the one-point law
     physical_joint_distribution bit for bit."""
     tau_b = [1e-9 * (1.0 + 1e-4 * k) for k in range(40)]
     tau_b[3] = tau_b[30] = 1e300
@@ -942,12 +972,14 @@ def test_physical_block_sends_only_failing_rows_to_the_one_point_law(tmp_path):
     with mock.patch.object(entangle, "physical_joint_probabilities",
                            wraps=entangle.physical_joint_probabilities) as law:
         assert run_scan(spec) == 1
-    assert law.call_count <= 2 * 2 * math.ceil(math.log2(len(tau_b))) + 1
+    assert law.call_count == 1
     pump = Spectrum("rectangular", 2.4e15, 6.28e3)
     offset = Spectrum("rectangular", 0.0, 6.28e12, signed=True)
-    for row, t in zip(read_rows(out), tau_b):
+    with out.open(newline="") as f:
+        rows = list(csv.DictReader(f))
+    for row, t in zip(rows, tau_b):
         if t == 1e300:
-            assert row["error"] == "ValueError: math domain error"
+            assert row["error"] == "ValueError: probability nan outside [0, 1]"
             continue
         result = entangle.physical_joint_distribution(
             entangle.FransonConfig(pump, offset, tau_a=1e-9, tau_b=t))

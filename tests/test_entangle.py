@@ -83,8 +83,8 @@ def test_downconverted_degenerate_and_sum_exact():
     ("tau_a", math.nan, "tau_a must be finite and >= 0, got nan"),
     ("tau_b", math.inf, "tau_b must be finite and >= 0, got inf"),
     ("tau_b", -1e-9, "tau_b must be finite and >= 0, got -1e-09"),
-    ("coincidence_window", math.nan, "coincidence window must be finite and >= 0 or None"),
-    ("coincidence_window", math.inf, "coincidence window must be finite and >= 0 or None"),
+    ("coincidence_window", math.nan, "coincidence window must be finite and >= 0, got nan"),
+    ("coincidence_window", math.inf, "coincidence window must be finite and >= 0, got inf"),
 ])
 def test_franson_config_rejects_non_finite_delays_and_window(field, value, message):
     delays = {"tau_a": 1e-9, "tau_b": 1e-9, "coincidence_window": None, field: value}

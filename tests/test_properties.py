@@ -3,6 +3,7 @@ the witness scan."""
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from bellsim.interferometer import _fringe, fringe_probabilities
 from bellsim.measurement import (MeasurementMatrix, PathAmplitudes, is_valid_quantum_measurement,
                                  outcome_distribution)
 from bellsim.probability import valid_columns
-from bellsim.spectra import Spectrum
+from bellsim.spectra import Spectrum, SpectrumShape
 
 PI = math.pi
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -193,6 +194,60 @@ def test_cap_error_reports_the_bound_at_the_cap():
                               f"{1.5 * quantum_I_closed_form(10 ** 6, PI)!r}")
 
 
+def scalar_envelope(spectrum: Spectrum, gamma: float) -> float:
+    """Oracle: the closed-form envelope at one point, with libm's sin and exp
+    (math.sin raises where the rectangle's argument overflows)."""
+    if spectrum.shape is SpectrumShape.RECTANGULAR:
+        x = 0.5 * gamma * spectrum.bandwidth
+        return math.sin(x) / x if x else 1.0
+    g = gamma * spectrum.bandwidth
+    return math.exp(-g * g / (16.0 * math.log(2.0)))
+
+
+envelope_arguments = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-9, 1.0, 1e300, -1e300, math.inf, -math.inf, math.nan]),
+    st.floats(-1e3, 1e3),
+    st.floats(allow_nan=False),
+)
+
+
+@PROPERTY
+@given(st.lists(envelope_arguments, min_size=1, max_size=40),
+       st.sampled_from(["rectangular", "gaussian"]),
+       st.sampled_from([1e-3, 6.28e3, 6.28e12]))
+def test_envelope_over_an_array_has_the_scalar_bits(gammas, shape, bandwidth):
+    """Spectrum.envelope gives each element of an array the bits of
+    math.sin(x)/x or math.exp at it, keeps the array's shape, and is NaN
+    where the rectangle's argument overflows (math.sin raises there), with
+    no RuntimeWarning."""
+    spectrum = Spectrum(shape, 0.0, bandwidth, signed=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = spectrum.envelope(np.array(gammas).reshape(1, -1))
+    assert got.shape == (1, len(gammas))
+    for gamma, value in zip(gammas, got[0].tolist()):
+        try:
+            want = scalar_envelope(spectrum, gamma)
+        except ValueError:
+            assert math.isnan(value), gamma
+            continue
+        assert bits([value]) == bits([want]), gamma
+
+
+@pytest.mark.parametrize("shape", ["rectangular", "gaussian"])
+def test_overflowing_rows_of_the_law_are_nan_columns_without_warnings(shape):
+    """Without a window the law overflows at tau_b = 1e294 (carrier phase)
+    and 1e300 (envelope arguments too): those columns are NaN, the other
+    rows are distributions, and no RuntimeWarning escapes."""
+    pump = Spectrum(shape, 2.4e15, 6.28e3)
+    offset = Spectrum(shape, 0.0, 6.28e12, signed=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rows = physical_joint_probabilities(pump, offset, TAU_A, np.array([TAU_A, 1e294, 1e300]))
+    assert np.isnan(rows.probabilities[:, 1:]).all()
+    assert valid_columns(rows.probabilities).tolist() == [True, False, False]
+
+
 def pointwise_physical(cfg: FransonConfig) -> tuple:
     """Oracle: the scalar four-path law the array law replaced, in plain
     Python complex arithmetic; (probabilities, visibility, kept classes)."""
@@ -210,8 +265,8 @@ def pointwise_physical(cfg: FransonConfig) -> tuple:
         for v in kept[i + 1:]:
             d_a = delays[u][0] - delays[v][0]
             d_b = delays[u][1] - delays[v][1]
-            coherence = (cfg.pump.envelope(0.5 * (d_a + d_b))
-                         * cfg.photon_offset.envelope(d_a - d_b))
+            coherence = (scalar_envelope(cfg.pump, 0.5 * (d_a + d_b))
+                         * scalar_envelope(cfg.photon_offset, d_a - d_b))
             step = _CLASSES[u][0] - _CLASSES[v][0]
             for k, (cu, cv) in enumerate(zip(_CLASS_COEFFS[u], _CLASS_COEFFS[v])):
                 term = 2.0 * coherence * (cu * cv.conjugate() * carrier[u]
@@ -221,7 +276,7 @@ def pointwise_physical(cfg: FransonConfig) -> tuple:
                 else:
                     harmonic[k] += term if step > 0 else term.conjugate()
     raw = [c + h.real for c, h in zip(const, harmonic)]
-    weight = sum(raw)
+    weight = raw[0] + raw[1] + raw[2] + raw[3]  # left to right, which sum() is not from 3.12
     equal = const[0] + const[3]
     visibility = abs(harmonic[0] + harmonic[3]) / equal if equal > 0.0 else 0.0
     return [max(p / weight, 0.0) for p in raw], visibility, tuple(kept)
@@ -229,10 +284,13 @@ def pointwise_physical(cfg: FransonConfig) -> tuple:
 
 TAU_A = 1e-9
 # Side-B delays: 0 and -0.0, tau_a and the edges of the auto window, a
-# delay far past every coherence time, the ps-scale mismatches where the
-# fringe washes out, and anything up to 3 ns.
+# delay far past every coherence time, delays whose carrier phase overflows
+# (1e294) and whose envelope arguments overflow too (1e300), where a kept
+# class makes the column NaN and the one-point view raise, the ps-scale
+# mismatches where the fringe washes out, and anything up to 3 ns.
 side_b_delays = st.one_of(
-    st.sampled_from([0.0, -0.0, TAU_A, 0.5 * TAU_A, 1.5 * TAU_A, 2 * TAU_A, 1e200]),
+    st.sampled_from([0.0, -0.0, TAU_A, 0.5 * TAU_A, 1.5 * TAU_A, 2 * TAU_A, 1e200,
+                     1e294, 1e300]),
     st.floats(TAU_A * (1 - 2e-3), TAU_A * (1 + 2e-3)),
     st.floats(0.0, 3 * TAU_A),
 )
