@@ -299,9 +299,16 @@ def test_visibility_degrades_quantum_value():
 
 
 def test_i_value_is_the_fsum_of_its_contributions():
-    # fsum is correctly rounded, so summing the list or the array elements
-    # gives the same bits
-    for n in (*range(2, 401), 10 ** 5):
-        for model in (quantum_model(), quantum_model(0.9)):
-            result = chained_I(model, ChainedConfig(n=n, theta=PI))
-            assert result.i_value == math.fsum(iter(result.contributions)), n
+    # fsum is correctly rounded, so summing the batches' exact partials, the
+    # list or the array elements gives the same bits.  BATCH // 2 settings
+    # fill one batch exactly, one more leaves a 2-term second batch; theta = 0
+    # makes every adjacent term zero; the strategy's terms are 0 and 1.
+    rng = np.random.default_rng(20)
+    for n in (*range(2, 401), BATCH // 2, BATCH // 2 + 1, 10 ** 5):
+        cfg = ChainedConfig(n=n, theta=PI)
+        strategy = deterministic_strategy_model(rng.choice((1, -1), 2 * n).tolist(), cfg)
+        for model, theta in ((quantum_model(), PI), (quantum_model(0.9), PI),
+                             (quantum_model(), 0.0), (pr_box_model(), PI),
+                             (suppressed_nonlocality_model(), PI), (strategy, PI)):
+            result = chained_I(model, ChainedConfig(n=n, theta=theta))
+            assert result.i_value == math.fsum(iter(result.contributions)), (model.name, n, theta)

@@ -4,6 +4,7 @@ the witness scan."""
 import cmath
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from bellsim.bell import (
     ChainedConfig,
+    _exact_partials,
     deterministic_strategy_model,
     pr_box_model,
     quantum_I_closed_form,
@@ -43,13 +45,22 @@ def bits(values) -> list[int]:
     return np.where(np.isnan(a), math.nan, a).view(np.int64).tolist()
 
 
-fringe_phases = st.one_of(st.sampled_from([0.0, -0.0, PI, -PI, 3 * PI, 1e6, math.nan]),
-                          st.floats(-4 * PI, 4 * PI))
+# Phase ranges with their anchors: where both half-angle branches occur,
+# where cos(phi) > 1/2 cannot hold, where cos(phi) < -1/2 cannot, and where
+# neither can, so a draw may leave one branch or both empty; and the edges
+# of the branches, cos(phi) = 1/2 at pi/3 and -1/2 at 2pi/3.
+FRINGE_RANGES = ((-4 * PI, 4 * PI, (0.0, -0.0, PI, -PI, 3 * PI, 1e6, math.nan)),
+                 (1.1, 5.1, (PI, math.nan)),
+                 (-2.0, 2.0, (0.0, -0.0, math.nan)),
+                 (1.1, 2.0, (math.nan,)),
+                 (0.9, 1.2, (PI / 3,)),
+                 (1.9, 2.3, (2 * PI / 3,)))
+fringe_phase_lists = st.sampled_from(FRINGE_RANGES).flatmap(
+    lambda r: st.lists(st.one_of(st.sampled_from(r[2]), st.floats(r[0], r[1])), max_size=40))
 
 
 @PROPERTY
-@given(st.lists(fringe_phases, min_size=1, max_size=40),
-       st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+@given(fringe_phase_lists, st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
 def test_fringe_law_has_one_value_and_the_pair_law_is_its_half(phis, visibility):
     batch = fringe_probabilities(np.array(phis), visibility)
     pair = ideal_joint_probabilities(np.array(phis), visibility)
@@ -57,10 +68,35 @@ def test_fringe_law_has_one_value_and_the_pair_law_is_its_half(phis, visibility)
     for m, phi in enumerate(phis):
         ports = _fringe(phi, visibility)
         assert bits(ports) == bits(batch[:, m]), phi
+        # a 0-d phase keeps its shape: one (2,) pair of ports
+        assert bits(fringe_probabilities(np.float64(phi), visibility)) == bits(ports), phi
         if not math.isnan(phi):
             equal, differ = ports
             assert bits(ideal_joint_distribution(phi, visibility).as_tuple()) == bits(
                 [0.5 * equal, 0.5 * differ, 0.5 * differ, 0.5 * equal])
+
+
+# Doubles with exponents from -1074 to 1 and both signs, zeros and the
+# smallest subnormal and normal, in runs of equal values.
+summands = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -2.0]),
+    st.builds(lambda sign, m, e: sign * math.ldexp(m, e), st.sampled_from([1.0, -1.0]),
+              st.floats(1.0, 2.0, exclude_max=True), st.integers(-1074, 1)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(summands, st.integers(1, 1000)), min_size=1, max_size=40))
+def test_exact_partials_sum_to_the_exact_sum(runs):
+    xs = [x for x, count in runs for _ in range(count)][:5000]
+    partials = _exact_partials(np.array(xs))
+    assert exact_sum(partials) == exact_sum(xs)
+    assert math.fsum(partials) == float(exact_sum(xs)) == math.fsum(xs)
+
+
+def exact_sum(values) -> Fraction:
+    """The exact sum of finite doubles, each a multiple of 2^-1074."""
+    scale = 1 << 1074
+    return Fraction(sum(n * (scale // d) for n, d in map(float.as_integer_ratio, values)), scale)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
