@@ -351,36 +351,23 @@ def _interf_rows(spec: ScanSpec, rows: np.ndarray, points: dict) -> tuple[list, 
     return list(p), errors
 
 
-_BALANCED = measurement.PathAmplitudes.balanced()
-
-
-@functools.lru_cache(maxsize=1024)
-def _splitter(bits: int, tolerance: float) -> tuple[np.ndarray, float, bool]:
-    """Port-law coefficients, residual and validity of the reflection phase
-    whose float64 bits are ``bits`` (which tell -0.0 from 0.0)."""
-    m = measurement.mach_zehnder_effective(np.int64(bits).view(float).item())
-    validation = measurement.is_valid_quantum_measurement(m, tolerance)
-    coefficients = measurement.port_coefficients(m, _BALANCED)
-    coefficients.flags.writeable = False  # shared by every block that reads the phase
-    return coefficients, validation.residual, validation.valid
-
-
 def _unitarity_rows(spec: ScanSpec, rows: np.ndarray, points: dict) -> tuple[list, list[str]]:
-    """Each distinct reflection phase builds and checks its matrix once while
-    it is among the last 1024 phases used, so once per scan of fewer phases,
-    and the block takes the port law in one call, each row with its phase's
-    coefficients."""
+    """Each distinct reflection phase of the block builds and checks its
+    matrix once and takes the port law at its rows' phases as one array."""
     phase, phi = points["reflection_phase"], points["phi"]
-    bits = phase.view(np.int64)
+    residual, p = np.empty(phase.size), np.empty((2, phase.size))
+    valid = np.empty(phase.size, dtype=bool)
+    bits = phase.view(np.int64)  # which tell -0.0 from 0.0
+    amplitudes = measurement.PathAmplitudes.balanced()
     # A set, not np.unique: its first call imports numpy.ma (about 2 MB).
-    keys = sorted(set(bits.tolist()))
-    tolerance = spec.params["tolerance"]
-    coefficients, residual, valid = zip(*(_splitter(key, tolerance) for key in keys))
-    at = np.searchsorted(keys, bits)
-    p = measurement.port_probabilities(np.concatenate(coefficients, axis=2)[:, :, at],
-                                       _BALANCED.L, phi)
-    columns = [np.array(residual)[at], np.array(valid)[at], p[0], p[1], p[0] + p[1]]
-    return columns, [""] * phase.size
+    for key in set(bits.tolist()):
+        group = np.flatnonzero(bits == key)
+        m = measurement.mach_zehnder_effective(phase[group[0]].item())
+        validation = measurement.is_valid_quantum_measurement(m, spec.params["tolerance"])
+        residual[group] = validation.residual
+        valid[group] = validation.valid
+        p[:, group] = measurement.outcome_probabilities(m, amplitudes, phi[group])
+    return [residual, valid, p[0], p[1], p[0] + p[1]], [""] * phase.size
 
 
 def _franson_spectra(spec: ScanSpec) -> tuple[Spectrum, Spectrum]:

@@ -101,29 +101,16 @@ def _fringe(phi: float, visibility: float = 1.0) -> tuple[float, float]:
 
 
 def fringe_probabilities(phi: np.ndarray, visibility: float = 1.0) -> np.ndarray:
-    """The fringe law's array (p_plus, p_minus), of shape (2,) + phi.shape,
-    at the phases ``phi``: :func:`_fringe` at each phase, bit for bit.
-
-    Both ports are written as (1 +- V cos(phi))/2 into one array; then only
-    the phases where cos(phi) > 1/2 take sin(phi/2) for p_minus's half-angle
-    form, and only those where cos(phi) < -1/2 take cos(phi/2) for p_plus's.
-    """
+    """The fringe law's (2, M) array (p_plus, p_minus) at the phases ``phi``."""
     if not 0.0 <= visibility <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {visibility!r}")
-    phi = np.asarray(phi, dtype=float)
-    flat = phi.reshape(-1)
-    cos_phi = np.cos(flat)
-    p = np.empty((2, flat.size))
-    scaled = visibility * cos_phi
-    np.multiply(0.5, np.add(1.0, scaled, out=p[0]), out=p[0])
-    np.multiply(0.5, np.subtract(1.0, scaled, out=p[1]), out=p[1])
-    floor = 0.5 * (1.0 - visibility)
-    for port, branch, half_angle in ((1, cos_phi > 0.5, np.sin), (0, cos_phi < -0.5, np.cos)):
-        at = np.flatnonzero(branch)
-        if at.size:
-            half = half_angle(0.5 * flat[at])
-            p[port, at] = floor + visibility * half * half
-    return p.reshape((2,) + phi.shape)
+    cos_phi = np.cos(phi)
+    # sin(phi/2) serves p_minus's branch, cos(phi/2) p_plus's
+    half = np.where(cos_phi >= 0.0, np.sin(0.5 * phi), np.cos(0.5 * phi))
+    half_angle_form = 0.5 * (1.0 - visibility) + visibility * half * half
+    p_plus = np.where(cos_phi < -0.5, half_angle_form, 0.5 * (1.0 + visibility * cos_phi))
+    p_minus = np.where(cos_phi > 0.5, half_angle_form, 0.5 * (1.0 - visibility * cos_phi))
+    return np.array((p_plus, p_minus))
 
 
 def probability_monochromatic(a: int, phi: float) -> float:

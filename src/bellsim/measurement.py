@@ -101,27 +101,7 @@ def outcome_probabilities(
     m: MeasurementMatrix, amps: PathAmplitudes, phi: np.ndarray
 ) -> np.ndarray:
     """Port probabilities (p_plus, p_minus) at every phase of ``phi``, as a
-    (2, M) array, with the phase applied to the long-path amplitude: the
-    port law :func:`port_probabilities` of ``m``'s coefficients."""
-    return port_probabilities(port_coefficients(m, amps), amps.L, phi)
-
-
-def port_coefficients(m: MeasurementMatrix, amps: PathAmplitudes) -> np.ndarray:
-    """The real coefficients of ``m``'s port law for ``amps``, as a (4, 2, 1)
-    array: the real and imaginary parts of each port's long-path entry
-    (a11, a12), then those of its short-path amplitude (a21 S, a22 S).
-    Coefficients of several matrices, gathered along the last axis, give
-    each phase of :func:`port_probabilities` its own matrix."""
-    short_plus, short_minus = m.a21 * amps.S, m.a22 * amps.S
-    return np.array([[m.a11.real, m.a12.real], [m.a11.imag, m.a12.imag],
-                     [short_plus.real, short_minus.real],
-                     [short_plus.imag, short_minus.imag]])[:, :, None]
-
-
-def port_probabilities(coefficients: np.ndarray, long: complex, phi: np.ndarray) -> np.ndarray:
-    """|a * long * exp(i phi) + short|^2 for both ports at every phase of
-    ``phi``, as a (2, M) array, from :func:`port_coefficients` of shape
-    (4, 2, 1), or (4, 2, M) for one matrix per phase.
+    (2, M) array, with the phase applied to the long-path amplitude.
 
     The amplitudes are combined in real arithmetic, term by term as complex
     multiplication rounds them, and each modulus is squared by libm ``pow``
@@ -134,13 +114,19 @@ def port_probabilities(coefficients: np.ndarray, long: complex, phi: np.ndarray)
     if not finite.all():
         raise ValueError(f"phi must be finite, got {phi[~finite][0].item()!r}")
     cos, sin = np.cos(phi), np.sin(phi)
-    long_re = long.real * cos - long.imag * sin  # L * exp(i phi)
-    long_im = long.real * sin + long.imag * cos
-    a_re, a_im, short_re, short_im = coefficients
-    modulus = np.hypot(a_re * long_re - a_im * long_im + short_re,
-                       a_re * long_im + a_im * long_re + short_im)
-    return np.fromiter(map(math.pow, modulus.ravel().tolist(), itertools.repeat(2.0)), float,
-                       modulus.size).reshape(modulus.shape)
+    long_re = amps.L.real * cos - amps.L.imag * sin  # L * exp(i phi)
+    long_im = amps.L.real * sin + amps.L.imag * cos
+    return np.stack([_port_probability(a, b * amps.S, long_re, long_im)
+                     for a, b in ((m.a11, m.a21), (m.a12, m.a22))])
+
+
+def _port_probability(a: complex, short: complex, long_re: np.ndarray,
+                      long_im: np.ndarray) -> np.ndarray:
+    """|a * long + short|^2 at every long-path amplitude."""
+    modulus = np.hypot(a.real * long_re - a.imag * long_im + short.real,
+                       a.real * long_im + a.imag * long_re + short.imag)
+    return np.fromiter(map(math.pow, modulus.tolist(), itertools.repeat(2.0)), float,
+                       modulus.size)
 
 
 def outcome_distribution(

@@ -24,7 +24,7 @@ from bellsim.interferometer import (fringe_probabilities, probability_monochroma
                                     wavepacket_contrast)
 from bellsim.measurement import (MeasurementMatrix, PathAmplitudes,
                                  is_valid_quantum_measurement, mach_zehnder_effective,
-                                 outcome_probabilities, port_coefficients, port_probabilities)
+                                 outcome_probabilities)
 from bellsim.spectra import IntegrationError
 
 PI = math.pi
@@ -240,18 +240,6 @@ def test_unitarity_blocks_repeat_phases_across_edges():
         assert_unitarity_scan(phases, phis, phase_outer, fmt, rows_per_block)
 
 
-def test_unitarity_scan_builds_each_reflection_phase_once():
-    # 100 phases as the inner axis: every block of 1024 rows holds them all
-    cli._splitter.cache_clear()
-    phases = [0.1 + k * 0.029 for k in range(100)]
-    with mock.patch.object(cli.measurement, "mach_zehnder_effective",
-                           wraps=mach_zehnder_effective) as build:
-        code, _ = scan(["unitarity", "--grid", "phi=linspace:0:6.283185307179586:200",
-                        *grid("reflection_phase", phases)], "csv", cli._BLOCK_ROWS)
-    assert code == 0
-    assert build.call_count == len(phases)
-
-
 amplitude = st.floats(-2.0, 2.0)
 entries = st.builds(complex, amplitude, amplitude)
 
@@ -267,20 +255,6 @@ def test_outcome_probabilities_match_the_complex_expression(matrix, angle, phis)
     p_plus, p_minus = outcome_probabilities(m, amps, np.array(phis))
     assert list(zip(p_plus.tolist(), p_minus.tolist())) == [
         cmath_outcome(m, amps, phi) for phi in phis]
-
-
-@PROPERTY
-@given(st.lists(st.tuples(st.lists(entries, min_size=4, max_size=4),
-                          st.one_of(st.sampled_from(ANCHORS + FEW), st.floats(-1e3, 1e3))),
-                min_size=1, max_size=20))
-def test_port_law_takes_one_matrix_per_phase(points):
-    matrices = [MeasurementMatrix(*matrix) for matrix, _ in points]
-    phis = [phi for _, phi in points]
-    amps = PathAmplitudes.balanced()
-    coefficients = np.concatenate([port_coefficients(m, amps) for m in matrices], axis=2)
-    p_plus, p_minus = port_probabilities(coefficients, amps.L, np.array(phis))
-    assert list(zip(p_plus.tolist(), p_minus.tolist())) == [
-        cmath_outcome(m, amps, phi) for m, phi in zip(matrices, phis)]
 
 
 def test_outcome_probabilities_use_libm_pow_at_the_known_point():
