@@ -529,6 +529,14 @@ _TAU_B = ([0.0, -0.0, 1e-9, 5e-10, 6e-10, 1.5e-9, 1.6e-9, 2e-9, 1e200, 1e300,
 # values, and 10^(-k/20) down to 7.9e-7, below the default cap's reach.
 _DISTANCES = ([0.1, 1e-3, 1e-4, 3e-5, 1e-5, 1.5e-6, 1.0, 0.0, -1.0, 1.5, math.nan, math.inf]
               + [10.0 ** (-k / 20) for k in range(1, 123)])
+# Chain lengths whose 2n terms end exactly on, and one past, 2^14 and 2^16
+# terms, and one that spans several batches of either size.
+_CHAIN_LENGTHS = [2, 1000, 8192, 8193, 32768, 32769, 100000]
+# Distances whose theta = 2.5 witnesses lie past 2^16 (the bound at 65 536
+# and the next float up, the bounds at 10^5 and 2 * 10^5, two between) and
+# one that the 10^7 cap does not reach.
+_FAR_DISTANCES = [0.14916873091879618, 0.1491687309187962, 0.1491596177544986,
+                  0.14915095305006212, 0.14915, 0.149144, 0.1491424]
 
 # Artifacts on stdout by sha256 of their bytes.  The unitarity grid repeats
 # each reflection phase over 200 phases, so block edges fall inside a
@@ -548,7 +556,9 @@ _DISTANCES = ([0.1, 1e-3, 1e-4, 3e-5, 1e-5, 1.5e-6, 1.0, 0.0, -1.0, 1.5, math.na
 # paths existed.  franson_physical_none was re-recorded when the physical
 # law became total array arithmetic: its one row whose law overflows
 # (tau_b = 1e300) reads "probability nan outside [0, 1]", where it read
-# "math domain error"; no other cell changed.
+# "math domain error"; no other cell changed.  The multi-batch chains and
+# the far theta = 2.5 witnesses were recorded while a chain batch held 2^16
+# terms, before it held 2^14.
 FULL_SCALE_DIGESTS = [
     ("unitarity",
      ["unitarity",
@@ -603,6 +613,16 @@ FULL_SCALE_DIGESTS = [
      ["extensions", "--grid", "d=" + _values(_DISTANCES[:60]), "--theta", "2.5",
       "--n-cap", "5000"],
      1, "183ec094f01a6bd5ad916c9984625adde802e8fed764de42f113ee42567abe96"),
+    ("chained_batches_visibility",
+     ["chained", "--grid", "n=" + _values(_CHAIN_LENGTHS), "--visibility", "0.9"],
+     0, "d7a274189a9cc21a1c3c371cffa9d07e0aa95358cfb064b9cf4b62eef77a540f"),
+    ("chained_batches_pr_box",
+     ["chained", "--grid", "n=" + _values(_CHAIN_LENGTHS), "--model", "pr_box"],
+     0, "59070150aa51e593a2d5416db0af0f388ee022b7eec412ee6fe0625dc90eb50b"),
+    ("extensions_theta_far",
+     ["extensions", "--grid", "d=" + _values(_FAR_DISTANCES), "--theta", "2.5",
+      "--n-cap", "10000000"],
+     1, "69e1123108711c520699467e202c654ac80afcbe516fb0aad3df45e201f1fff5"),
 ]
 
 
