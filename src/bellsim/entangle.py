@@ -185,7 +185,9 @@ def ideal_joint_distribution(phi: float, visibility: float = 1.0) -> JointDistri
 def ideal_joint_probabilities(phi: np.ndarray, visibility: float = 1.0) -> np.ndarray:
     """:func:`ideal_joint_distribution` at every phase of ``phi``, as a
     (4, M) array (pp, pm, mp, mm), from the array fringe law."""
-    return 0.5 * fringe_probabilities(phi, visibility)[[0, 1, 1, 0]]
+    ports = fringe_probabilities(phi, visibility)
+    ports *= 0.5
+    return ports[[0, 1, 1, 0]]
 
 
 def marginal(dist: JointDistribution, side: str) -> float:

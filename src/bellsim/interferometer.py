@@ -101,16 +101,32 @@ def _fringe(phi: float, visibility: float = 1.0) -> tuple[float, float]:
 
 
 def fringe_probabilities(phi: np.ndarray, visibility: float = 1.0) -> np.ndarray:
-    """The fringe law's (2, M) array (p_plus, p_minus) at the phases ``phi``."""
+    """The fringe law's (2, M) array (p_plus, p_minus) at the phases ``phi``.
+
+    Each half-angle is taken only on its branch, by ufuncs with ``where=``:
+    sin(phi/2) where cos(phi) > 1/2 and cos(phi/2) where cos(phi) < -1/2.
+    A chain's phases all lie on one branch, so it takes two trig passes."""
     if not 0.0 <= visibility <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {visibility!r}")
     cos_phi = np.cos(phi)
-    # sin(phi/2) serves p_minus's branch, cos(phi/2) p_plus's
-    half = np.where(cos_phi >= 0.0, np.sin(0.5 * phi), np.cos(0.5 * phi))
-    half_angle_form = 0.5 * (1.0 - visibility) + visibility * half * half
-    p_plus = np.where(cos_phi < -0.5, half_angle_form, 0.5 * (1.0 + visibility * cos_phi))
-    p_minus = np.where(cos_phi > 0.5, half_angle_form, 0.5 * (1.0 - visibility * cos_phi))
-    return np.array((p_plus, p_minus))
+    p = np.empty((2, *cos_phi.shape))
+    np.multiply(visibility, cos_phi, out=p[1])
+    np.add(1.0, p[1], out=p[0])
+    np.subtract(1.0, p[1], out=p[1])
+    p *= 0.5
+    near, far = cos_phi > 0.5, cos_phi < -0.5
+    # The half-angle's sine or cosine overwrites cos(phi) on its branch; off
+    # both, cos(phi) (in [-1, 1], or NaN) stays, overflows nothing below and
+    # reaches no port.
+    half = np.multiply(0.5, phi)
+    trig = np.sin(half, out=cos_phi, where=near)
+    np.cos(half, out=trig, where=far)
+    form = np.multiply(visibility, trig, out=half)
+    form *= trig
+    form += 0.5 * (1.0 - visibility)
+    np.copyto(p[1], form, where=near)
+    np.copyto(p[0], form, where=far)
+    return p
 
 
 def probability_monochromatic(a: int, phi: float) -> float:

@@ -24,7 +24,9 @@ def check_distribution(entries: Sequence[float], what: str = "probabilities") ->
     for p in entries:
         if not _LOW <= p <= _HIGH:
             raise ValueError(f"probability {p!r} outside [0, 1]")
-    total = sum(entries)
+    total = 0
+    for p in entries:  # not sum(), which compensates float sums from Python 3.12 on
+        total += p
     if not abs(total - 1.0) <= SUM_TOL:
         raise ValueError(f"{what} sum to {total!r}, not 1")
 
@@ -35,7 +37,12 @@ def valid_columns(p: np.ndarray) -> np.ndarray:
     total = p[0].copy()
     for row in p[1:]:
         total += row
-    return (np.abs(total - 1.0) <= SUM_TOL) & np.all((p >= _LOW) & (p <= _HIGH), axis=0)
+    total -= 1.0
+    good = np.abs(total, out=total) <= SUM_TOL
+    # a NaN entry makes its column's min and max NaN, which fail both tests
+    good &= p.min(axis=0) >= _LOW
+    good &= p.max(axis=0) <= _HIGH
+    return good
 
 
 def check_batch(p: np.ndarray, what: str = "probabilities") -> None:

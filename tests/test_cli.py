@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -631,6 +632,47 @@ FULL_SCALE_DIGESTS = [
 def test_full_scale_artifact_digests(capsys, name, argv, code, digest):
     assert main(argv) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# Runs scans given as JSON [name, argv] pairs on stdin and prints numpy's
+# SIMD extensions found and each scan's exit code and stdout digest.
+_DIGEST_CHILD = """
+import contextlib, hashlib, io, json, sys
+import numpy as np
+from bellsim.cli import main
+digests = {}
+for name, argv in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    digests[name] = [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
+found = np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])
+print(json.dumps({"found": found, "digests": digests}))
+"""
+_HOST_DIGESTS = ["chained_batches_visibility", "chained_batches_pr_box", "extensions_theta_far",
+                 "franson_ideal_json", "interf_monochromatic"]
+
+
+def test_digests_do_not_depend_on_the_avx512_dispatch():
+    """The chains, whose fringe law takes each half-angle only on its
+    branch, and the fringe scans give the same bytes with numpy's AVX-512
+    kernels disabled.  The
+    feature names come from numpy's own report, as they differ between
+    numpy releases."""
+    found = np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])
+    group = [name for name in found if name.startswith("AVX512") or name == "X86_V4"]
+    if not group:
+        pytest.skip(f"numpy dispatches no AVX-512 kernels on this host (found: {found})")
+    cases = {name: (argv, code, digest) for name, argv, code, digest in FULL_SCALE_DIGESTS}
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(group),
+           "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _DIGEST_CHILD], env=env, capture_output=True, text=True,
+        input=json.dumps([[name, cases[name][0]] for name in _HOST_DIGESTS]), check=True)
+    report = json.loads(proc.stdout)
+    assert not set(group) & set(report["found"]), report["found"]
+    assert report["digests"] == {name: [cases[name][1], cases[name][2]]
+                                 for name in _HOST_DIGESTS}
 
 
 @pytest.mark.parametrize("subcommand, grids, params, message", [

@@ -6,6 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 
+from bellsim.bell import ChainedConfig, chained_I
+from bellsim.entangle import CorrelationModel, ideal_joint_probabilities
 from bellsim.interferometer import (
     DetectionDistribution,
     InterferenceRegime,
@@ -57,6 +59,59 @@ def test_fringe_ports_match_mpmath_at_the_dark_fringes(phi, visibility):
         ports += [probability_monochromatic(+1, phi), probability_monochromatic(-1, phi)]
     for got, exact in zip(ports, 2 * mp_fringe(phi, visibility)):
         assert abs(got - exact) <= 1e-15 * exact, (phi, got, exact)
+
+
+def three_trig_fringe(phi: np.ndarray, visibility: float) -> np.ndarray:
+    """The fringe law as it was written before each half-angle was taken
+    only on its branch: cos(phi), sin(phi/2) and cos(phi/2) over every
+    phase, and np.where to pick each port's form."""
+    cos_phi = np.cos(phi)
+    half = np.where(cos_phi >= 0.0, np.sin(0.5 * phi), np.cos(0.5 * phi))
+    half_angle_form = 0.5 * (1.0 - visibility) + visibility * half * half
+    p_plus = np.where(cos_phi < -0.5, half_angle_form, 0.5 * (1.0 + visibility * cos_phi))
+    p_minus = np.where(cos_phi > 0.5, half_angle_form, 0.5 * (1.0 - visibility * cos_phi))
+    return np.array((p_plus, p_minus))
+
+
+def chain_phases(n: int) -> np.ndarray:
+    """The phases at which bell.chained_I evaluates the quantum fringe law
+    over the 2n terms of a pi-chain, in its order."""
+    seen = []
+
+    def probabilities(phi_a: np.ndarray, phi_b: np.ndarray) -> np.ndarray:
+        seen.append(phi_a - phi_b)
+        return ideal_joint_probabilities(seen[-1])
+
+    chained_I(CorrelationModel("recording", probabilities), ChainedConfig(n, math.pi))
+    phases = np.concatenate(seen)
+    assert phases.size == 2 * n
+    return phases
+
+
+# +-pi/3 and +-2pi/3, each between its two neighbouring floats, where
+# cos(phi) crosses +-1/2 and a port changes form.
+_BRANCH_EDGES = [[math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+                 for x in (math.pi / 3, -math.pi / 3, 2 * math.pi / 3, -2 * math.pi / 3)]
+FRINGE_EDGE_PHASES = np.array(sum(_BRANCH_EDGES, [])
+                              + [0.0, -0.0, math.pi, 1e6, 1e300, math.nan])
+
+
+@pytest.mark.parametrize("visibility", [0.0, 0.3, 0.9, 1.0])
+@pytest.mark.parametrize("phases", ["edges", "chain"])
+def test_branch_only_fringe_law_equals_the_three_trig_form(phases, visibility):
+    phi = FRINGE_EDGE_PHASES if phases == "edges" else chain_phases(100_000)
+    got = fringe_probabilities(phi, visibility)
+    assert got.shape == (2, phi.size)
+    assert got.tobytes() == three_trig_fringe(phi, visibility).tobytes()
+
+
+def test_fringe_edge_phases_straddle_both_branch_edges():
+    """Each edge's three floats fall on both sides of its branch's bound, so
+    the equality above covers phases on both sides of every edge."""
+    for triple in _BRANCH_EDGES:
+        cos_phi = np.cos(triple)
+        inside = cos_phi > 0.5 if cos_phi[1] > 0 else cos_phi < -0.5
+        assert inside.any() and not inside.all(), triple
 
 
 def test_monochromatic_normalization_grid():

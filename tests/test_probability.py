@@ -7,7 +7,7 @@ from bellsim.bell import ChainedConfig, chained_I, quantum_model
 from bellsim.entangle import JointDistribution, joint_probabilities, no_signaling_residual
 from bellsim.extensions import BiasedMarginalModel
 from bellsim.interferometer import DetectionDistribution
-from bellsim.probability import check_batch, check_distribution
+from bellsim.probability import check_batch, check_distribution, valid_columns
 
 
 def test_each_caller_keeps_its_message():
@@ -71,3 +71,63 @@ def test_only_correlation_models_are_accepted():
             no_signaling_residual(rule, grid, grid)
         with pytest.raises(TypeError, match="CorrelationModel"):
             chained_I(rule, ChainedConfig(n=2, theta=math.pi))
+
+
+def _around(x: float) -> list[float]:
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+def _edge_groups() -> list[list[list[float]]]:
+    """Groups of columns, each at one edge of the two tests: NaN in each
+    row; -1e-15 and 1 + 1e-15 with their neighbouring floats, in each row;
+    left-to-right sums within a few ulps of 1 - 1e-12 and 1 + 1e-12, with
+    the odd entry in each row; and sums whose verdict depends on the order
+    of additions."""
+    def placed(entry: float, rest: float, row: int) -> list[float]:
+        column = [0.0] * 4
+        column[row], column[(row + 1) % 4] = entry, rest
+        return column
+
+    groups = [[placed(math.nan, 0.0, row) for row in range(4)]]
+    for edge, rest in ((-1e-15, 1.0), (1.0 + 1e-15, 0.0)):
+        groups.append([placed(e, rest, row) for e in _around(edge) for row in range(4)])
+    for total in (1.0 - 1e-12, 1.0 + 1e-12):
+        first = total - 0.75
+        group = []
+        for row in range(4):
+            for k in range(-8, 9):
+                column = [0.25] * 4
+                column[row] = first + k * math.ulp(first)
+                group.append(column)
+        groups.append(group)
+    # Columns at the sum edges whose verdict changes with the order of
+    # additions: added left to right they total 0.999999999999 (kept), the
+    # float below it and 1.000000000001 (both rejected); added right to left,
+    # or compensated, each total lands on the other side of its edge.
+    groups.append([[0.19427573715437468, 0.14917011866269503, 0.29406377639823,
+                    0.36249036778370025],
+                   [0.25403158978000784, 0.09518159498098437, 0.19540004091561658,
+                    0.4553867743223912],
+                   [0.15394213667878348, 0.1885636309012404, 0.1077463428287319,
+                    0.5497478895922442]])
+    return groups
+
+
+def _accepted(column: list[float]) -> bool:
+    try:
+        check_distribution(column)
+    except ValueError:
+        return False
+    return True
+
+
+def test_valid_columns_agrees_with_the_scalar_check_at_the_edges():
+    groups = _edge_groups()
+    columns = sum(groups, [])
+    assert valid_columns(np.array(columns).T).tolist() == [_accepted(c) for c in columns]
+    # NaN fails in any row; every other group holds both verdicts
+    assert not any(map(_accepted, groups[0]))
+    for group in groups[1:]:
+        verdicts = [_accepted(c) for c in group]
+        assert any(verdicts) and not all(verdicts)
+    assert [_accepted(c[::-1]) for c in groups[-1]] == [not _accepted(c) for c in groups[-1]]
