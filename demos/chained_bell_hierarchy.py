@@ -15,6 +15,7 @@ from bellsim import (
     ChainedConfig,
     boundedness_check,
     chained_I,
+    classify,
     deterministic_strategy_value,
     lhv_minimum_I,
     pr_box_model,
@@ -37,8 +38,8 @@ def main():
         ("suppressed correlations", chained_I(suppressed_nonlocality_model(), cfg)),
     ]
     lhv = lhv_minimum_I(2)
-    for name, result in rows:
-        print(f"   {name:26s} I = {result.i_value:.6f}  [{result.classification.value}]")
+    for name, value in rows:
+        print(f"   {name:26s} I = {value:.6f}  [{classify(value).value}]")
     print(f"   {'best deterministic':26s} I = {lhv.value:.6f}  "
           f"(parity bound over {lhv.n_strategies} strategies)")
     print(f"   quantum value 2 - sqrt(2) = {2 - math.sqrt(2):.6f}")

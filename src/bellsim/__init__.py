@@ -12,6 +12,19 @@ the statistical-distance argument falsifying biased-marginal extensions
 over all of it.
 """
 
+# Ufuncs that may define artifact bits.  A CLI artifact's bytes must not
+# depend on which SIMD kernels numpy dispatches on the host.  numpy's float64
+# arithmetic, sin, cos and hypot give the same bits with its AVX-512 kernels,
+# its AVX2 kernels and its baseline (numpy 2.4), and sin equals libm's, so
+# they may compute any value that reaches an artifact.  exp and log may not:
+# under AVX-512 dispatch np.exp differs from libm's exp at 46 434 of 10^6
+# arguments in [-700, 700], and np.log changes bits too.  Where an artifact
+# needs exp, map libm's math.exp over the elements, as the gaussian
+# envelope does; Spectrum.density's np.exp reaches only the library's
+# gaussian quadrature, which no artifact reads.  The tier-1 test
+# test_digests_do_not_depend_on_the_avx512_dispatch reruns every full-scale
+# digest and JSON golden with the AVX-512 kernels disabled.
+
 from .spectra import (
     HBAR,
     PLANCK_CONSTANT,
@@ -64,12 +77,12 @@ from .entangle import (
 from .bell import (
     BoundednessReport,
     ChainedConfig,
-    ChainedResult,
     Classification,
     CorrelationModel,
     LhvMinimum,
     boundedness_check,
     chained_I,
+    classify,
     deterministic_strategy_model,
     deterministic_strategy_value,
     lhv_minimum_I,

@@ -26,12 +26,13 @@ import numpy as np
 
 from .entangle import CorrelationModel, ideal_joint_probabilities, joint_probabilities
 
-# Terms per rule evaluation; bounds each temporary of a chain, its exact sum's
-# included, at 128 KiB a row, which keeps them off the page-fault path: malloc
-# reuses their heap pages from batch to batch, where 2^16-term batches took
-# fresh pages each time.  The chains of the deep benchmark's scans (seed 1)
-# take 743 minor page faults a pass (getrusage ru_minflt), nearly all the
-# first touch of each chain's contributions, against 3 880 with 2^16 terms.
+# Terms per rule evaluation; bounds each array of a chain, its exact sum's
+# included, at 128 KiB a row.  glibc's default mmap and trim thresholds are
+# 128 KiB too, so each batch's arrays are mapped fresh or left to a heap that
+# is trimmed between batches: the chains of the deep benchmark's scans (seed
+# 1) take about 1 620 minor page faults a pass (getrusage ru_minflt), and
+# none with both thresholds raised.  They took 771 while each chain kept its
+# terms in one array, as freeing that larger mapped block raises both.
 BATCH = 1 << 14
 
 
@@ -59,13 +60,6 @@ class ChainedConfig:
         """2N phases; even indices belong to side A, odd to side B."""
         step = self.theta / (2 * self.n)
         return tuple(i * step for i in range(2 * self.n))
-
-
-@dataclass(frozen=True)
-class ChainedResult:
-    i_value: float
-    contributions: np.ndarray  # read-only; closing concordance first, then adjacents
-    classification: Classification
 
 
 @dataclass(frozen=True)
@@ -165,30 +159,30 @@ def deterministic_strategy_model(
     return CorrelationModel(name="local_deterministic", probabilities=probabilities)
 
 
-def chained_I(model, cfg: ChainedConfig) -> ChainedResult:
-    """Evaluate the chained figure of merit on a correlation model.
+def chained_I(model, cfg: ChainedConfig) -> float:
+    """The chained figure of merit I of a correlation model.
 
     Term 0 is the closing pair (settings 0 and 2N-1), term k >= 1 the
     adjacent pair (k-1, k); the even setting of a pair is side A's.  The
     terms are evaluated by :func:`~bellsim.entangle.joint_probabilities` in
     batches of at most :data:`BATCH`, so an invalid distribution is rejected
-    with the diagnostic of the first invalid term.
+    with the diagnostic of the first invalid term.  :func:`classify` names
+    the class of I.
 
     I is the correctly rounded sum of the terms, ``math.fsum`` of them: plain
     accumulation loses ~2e-12 against the closed form at N = 10^4, and the
     N -> infinity limit that takes the paper's argument from nonlocality at
-    detection to Bell nonlocality is read off these small sums.  Each batch
-    is split into a few floats whose exact sum is the batch's
-    (:func:`_exact_partials`) as soon as it is written, so ``fsum`` of all
-    the batches' floats is ``fsum`` of the terms, bit for bit, wherever the
-    batches split, and no temporary outgrows a batch.  At :data:`BATCH`
-    terms a batch's temporaries stay in the heap: a call at N = 10^5 in a
-    fresh process takes 903 minor page faults, 391 of them the first touch
-    of its 1.6 MB of contributions, where 2^16-term batches take 2 272.
+    detection to Bell nonlocality is read off these small sums.  Each batch's
+    terms are written into one array of at most :data:`BATCH` floats, never
+    into the model's, and split there into a few floats whose exact sum is
+    the batch's (:func:`_exact_partials`), so ``fsum`` of all the batches'
+    floats is ``fsum`` of the terms, bit for bit, wherever the batches split.
+    No array outlives its batch or outgrows it: tracemalloc's peak for a
+    call at N = 10^6 is 2.26 MiB, as at N = 10^5.
     """
     terms = 2 * cfg.n
     step = cfg.theta / terms
-    contributions = np.empty(terms)
+    values = np.empty(min(terms, BATCH))
     partials: list[float] = []
     for start in range(0, terms, BATCH):
         stop = min(start + BATCH, terms)
@@ -201,34 +195,27 @@ def chained_I(model, cfg: ChainedConfig) -> ChainedResult:
         if start == 0:
             side_b[0] = terms - 1
         p = joint_probabilities(model, side_a * step, side_b * step)
-        batch = contributions[start:stop]
+        batch = values[:stop - start]
         np.add(p[1], p[2], out=batch)
         if start == 0:
             batch[0] = p[0, 0] + p[3, 0]
         partials += _exact_partials(batch)
-    contributions.flags.writeable = False
-    i_value = math.fsum(partials)
-    return ChainedResult(
-        i_value=i_value,
-        contributions=contributions,
-        classification=classify(i_value),
-    )
+    return math.fsum(partials)
 
 
-def _exact_partials(terms: np.ndarray) -> list[float]:
-    """Floats whose exact sum is the exact sum of the finite array ``terms``.
+def _exact_partials(x: np.ndarray) -> list[float]:
+    """Floats whose exact sum is the exact sum of the finite array ``x``,
+    which is overwritten (with zeros).
 
     Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
     summation part I", SIAM J. Sci. Comput. 31(1), 2008, Lemma 3.3): with
     max|x| < 2^e and sigma = 2^(e + ceil(log2(len(x) + 2))), every
     q = (sigma + x) - sigma is a multiple of ulp(sigma)/2 and |sum q| <=
     sigma, so ``q.sum()`` is exact in any order, and so is x - q, whose
-    magnitude is at most ulp(sigma)/2.  Starting from x = terms, each pass
-    strips at least 52 - ceil(log2(len(x) + 2)) bits off x (35 for a full
-    batch), until it is zero.  sigma must not overflow: ``chained_I``'s
-    terms are below 3.
+    magnitude is at most ulp(sigma)/2.  Each pass strips at least
+    52 - ceil(log2(len(x) + 2)) bits off x (35 for a full batch), until it
+    is zero.  sigma must not overflow: ``chained_I``'s terms are below 3.
     """
-    x = terms.copy()
     q = np.empty_like(x)
     spread = (x.size + 1).bit_length()  # ceil(log2(len(x) + 2))
     partials = []

@@ -429,9 +429,9 @@ def _row_chained(spec: ScanSpec, index: int, point: dict) -> tuple:
     theta = spec.params["theta"]
     model_name = spec.params["model"]
     model = _CHAINED_MODELS[model_name](spec)
-    result = bell.chained_I(model, bell.ChainedConfig(n=n, theta=theta))
+    i_value = bell.chained_I(model, bell.ChainedConfig(n=n, theta=theta))
     closed = bell.quantum_I_closed_form(n, theta) if model_name == "quantum" else ""
-    return theta, model_name, result.i_value, closed, result.classification.value
+    return theta, model_name, i_value, closed, bell.classify(i_value).value
 
 
 def _row_extensions(spec: ScanSpec, index: int, point: dict) -> tuple:

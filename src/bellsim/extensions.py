@@ -92,11 +92,10 @@ def colbeck_renner_bound(
     """Evaluate the no-signaling bound 1.5 * I(N) and compare a claimed D."""
     if not 0.0 <= distance <= 1.0:
         raise ValueError(f"distance must lie in [0, 1], got {distance!r}")
-    result = chained_I(model, ChainedConfig(n=n, theta=theta))
-    bound = 1.5 * result.i_value
+    i_value = chained_I(model, ChainedConfig(n=n, theta=theta))
+    bound = 1.5 * i_value
     return DistanceReport(
-        distance=distance, bound=bound,
-        violated=distance > bound, i_value=result.i_value,
+        distance=distance, bound=bound, violated=distance > bound, i_value=i_value,
     )
 
 

@@ -160,7 +160,7 @@ def test_criterion_07_no_signaling():
 
 def test_criterion_08_chained_inequality():
     cfg = ChainedConfig(n=2, theta=PI)
-    chsh = chained_I(quantum_model(), cfg).i_value
+    chsh = chained_I(quantum_model(), cfg)
     ok = abs(chsh - (2.0 - math.sqrt(2.0))) <= 1e-12
     detail = [f"I(2,pi) = {chsh!r}"]
 
@@ -168,8 +168,8 @@ def test_criterion_08_chained_inequality():
     ok = ok and lhv_ok
     detail.append(f"LHV minimum 1.0 for N=2..8: {lhv_ok}")
 
-    pr = chained_I(pr_box_model(), cfg).i_value
-    suppressed = chained_I(suppressed_nonlocality_model(), cfg).i_value
+    pr = chained_I(pr_box_model(), cfg)
+    suppressed = chained_I(suppressed_nonlocality_model(), cfg)
     ok = ok and pr == 0.0 and suppressed == 2.0
     detail.append(f"PR = {pr}, suppressed = {suppressed}")
 
@@ -180,7 +180,7 @@ def test_criterion_08_chained_inequality():
     closed_dev = float(np.max(np.abs(eq_form - simplified)))
     monotone = bool(np.all(eq_form > 0.0) and np.all(np.diff(eq_form) < 0.0))
     sampled_dev = max(
-        abs(chained_I(quantum_model(), ChainedConfig(n=n, theta=PI)).i_value
+        abs(chained_I(quantum_model(), ChainedConfig(n=n, theta=PI))
             - n * (1.0 - math.cos(PI / (2 * n))))
         for n in (2, 10, 100, 1000, 10 ** 4)
     )

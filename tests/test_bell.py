@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -20,9 +21,26 @@ from bellsim.bell import (
     quantum_model,
     suppressed_nonlocality_model,
 )
-from bellsim.entangle import JointDistribution, marginal, no_signaling_residual
+from bellsim.entangle import (JointDistribution, joint_probabilities, marginal,
+                              no_signaling_residual)
 
 PI = math.pi
+
+
+def chain_terms(model, cfg: ChainedConfig) -> np.ndarray:
+    """Brute-force oracle: the 2N terms of the chain, from one unbatched
+    joint_probabilities call over the settings of ``cfg``.  Term 0 is the
+    closing concordance (settings 0 and 2N-1), term k >= 1 the discordance
+    of the adjacent pair (k-1, k), whose even setting is side A's."""
+    settings = np.array(cfg.settings)
+    low = np.arange(2 * cfg.n - 1)
+    even = low % 2 == 0
+    phi_a = np.concatenate(([settings[0]], settings[np.where(even, low, low + 1)]))
+    phi_b = np.concatenate(([settings[-1]], settings[np.where(even, low + 1, low)]))
+    p = joint_probabilities(model, phi_a, phi_b)
+    terms = p[1] + p[2]
+    terms[0] = p[0, 0] + p[3, 0]
+    return terms
 
 
 def test_chained_config_settings():
@@ -41,17 +59,20 @@ def test_chained_config_settings():
 
 
 def test_quantum_chsh_point():
-    result = chained_I(quantum_model(), ChainedConfig(n=2, theta=PI))
-    assert result.i_value == pytest.approx(2.0 - math.sqrt(2.0), abs=1e-12)
-    assert result.classification is Classification.BOUNDED_NONLOCAL
-    assert len(result.contributions) == 4
-    assert result.i_value == pytest.approx(sum(result.contributions), abs=1e-15)
+    cfg = ChainedConfig(n=2, theta=PI)
+    value = chained_I(quantum_model(), cfg)
+    assert type(value) is float
+    assert value == pytest.approx(2.0 - math.sqrt(2.0), abs=1e-12)
+    assert classify(value) is Classification.BOUNDED_NONLOCAL
+    terms = chain_terms(quantum_model(), cfg)
+    assert len(terms) == 4
+    assert value == pytest.approx(sum(terms), abs=1e-15)
 
 
 def test_quantum_matches_closed_form():
     for n in (2, 3, 5, 10, 100, 1000, 10000):
         for theta in (0.0, PI / 4, PI / 2, PI):
-            full = chained_I(quantum_model(), ChainedConfig(n=n, theta=theta)).i_value
+            full = chained_I(quantum_model(), ChainedConfig(n=n, theta=theta))
             closed = quantum_I_closed_form(n, theta)
             assert abs(full - closed) <= 1e-12, (n, theta)
 
@@ -75,16 +96,8 @@ def test_quantum_chain_matches_mpmath_at_large_n():
             a = mpmath.pi / (2 * n)
             exact = float((1 + mpmath.cos((2 * n - 1) * a)) / 2
                           + (2 * n - 1) * (1 - mpmath.cos(a)) / 2)
-        got = chained_I(quantum_model(), ChainedConfig(n=n, theta=PI)).i_value
+        got = chained_I(quantum_model(), ChainedConfig(n=n, theta=PI))
         assert got == pytest.approx(exact, rel=1e-12, abs=0.0), n
-
-
-def test_contributions_are_a_read_only_array():
-    result = chained_I(quantum_model(), ChainedConfig(n=3, theta=PI))
-    assert result.contributions.dtype == np.float64
-    assert result.contributions.shape == (6,)
-    with pytest.raises(ValueError):
-        result.contributions[0] = 1.0
 
 
 def test_chain_pairs_settings_across_batches():
@@ -109,11 +122,12 @@ def test_chain_pairs_settings_across_batches():
 
     rng = np.random.default_rng(5)
     outcomes = tuple(int(x) for x in rng.choice([-1, 1], size=2 * n))
-    result = chained_I(deterministic_strategy_model(outcomes, cfg), cfg)
+    model = deterministic_strategy_model(outcomes, cfg)
+    terms = chain_terms(model, cfg)
     o = np.array(outcomes)
-    assert result.contributions[0] == float(o[0] == o[-1])
-    assert np.array_equal(result.contributions[1:], (o[:-1] != o[1:]).astype(float))
-    assert result.i_value == deterministic_strategy_value(outcomes)
+    assert terms[0] == float(o[0] == o[-1])
+    assert np.array_equal(terms[1:], (o[:-1] != o[1:]).astype(float))
+    assert chained_I(model, cfg) == deterministic_strategy_value(outcomes)
 
 
 def test_invalid_term_beyond_first_batch_gets_scalar_diagnostic():
@@ -139,9 +153,9 @@ def test_invalid_term_beyond_first_batch_gets_scalar_diagnostic():
 def test_quantum_theta_zero_is_local_boundary():
     for n in (2, 17, 10 ** 6):
         assert quantum_I_closed_form(n, 0.0) == 1.0
-    result = chained_I(quantum_model(), ChainedConfig(n=4, theta=0.0))
-    assert result.i_value == pytest.approx(1.0, abs=1e-15)
-    assert result.classification is Classification.LOCAL_COMPATIBLE
+    value = chained_I(quantum_model(), ChainedConfig(n=4, theta=0.0))
+    assert value == pytest.approx(1.0, abs=1e-15)
+    assert classify(value) is Classification.LOCAL_COMPATIBLE
 
 
 def test_limit_reached_beyond_minimal_chain_length():
@@ -206,17 +220,17 @@ def test_chained_on_deterministic_model_matches_strategy_value():
     for _ in range(25):
         outcomes = tuple(int(x) for x in rng.choice([-1, 1], size=6))
         model = deterministic_strategy_model(outcomes, cfg)
-        result = chained_I(model, cfg)
-        assert result.i_value == pytest.approx(deterministic_strategy_value(outcomes), abs=1e-12)
-        assert result.i_value >= 1.0
+        value = chained_I(model, cfg)
+        assert value == pytest.approx(deterministic_strategy_value(outcomes), abs=1e-12)
+        assert value >= 1.0
 
 
 def test_pr_box_is_maximally_nonlocal_on_pi_chains():
     model = pr_box_model()
     for n in (2, 3, 5, 8):
-        result = chained_I(model, ChainedConfig(n=n, theta=PI))
-        assert result.i_value == 0.0
-        assert result.classification is Classification.MAXIMAL_NONLOCAL
+        value = chained_I(model, ChainedConfig(n=n, theta=PI))
+        assert value == 0.0
+        assert classify(value) is Classification.MAXIMAL_NONLOCAL
     grid = np.linspace(0.0, 2 * PI, 16)
     assert no_signaling_residual(model, grid, grid) <= 1e-12
     for pa, pb in ((0.0, 0.3), (1.0, 2.9)):
@@ -227,18 +241,18 @@ def test_pr_box_is_maximally_nonlocal_on_pi_chains():
 
 def test_suppressed_nonlocality_value():
     model = suppressed_nonlocality_model()
-    result = chained_I(model, ChainedConfig(n=2, theta=PI))
-    assert result.i_value == 2.0
-    assert result.classification is Classification.LOCAL_COMPATIBLE
+    value = chained_I(model, ChainedConfig(n=2, theta=PI))
+    assert value == 2.0
+    assert classify(value) is Classification.LOCAL_COMPATIBLE
     assert model.rule(0.2, 1.9) == JointDistribution(0.25, 0.25, 0.25, 0.25)
 
 
 def test_hierarchy_at_chsh_point():
     cfg = ChainedConfig(n=2, theta=PI)
-    pr = chained_I(pr_box_model(), cfg).i_value
-    quantum = chained_I(quantum_model(), cfg).i_value
+    pr = chained_I(pr_box_model(), cfg)
+    quantum = chained_I(quantum_model(), cfg)
     lhv = lhv_minimum_I(2).value
-    suppressed = chained_I(suppressed_nonlocality_model(), cfg).i_value
+    suppressed = chained_I(suppressed_nonlocality_model(), cfg)
     assert pr < quantum < lhv <= suppressed
 
 
@@ -293,14 +307,14 @@ def test_boundedness_check():
 def test_visibility_degrades_quantum_value():
     # lower fringe contrast pushes the chain value toward the local region
     cfg = ChainedConfig(n=2, theta=PI)
-    values = [chained_I(quantum_model(v), cfg).i_value for v in (1.0, 0.9, 0.7, 0.5)]
+    values = [chained_I(quantum_model(v), cfg) for v in (1.0, 0.9, 0.7, 0.5)]
     assert all(a < b for a, b in zip(values, values[1:]))
-    assert chained_I(quantum_model(0.0), cfg).i_value == pytest.approx(2.0, abs=1e-12)
+    assert chained_I(quantum_model(0.0), cfg) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_i_value_is_the_fsum_of_its_contributions():
-    # fsum is correctly rounded, so summing the batches' exact partials, the
-    # list or the array elements gives the same bits.  BATCH // 2 settings
+    # fsum is correctly rounded, so summing the batches' exact partials or
+    # the oracle's unbatched terms gives the same bits.  BATCH // 2 settings
     # fill one batch exactly, one more leaves a 2-term second batch; theta = 0
     # makes every adjacent term zero; the strategy's terms are 0 and 1.
     rng = np.random.default_rng(20)
@@ -310,5 +324,39 @@ def test_i_value_is_the_fsum_of_its_contributions():
         for model, theta in ((quantum_model(), PI), (quantum_model(0.9), PI),
                              (quantum_model(), 0.0), (pr_box_model(), PI),
                              (suppressed_nonlocality_model(), PI), (strategy, PI)):
-            result = chained_I(model, ChainedConfig(n=n, theta=theta))
-            assert result.i_value == math.fsum(iter(result.contributions)), (model.name, n, theta)
+            cfg = ChainedConfig(n=n, theta=theta)
+            assert chained_I(model, cfg) == math.fsum(chain_terms(model, cfg)), (model.name, n, theta)
+
+
+def test_chained_I_leaves_the_model_array_untouched():
+    # the rule hands back one stored array on every call; each of the chain's
+    # two full batches is written into an array that chained_I owns
+    rng = np.random.default_rng(22)
+    stored = rng.dirichlet(np.ones(4), size=BATCH).T.copy()
+    before = stored.tobytes()
+    calls = []
+
+    def probabilities(phi_a, phi_b):
+        calls.append(phi_a.size)
+        return stored
+
+    value = chained_I(CorrelationModel("stored", probabilities), ChainedConfig(n=BATCH, theta=PI))
+    assert calls == [BATCH, BATCH]
+    assert stored.tobytes() == before
+    terms = np.tile(stored[1] + stored[2], 2)
+    terms[0] = stored[0, 0] + stored[3, 0]
+    assert value == math.fsum(terms)
+
+
+def test_chained_I_memory_stays_within_its_batches():
+    # the 2 * 10^6 terms (16 MB) are never held at once: every array lives
+    # and dies within its batch of BATCH terms (2.26 MiB peak)
+    cfg = ChainedConfig(n=10 ** 6, theta=PI)
+    chained_I(quantum_model(), ChainedConfig(n=2, theta=PI))
+    tracemalloc.start()
+    try:
+        chained_I(quantum_model(), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak

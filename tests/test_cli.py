@@ -649,30 +649,30 @@ for name, argv in json.load(sys.stdin):
 found = np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])
 print(json.dumps({"found": found, "digests": digests}))
 """
-_HOST_DIGESTS = ["chained_batches_visibility", "chained_batches_pr_box", "extensions_theta_far",
-                 "franson_ideal_json", "interf_monochromatic"]
 
 
 def test_digests_do_not_depend_on_the_avx512_dispatch():
-    """The chains, whose fringe law takes each half-angle only on its
-    branch, and the fringe scans give the same bytes with numpy's AVX-512
-    kernels disabled.  The
-    feature names come from numpy's own report, as they differ between
-    numpy releases."""
+    """Every full-scale digest and every JSON golden has the same bytes with
+    numpy's AVX-512 kernels disabled: the ufuncs that define artifact bits
+    (see the ``bellsim`` package comment) give the same bits at every SIMD
+    dispatch level.  The feature names come from numpy's own report, as
+    they differ between numpy releases."""
     found = np.show_config(mode="dicts")["SIMD Extensions"].get("found", [])
     group = [name for name in found if name.startswith("AVX512") or name == "X86_V4"]
     if not group:
         pytest.skip(f"numpy dispatches no AVX-512 kernels on this host (found: {found})")
-    cases = {name: (argv, code, digest) for name, argv, code, digest in FULL_SCALE_DIGESTS}
+    scans = {name: (argv, code, digest) for name, argv, code, digest in FULL_SCALE_DIGESTS}
+    for name, argv, code in GOLDEN_JSON:
+        digest = hashlib.sha256((GOLDEN / f"{name}.json").read_bytes()).hexdigest()
+        scans[f"golden_{name}"] = (argv + ["--format", "json"], code, digest)
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(group),
            "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-c", _DIGEST_CHILD], env=env, capture_output=True, text=True,
-        input=json.dumps([[name, cases[name][0]] for name in _HOST_DIGESTS]), check=True)
+        input=json.dumps([[name, argv] for name, (argv, _, _) in scans.items()]), check=True)
     report = json.loads(proc.stdout)
     assert not set(group) & set(report["found"]), report["found"]
-    assert report["digests"] == {name: [cases[name][1], cases[name][2]]
-                                 for name in _HOST_DIGESTS}
+    assert report["digests"] == {name: [code, digest] for name, (_, code, digest) in scans.items()}
 
 
 @pytest.mark.parametrize("subcommand, grids, params, message", [
