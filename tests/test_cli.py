@@ -539,6 +539,15 @@ _CHAIN_LENGTHS = [2, 1000, 8192, 8193, 32768, 32769, 100000]
 _FAR_DISTANCES = [0.14916873091879618, 0.1491687309187962, 0.1491596177544986,
                   0.14915095305006212, 0.14915, 0.149144, 0.1491424]
 
+# Phases of the sample digests: 0, pi and the branch edges +-pi/3 and
+# +-2pi/3 of the fringe law, each between its two neighbouring floats,
+# -0.0, NaN and +-inf (error rows) and a 2 078-point sweep: 2 100 rows, so
+# the scan crosses two block edges.
+_SAMPLE_PHI = ([y for x in (0.0, PI, PI / 3, -PI / 3, 2 * PI / 3, -2 * PI / 3)
+                for y in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf))]
+               + [-0.0, math.nan] + [-3.5 + 13.0 * k / 2077 for k in range(2078)]
+               + [math.inf, -math.inf])
+
 # Artifacts on stdout by sha256 of their bytes.  The unitarity grid repeats
 # each reflection phase over 200 phases, so block edges fall inside a
 # phase's run; it holds -0.0 next to 0.0, the unitary pi/2, a NaN phase and
@@ -559,7 +568,8 @@ _FAR_DISTANCES = [0.14916873091879618, 0.1491687309187962, 0.1491596177544986,
 # (tau_b = 1e300) reads "probability nan outside [0, 1]", where it read
 # "math domain error"; no other cell changed.  The multi-batch chains and
 # the far theta = 2.5 witnesses were recorded while a chain batch held 2^16
-# terms, before it held 2^14.
+# terms, before it held 2^14.  The sample digests were recorded while each
+# row took its ports from a scalar fringe law of its own.
 FULL_SCALE_DIGESTS = [
     ("unitarity",
      ["unitarity",
@@ -624,6 +634,13 @@ FULL_SCALE_DIGESTS = [
      ["extensions", "--grid", "d=" + _values(_FAR_DISTANCES), "--theta", "2.5",
       "--n-cap", "10000000"],
      1, "69e1123108711c520699467e202c654ac80afcbe516fb0aad3df45e201f1fff5"),
+    ("sample_quantum",
+     ["sample", "--grid", "phi=" + _values(_SAMPLE_PHI), "--seed", "7", "--n", "1000"],
+     1, "b5b7499854efc42f94eb4255bd903a663326998bb6f09a7253a0eb2deb9ae1e4"),
+    ("sample_local_json",
+     ["sample", "--grid", "phi=" + _values(_SAMPLE_PHI), "--seed", "7", "--n", "1000",
+      "--model", "local", "--format", "json"],
+     1, "e40583185e56902953ab688dd26aeef0dfc812d71d6fab2c2b5a73c4c8590771"),
 ]
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bellsim.bell import ChainedConfig, chained_I
-from bellsim.entangle import CorrelationModel, ideal_joint_probabilities
+from bellsim.entangle import CorrelationModel, ideal_joint_distribution, ideal_joint_probabilities
 from bellsim.interferometer import (
     DetectionDistribution,
     InterferenceRegime,
@@ -112,6 +112,32 @@ def test_fringe_edge_phases_straddle_both_branch_edges():
         cos_phi = np.cos(triple)
         inside = cos_phi > 0.5 if cos_phi[1] > 0 else cos_phi < -0.5
         assert inside.any() and not inside.all(), triple
+
+
+SCALAR_FRINGE_VIEWS = {
+    "p_plus": lambda phi: probability_monochromatic(+1, phi),
+    "p_minus": lambda phi: probability_monochromatic(-1, phi),
+    "quantum": quantum_detection_distribution,
+    "local": local_detection_distribution,
+    "pair": ideal_joint_distribution,
+    "pair_0.9": lambda phi: ideal_joint_distribution(phi, 0.9),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("view", SCALAR_FRINGE_VIEWS)
+def test_scalar_fringe_views_at_non_finite_phases(view):
+    """An infinite phase raises ValueError; a NaN phase gives NaN ports,
+    which a distribution's probability check rejects; neither warns."""
+    evaluate = SCALAR_FRINGE_VIEWS[view]
+    for phi in (math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            evaluate(phi)
+    if view.startswith("p_"):
+        assert math.isnan(evaluate(math.nan))
+    else:
+        with pytest.raises(ValueError, match=r"^probability nan outside \[0, 1\]$"):
+            evaluate(math.nan)
 
 
 def test_monochromatic_normalization_grid():
