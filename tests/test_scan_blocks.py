@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 
 from bellsim import cli
 from bellsim.entangle import ideal_joint_distribution, marginal
-from bellsim.interferometer import (fringe_probabilities, probability_monochromatic,
-                                    wavepacket_contrast)
+from bellsim.interferometer import (fringe_probabilities, local_detection_distribution,
+                                    probability_monochromatic, quantum_detection_distribution,
+                                    sample_events, wavepacket_contrast)
 from bellsim.measurement import (MeasurementMatrix, PathAmplitudes,
                                  is_valid_quantum_measurement, mach_zehnder_effective,
                                  outcome_probabilities)
@@ -191,6 +192,33 @@ def test_wavepacket_block_rows_equal_the_one_point_law(points, tol):
     got = [(None if error else [repr(p_plus[i].item()), repr(p_minus[i].item())], error)
            for i, error in enumerate(errors)]
     assert got == want
+
+
+SAMPLE_MODELS = {"quantum": quantum_detection_distribution, "local": local_detection_distribution}
+
+
+def sample_reference(model, n, seed, row):
+    def evaluate(phi):
+        if not math.isfinite(phi):
+            raise ValueError(f"phi must be finite, got {phi!r}")
+        counts = sample_events(SAMPLE_MODELS[model](phi), n, seed, stream=row)
+        return counts.n_plus, counts.n_minus, counts.n_double, counts.n_null
+    return evaluate
+
+
+@PROPERTY
+@given(grids, st.sampled_from(sorted(SAMPLE_MODELS)), st.integers(1, 10 ** 6),
+       st.integers(0, 2 ** 64 - 1), formats, st.sampled_from([1, 3, 7, cli._BLOCK_ROWS]))
+def test_sample_rows_match_the_scalar_detection_laws(phis, model, n, seed, fmt, rows_per_block):
+    """Each row's counts are those of the scalar detection law at its phase,
+    drawn with the row number as the stream, whatever the block size."""
+    code, text = scan(["sample", *grid("phi", phis), "--model", model, "--n", str(n),
+                       "--seed", str(seed)], fmt, rows_per_block)
+    rows = [reference_row(sample_reference(model, n, seed, row), phi)
+            for row, phi in enumerate(phis)]
+    assert_artifact(code, text, fmt, ["phi", *cli._SUBCOMMANDS["sample"].columns, "error"],
+                    rows, {"subcommand": "sample", "grids": {"phi": phis},
+                           "params": {"model": model, "n": n, "seed": seed}})
 
 
 def assert_unitarity_scan(phases, phis, phase_outer, fmt, rows_per_block):
