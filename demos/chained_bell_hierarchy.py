@@ -3,7 +3,9 @@
 
 The chain value I sums one concordance term (closing pair) and 2N-1
 discordance terms (adjacent pairs).  Every locally deterministic strategy
-gives I >= 1 -- verified here by brute force.  The quantum fringe law gives
+gives I >= 1 by parity, the bound lhv_minimum_I returns (the tests check it
+against all 4^N strategies), and the chain of a strategy model, evaluated
+here, counts its sign flips.  The quantum fringe law gives
 I(N, pi) = N (1 - cos(pi/2N)) > 0: nonlocal, but never reaching zero at
 finite N.  A sign-box reaches zero everywhere, and the
 product-of-marginals model sits at 2, deep in local territory.
@@ -16,7 +18,7 @@ from bellsim import (
     boundedness_check,
     chained_I,
     classify,
-    deterministic_strategy_value,
+    deterministic_strategy_model,
     lhv_minimum_I,
     pr_box_model,
     quantum_I_closed_form,
@@ -54,7 +56,8 @@ def main():
         print(f"   {n}   {result.n_strategies:10d}      {result.value}")
     print("   a flipped chain pays one discordance per sign change:")
     for outcomes in ((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1)):
-        print(f"      strategy {outcomes} -> I = {deterministic_strategy_value(outcomes)}")
+        value = chained_I(deterministic_strategy_model(outcomes, cfg), cfg)
+        print(f"      strategy {outcomes} -> I = {value}")
 
     print()
     print("=" * 64)

@@ -84,7 +84,6 @@ from .bell import (
     chained_I,
     classify,
     deterministic_strategy_model,
-    deterministic_strategy_value,
     lhv_minimum_I,
     pr_box_model,
     quantum_I_closed_form,

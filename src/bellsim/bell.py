@@ -257,19 +257,6 @@ def quantum_I_closed_form_array(ns: np.ndarray, theta: float) -> np.ndarray:
     return closing * closing + (2 * ns - 1) * adjacent * adjacent
 
 
-def deterministic_strategy_value(outcomes: Sequence[int]) -> float:
-    """Chained value of a fixed +-1 assignment: closing agreement indicator
-    plus the number of adjacent sign flips.  Always an integer >= 1."""
-    outcomes = tuple(outcomes)
-    if len(outcomes) < 4 or len(outcomes) % 2:
-        raise ValueError("need an even number (>= 4) of outcomes")
-    if any(o not in (1, -1) for o in outcomes):
-        raise ValueError("outcomes must be +-1")
-    closing = 1.0 if outcomes[0] == outcomes[-1] else 0.0
-    flips = sum(1.0 for x, y in zip(outcomes, outcomes[1:]) if x != y)
-    return closing + flips
-
-
 def lhv_minimum_I(n: int) -> LhvMinimum:
     """Minimum of the chained value over the 4^N deterministic strategies.
 

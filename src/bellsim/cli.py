@@ -30,8 +30,9 @@ plus one error text per row.  ``interf``, ``unitarity`` and both Franson
 modes are array laws over the block.  A Franson law runs once per block:
 if it raises, at a fixed parameter outside its domain, every row takes
 that error, and a row whose physical law overflows is a NaN column that
-takes the probability check's text.  ``chained``, ``extensions`` and
-``sample`` call the library once per row.
+takes the probability check's text.  ``sample`` takes its block's fringe
+ports from one array call and draws each row's counts from them;
+``chained`` and ``extensions`` call the library once per row.
 
 Each block is formatted by column and written before the next one runs, so
 no artifact is held in memory whole.  A float ``repr`` is most of a cheap
@@ -442,17 +443,25 @@ def _row_extensions(spec: ScanSpec, index: int, point: dict) -> tuple:
     return witness.n, witness.bound, witness.i_value, previous
 
 
+# Each model's detection law of a row's two fringe ports (p, q).
 _SAMPLE_MODELS = {
-    "quantum": interferometer.quantum_detection_distribution,
-    "local": interferometer.local_detection_distribution,
+    "quantum": interferometer._quantum_detection,
+    "local": interferometer._local_detection,
 }
 
 
 def _row_sample(spec: ScanSpec, index: int, point: dict) -> tuple:
-    dist = _SAMPLE_MODELS[spec.params["model"]](point["phi"])
+    dist = _SAMPLE_MODELS[spec.params["model"]](point["p"], point["q"])
     counts = interferometer.sample_events(dist, spec.params["n"], spec.params["seed"],
                                           stream=index)
     return counts.n_plus, counts.n_minus, counts.n_double, counts.n_null
+
+
+def _sample_rows(spec: ScanSpec, rows: np.ndarray, points: dict) -> tuple[list, list[str]]:
+    """The block's ports from one ``fringe_probabilities`` call; each row
+    draws its counts from its model's law of them, its row number the stream."""
+    p, q = interferometer.fringe_probabilities(points["phi"])
+    return _pointwise(_row_sample)(spec, rows, {"p": p, "q": q})
 
 
 _IDEAL = ("mode", "ideal")
@@ -533,7 +542,7 @@ _SUBCOMMANDS: dict[str, _Subcommand] = {
             _Param("seed", _SEED, "RNG seed (required)"),
         ),
         columns=("n_plus", "n_minus", "n_double", "n_null"),
-        row=_pointwise(_row_sample),
+        row=_sample_rows,
     ),
 }
 

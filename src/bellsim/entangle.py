@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .interferometer import _fringe, fringe_probabilities
+from .interferometer import _ports, fringe_probabilities
 from .measurement import (_INV_SQRT2, STANDARD_PORT_PHASES, MeasurementMatrix, PathAmplitudes,
                           outcome_probabilities)
 from .probability import check_batch, check_distribution
@@ -177,7 +177,7 @@ def ideal_joint_distribution(phi: float, visibility: float = 1.0) -> JointDistri
     Concordance and discordance are the ports (1 +- V cos(phi))/2 of the
     single-photon fringe law, each split in exact halves over its two
     outcome pairs, so both marginals are 1/2."""
-    equal, differ = _fringe(phi, visibility)
+    equal, differ = _ports(phi, visibility)
     return JointDistribution(p_pp=0.5 * equal, p_pm=0.5 * differ,
                              p_mp=0.5 * differ, p_mm=0.5 * equal)
 

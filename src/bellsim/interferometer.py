@@ -1,15 +1,17 @@
 """Single-photon two-path interferometer: detection probabilities and sampling.
 
 Covers the fringe law (1 +- V cos(phi))/2 of the two ports, whose halves are
-the ideal Franson pair's joint law (:mod:`bellsim.entangle`); its wave-packet
-generalization, the fringe at the carrier phase with a contrast integrated
-over the spectrum's offsets from its center, and that contrast for a
-rectangular spectrum at unit delay; classification of
-the interference regime by the ratio of coherence time to a finite path
-delay; the alternative independent-detectors model (which produces double
-counts and missed counts); and seeded multinomial event sampling.  A general
-splitter's port law, whose halves give the pair measured by that splitter,
-is :func:`bellsim.measurement.outcome_probabilities`.
+the ideal Franson pair's joint law (:mod:`bellsim.entangle`): one array law,
+:func:`fringe_probabilities`, which every scalar view calls at its one
+phase; its wave-packet generalization, the fringe at the carrier phase with
+a contrast integrated over the spectrum's offsets from its center, and that
+contrast for a rectangular spectrum at unit delay; classification of the
+interference regime by the ratio of coherence time to a finite path delay;
+the detection laws of the two ports, exactly one count or the alternative
+independent-detectors model (which produces double counts and missed
+counts); and seeded multinomial event sampling.  A general splitter's port
+law, whose halves give the pair measured by that splitter, is
+:func:`bellsim.measurement.outcome_probabilities`.
 """
 
 from __future__ import annotations
@@ -78,34 +80,14 @@ class EventCounts:
         return self.n_plus + self.n_minus + self.n_double + self.n_null
 
 
-def _fringe(phi: float, visibility: float = 1.0) -> tuple[float, float]:
-    """Ports (p_plus, p_minus) = (1 +- V cos(phi))/2 of the fringe law.
-
-    Where cos(phi) > 1/2, p_minus is (1 - V)/2 + V sin^2(phi/2), and where
-    cos(phi) < -1/2, p_plus is (1 - V)/2 + V cos^2(phi/2), so no digits
-    cancel and no rounded distance to pi enters: p_plus(math.pi) is
-    cos^2(math.pi/2) = 3.7e-33, not 0.  Equals :func:`fringe_probabilities`
-    bit for bit."""
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError(f"visibility must lie in [0, 1], got {visibility!r}")
-    cos_phi = math.cos(phi)
-    p_plus = 0.5 * (1.0 + visibility * cos_phi)
-    p_minus = 0.5 * (1.0 - visibility * cos_phi)
-    if cos_phi < -0.5:
-        half = math.cos(0.5 * phi)
-        p_plus = 0.5 * (1.0 - visibility) + visibility * half * half
-    elif cos_phi > 0.5:
-        half = math.sin(0.5 * phi)
-        p_minus = 0.5 * (1.0 - visibility) + visibility * half * half
-    return p_plus, p_minus
-
-
 def fringe_probabilities(phi: np.ndarray, visibility: float = 1.0) -> np.ndarray:
-    """The fringe law's (2, M) array (p_plus, p_minus) at the phases ``phi``.
-
-    Each half-angle is taken only on its branch, by ufuncs with ``where=``:
-    sin(phi/2) where cos(phi) > 1/2 and cos(phi/2) where cos(phi) < -1/2.
-    A chain's phases all lie on one branch, so it takes two trig passes."""
+    """The fringe law's (2, M) array (p_plus, p_minus) = (1 +- V cos(phi))/2
+    at the phases ``phi``.  Where cos(phi) > 1/2, p_minus is taken as
+    (1 - V)/2 + V sin^2(phi/2), and where cos(phi) < -1/2, p_plus as
+    (1 - V)/2 + V cos^2(phi/2), each by ufuncs with ``where=`` on its branch
+    only: no digits cancel, no rounded distance to pi enters (p_plus(math.pi)
+    is cos^2(math.pi/2) = 3.7e-33, not 0), and a chain's phases, all on one
+    branch, take two trig passes."""
     if not 0.0 <= visibility <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {visibility!r}")
     cos_phi = np.cos(phi)
@@ -129,11 +111,19 @@ def fringe_probabilities(phi: np.ndarray, visibility: float = 1.0) -> np.ndarray
     return p
 
 
+def _ports(phi: float, visibility: float = 1.0) -> list[float]:
+    """[p_plus, p_minus] of :func:`fringe_probabilities` at one phase; an
+    infinite ``phi`` raises ValueError and NaN gives NaN ports, with no warning."""
+    if math.isinf(phi):
+        raise ValueError(f"phi must not be infinite, got {phi!r}")
+    return fringe_probabilities(np.array([phi], dtype=float), visibility)[:, 0].tolist()
+
+
 def probability_monochromatic(a: int, phi: float) -> float:
     """Fringe law (1 + a*cos(phi)) / 2 for outcome a in {+1, -1}."""
     if a not in (1, -1):
         raise ValueError(f"outcome must be +1 or -1, got {a!r}")
-    return _fringe(phi)[0 if a == 1 else 1]
+    return _ports(phi)[0 if a == 1 else 1]
 
 
 def wavepacket_ports(phi: np.ndarray, contrast: float) -> np.ndarray:
@@ -195,10 +185,20 @@ def classify_interference(cfg: InterferometerConfig) -> InterferenceRegime:
     return InterferenceRegime.INTERMEDIATE
 
 
+def _quantum_detection(p: float, q: float) -> DetectionDistribution:
+    """Exactly one count, in D(+) with the port probability p, else in D(-)."""
+    return DetectionDistribution(p_plus=p, p_minus=q, p_double=0.0, p_null=0.0)
+
+
+def _local_detection(p: float, q: float) -> DetectionDistribution:
+    """D(+) fires with the port probability p and D(-) independently with q."""
+    # p_plus: D(+) fires and D(-) stays silent, with probability 1 - q = p
+    return DetectionDistribution(p_plus=p * p, p_minus=q * q, p_double=p * q, p_null=q * p)
+
+
 def quantum_detection_distribution(phi: float) -> DetectionDistribution:
     """Exactly-one-count distribution at the monochromatic fringe probabilities."""
-    p_plus, p_minus = _fringe(phi)
-    return DetectionDistribution(p_plus=p_plus, p_minus=p_minus, p_double=0.0, p_null=0.0)
+    return _quantum_detection(*_ports(phi))
 
 
 def local_detection_distribution(phi: float) -> DetectionDistribution:
@@ -208,13 +208,7 @@ def local_detection_distribution(phi: float) -> DetectionDistribution:
     with q = (1-cos(phi))/2, so a quarter of the runs at phi = pi/2 give two
     counts and a quarter give none.
     """
-    p, q = _fringe(phi)
-    return DetectionDistribution(
-        p_plus=p * p,           # D(+) fires, D(-) stays silent (prob 1-q = p)
-        p_minus=q * q,
-        p_double=p * q,
-        p_null=q * p,
-    )
+    return _local_detection(*_ports(phi))
 
 
 # Each thread's generator for sample_events, and the zero counter and empty

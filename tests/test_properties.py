@@ -26,7 +26,7 @@ from bellsim.entangle import (_CLASS_COEFFS, _CLASSES, FransonConfig, bob_measur
                               ideal_joint_probabilities, physical_joint_distribution,
                               physical_joint_probabilities)
 from bellsim.extensions import BiasedMarginalModel, FalsificationCapError, find_falsifying_N
-from bellsim.interferometer import _fringe, fringe_probabilities
+from bellsim.interferometer import fringe_probabilities, probability_monochromatic
 from bellsim.measurement import (MeasurementMatrix, PathAmplitudes, is_valid_quantum_measurement,
                                  outcome_distribution)
 from bellsim.probability import valid_columns
@@ -45,6 +45,22 @@ def bits(values) -> list[int]:
     return np.where(np.isnan(a), math.nan, a).view(np.int64).tolist()
 
 
+def math_fringe(phi: float, visibility: float) -> tuple[float, float]:
+    """The fringe law's ports (p_plus, p_minus) in plain libm arithmetic, the
+    half-angle forms on the same branches as the array law's: an oracle
+    that shares no numpy code with it."""
+    cos_phi = math.cos(phi)
+    p_plus = 0.5 * (1.0 + visibility * cos_phi)
+    p_minus = 0.5 * (1.0 - visibility * cos_phi)
+    if cos_phi < -0.5:
+        half = math.cos(0.5 * phi)
+        p_plus = 0.5 * (1.0 - visibility) + visibility * half * half
+    elif cos_phi > 0.5:
+        half = math.sin(0.5 * phi)
+        p_minus = 0.5 * (1.0 - visibility) + visibility * half * half
+    return p_plus, p_minus
+
+
 fringe_phases = st.one_of(st.sampled_from([0.0, -0.0, PI, -PI, 3 * PI, 1e6, math.nan]),
                           st.floats(-4 * PI, 4 * PI))
 
@@ -57,8 +73,10 @@ def test_fringe_law_has_one_value_and_the_pair_law_is_its_half(phis, visibility)
     pair = ideal_joint_probabilities(np.array(phis), visibility)
     assert bits(pair) == bits(0.5 * batch[[0, 1, 1, 0]])
     for m, phi in enumerate(phis):
-        ports = _fringe(phi, visibility)
+        ports = math_fringe(phi, visibility)
         assert bits(ports) == bits(batch[:, m]), phi
+        if visibility == 1.0:
+            assert bits([probability_monochromatic(a, phi) for a in (1, -1)]) == bits(ports)
         if not math.isnan(phi):
             equal, differ = ports
             assert bits(ideal_joint_distribution(phi, visibility).as_tuple()) == bits(
@@ -115,11 +133,12 @@ def test_array_rules_match_their_scalar_view(pairs, visibility, bias):
                   biased.subensemble_rule(0), biased.subensemble_rule(1),
                   biased.ensemble_rule()):
         assert_matches_scalar_view(model, phi_a, phi_b)
-    # the fringe law's plain-math scalar form, which shares no numpy code
+    # the fringe law's plain-math form, which shares no numpy code
     phi = phi_a - phi_b
     batch = ideal_joint_probabilities(phi, visibility)
     for m, p in enumerate(phi.tolist()):
-        scalar = ideal_joint_distribution(p, visibility).as_tuple()
+        equal, differ = math_fringe(p, visibility)
+        scalar = (0.5 * equal, 0.5 * differ, 0.5 * differ, 0.5 * equal)
         assert np.max(np.abs(batch[:, m] - scalar)) <= 1e-15, p
 
 
