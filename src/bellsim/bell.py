@@ -28,11 +28,14 @@ from .entangle import CorrelationModel, ideal_joint_probabilities, joint_probabi
 
 # Terms per rule evaluation; bounds each array of a chain, its exact sum's
 # included, at 128 KiB a row.  glibc's default mmap and trim thresholds are
-# 128 KiB too, so each batch's arrays are mapped fresh or left to a heap that
-# is trimmed between batches: the chains of the deep benchmark's scans (seed
-# 1) take about 1 620 minor page faults a pass (getrusage ru_minflt), and
-# none with both thresholds raised.  They took 771 while each chain kept its
-# terms in one array, as freeing that larger mapped block raises both.
+# 128 KiB too, so the arrays a batch makes (the model's law, the exact sum's
+# scratch) are mapped fresh or left to a heap that is trimmed between
+# batches.  A chain writes its setting phases into two buffers made once per
+# call: a warm chained_I(quantum_model(), n=10^5) takes about 325 minor page
+# faults (getrusage ru_minflt), against 517 while each batch made its phases
+# in seven fresh arrays, and the chains of the deep benchmark's scans (seed
+# 1) 700-800 a pass against 840-1 340, moving with the heap's state.  None
+# take any with both thresholds raised.
 BATCH = 1 << 14
 
 
@@ -173,29 +176,37 @@ def chained_I(model, cfg: ChainedConfig) -> float:
     accumulation loses ~2e-12 against the closed form at N = 10^4, and the
     N -> infinity limit that takes the paper's argument from nonlocality at
     detection to Bell nonlocality is read off these small sums.  Each batch's
-    terms are written into one array of at most :data:`BATCH` floats, never
-    into the model's, and split there into a few floats whose exact sum is
-    the batch's (:func:`_exact_partials`), so ``fsum`` of all the batches'
-    floats is ``fsum`` of the terms, bit for bit, wherever the batches split.
-    No array outlives its batch or outgrows it: tracemalloc's peak for a
-    call at N = 10^6 is 2.26 MiB, as at N = 10^5.
+    setting phases and terms are written into arrays of at most
+    :data:`BATCH` floats made once per call, never into the model's, and the
+    terms are split there into a few floats whose exact sum is the batch's
+    (:func:`_exact_partials`), so ``fsum`` of all the batches' floats is
+    ``fsum`` of the terms, bit for bit, wherever the batches split.  No
+    array outlives the call or outgrows a batch: tracemalloc's peak for a
+    call at N = 10^6 is 2.01 MiB, as at N = 10^5.
     """
     terms = 2 * cfg.n
     step = cfg.theta / terms
-    values = np.empty(min(terms, BATCH))
+    size = min(terms, BATCH)
+    # Every batch starts at an even k, so the j-th term of the batch starting
+    # at k = start pairs settings start + side_a[j] and start + side_b[j]:
+    # k - 1 and k, the even one on side A.
+    side_a = np.arange(-1.0, size - 1)  # k - 1 - start
+    side_b = side_a + 1.0
+    side_a[::2] += 1.0  # k - 1 odd at even j
+    side_b[::2] -= 1.0
+    phi_a, phi_b, values = np.empty(size), np.empty(size), np.empty(size)
     partials: list[float] = []
     for start in range(0, terms, BATCH):
-        stop = min(start + BATCH, terms)
-        low = np.arange(start - 1, stop - 1)  # k - 1 for the batch's terms k
+        count = min(BATCH, terms - start)
+        a, b, batch = phi_a[:count], phi_b[:count], values[:count]
+        # Exact integers times step: the bits of i * step for setting i.
+        np.add(side_a[:count], start, out=a)
+        np.add(side_b[:count], start, out=b)
+        a *= step
+        b *= step
         if start == 0:
-            low[0] = 0
-        odd = low & 1
-        side_a = low + odd
-        side_b = low + 1 - odd
-        if start == 0:
-            side_b[0] = terms - 1
-        p = joint_probabilities(model, side_a * step, side_b * step)
-        batch = values[:stop - start]
+            b[0] = (terms - 1) * step  # the closing pair; a[0] is setting 0's
+        p = joint_probabilities(model, a, b)
         np.add(p[1], p[2], out=batch)
         if start == 0:
             batch[0] = p[0, 0] + p[3, 0]

@@ -39,7 +39,10 @@ no artifact is held in memory whole.  A float ``repr`` is most of a cheap
 row's cost, so cells that repeat are formatted once: a grid axis whose
 values repeat over the rows once per scan, an output float column with the
 bits of a column already formatted in the block once per block, and a float
-column made of few runs of one value once per run.  A JSON artifact's
+column made of few runs of one value once per run.  A row is joined from
+its cells and the fixed text around them (a JSON row's keys and indentation,
+a CSV row's commas) by one ``"".join`` per row, the same code for both
+formats.  A JSON artifact's
 ``spec.grids`` lists are written from the same cells.  Budgets reject a scan
 of more than ``_MAX_ROWS`` grid points, or a chain (``chained`` ``n``,
 ``extensions`` ``n_cap``) longer than ``_MAX_CHAIN``, with exit 2 before
@@ -66,6 +69,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -570,7 +574,7 @@ def validate_spec(spec: ScanSpec) -> dict:
         if not values:
             raise ConfigError(f"grid {name!r} is empty; grids must be nonempty")
         # A ScanSpec built directly may hold ints and bools, which rows take as floats.
-        if not all(isinstance(x, (int, float)) for x in values):
+        if not all(map(isinstance, values, repeat((int, float)))):
             raise ConfigError(f"grid {name!r}: expected a list of real numbers")
     rows = math.prod(len(values) for values in spec.grids.values())
     if rows > _MAX_ROWS:
@@ -668,7 +672,14 @@ def _json_floats(values: list) -> list[str]:
 
 class _Writer:
     """Formats rows by column: CSV lines, or the rows of the indent=2 JSON
-    document, whose keys are sorted."""
+    document, whose keys are sorted.
+
+    A row is its cells in ``order`` with fixed text around them, the
+    ``pieces``: before the first cell, between two cells and after the last
+    (the key and indentation of each JSON cell, a comma between two CSV
+    cells).  :meth:`text` joins each row of a block from its pieces and
+    cells, and the rows with ``separator``.
+    """
 
     def __init__(self, names: tuple[str, ...], csv: bool):
         if csv:
@@ -680,7 +691,7 @@ class _Writer:
             self.other = _csv_text
             self.blank = ""
             self.order = tuple(range(len(names)))
-            self.template = ",".join(["%s"] * len(names)) + "\n"
+            self.pieces = ("",) + (",",) * (len(names) - 1) + ("\n",)
             self.separator = ""
         else:
             self.floats = _json_floats
@@ -689,8 +700,8 @@ class _Writer:
             self.blank = '""'
             self.order = tuple(sorted(range(len(names)), key=names.__getitem__))
             # One row at its depth in the document, as indent=2 writes it.
-            self.template = ("{\n      " + ",\n      ".join(
-                json.dumps(names[k]) + ": %s" for k in self.order) + "\n    }")
+            keys = ["\n      " + json.dumps(names[k]) + ": " for k in self.order]
+            self.pieces = ("{" + keys[0], *("," + key for key in keys[1:]), "\n    }")
             self.separator = ",\n    "
 
     def column(self, values) -> list[str]:
@@ -715,9 +726,13 @@ class _Writer:
             return [cell(type(value), self.other)(value) for value in values]
 
     def text(self, columns: list[list[str]]) -> str:
-        """The rows of the given cell columns, joined by the row separator."""
-        rows = zip(*[columns[k] for k in self.order])
-        return self.separator.join(map(self.template.__mod__, rows))
+        """The rows of the given cell columns, joined by the row separator:
+        each row is one ``"".join`` of its pieces and cells, zipped in C."""
+        parts = []
+        for piece, k in zip(self.pieces, self.order):
+            parts += repeat(piece), columns[k]
+        parts.append(repeat(self.pieces[-1]))
+        return self.separator.join(map("".join, zip(*parts)))
 
 
 # The grids entry of the indented JSON spec text when the grids are {}.
@@ -801,7 +816,7 @@ def run_scan(spec: ScanSpec) -> int:
             points = dict(zip(spec.grids, inputs))
             points.update((name, np.full(block.size, value)) for name, value in fixed.items())
             outputs, errors = _evaluate(spec, sub, block, points)
-            failures = [i for i, error in enumerate(errors) if error]
+            failures = [i for i, error in enumerate(errors) if error] if any(errors) else []
             cells = [writer.column(values) if cached is None
                      else list(map(cached.__getitem__, i.tolist()))
                      for values, cached, i in zip(inputs, axis_cells, index)]

@@ -352,7 +352,7 @@ def test_chained_I_leaves_the_model_array_untouched():
 
 def test_chained_I_memory_stays_within_its_batches():
     # the 2 * 10^6 terms (16 MB) are never held at once: every array lives
-    # and dies within its batch of BATCH terms (2.26 MiB peak)
+    # and dies within its call, none longer than a batch (2.01 MiB peak)
     cfg = ChainedConfig(n=10 ** 6, theta=PI)
     chained_I(quantum_model(), ChainedConfig(n=2, theta=PI))
     tracemalloc.start()

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -337,24 +338,79 @@ def test_json_artifact_is_the_indented_document(tmp_path, argv):
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
+def _percent_template_text(names, csv_format, columns):
+    """A block as the writer once assembled it, one ``%`` row template per
+    format, kept as the oracle of the joined rows."""
+    if csv_format:
+        order = range(len(names))
+        template, separator = ",".join(["%s"] * len(names)) + "\n", ""
+    else:
+        order = sorted(range(len(names)), key=names.__getitem__)
+        template = ("{\n      " + ",\n      ".join(
+            json.dumps(names[k]) + ": %s" for k in order) + "\n    }")
+        separator = ",\n    "
+    return separator.join(map(template.__mod__, zip(*[columns[k] for k in order])))
+
+
+# One cell of each kind a row may hold: text the CSV format quotes, text
+# with the characters of a % template, and every float a JSON writer spells.
+ROW_CELLS = {"comma": "a, b", "quote": 'say "hi"', "newline": "x\ny", "percent": "%",
+             "format": "%s", "escaped": "%%", "accent": "é", "blank": "", "flag": True,
+             "off": False, "count": 7, "nan": math.nan, "inf": math.inf,
+             "ninf": -math.inf, "zero": -0.0, "tiny": 5e-324}
+
+
+def _rotated_rows(cells: dict, size: int) -> list[dict]:
+    """``size`` rows over the keys of ``cells``: row i gives the j-th key the
+    value of key (i + j) mod len(cells), so every column past one row mixes
+    the kinds of cell."""
+    names, values = list(cells), list(cells.values())
+    return [{name: values[(i + j) % len(values)] for j, name in enumerate(names)}
+            for i in range(size)]
+
+
 def test_json_row_encoder_matches_json_dumps():
     # The column writer of the JSON format, one row per case and two rows at
-    # once: each value in a column of its own type and in a mixed column.
+    # once: each value in a column of its own type and in a mixed column;
+    # then blocks of 1, 3 and 1 024 rows of every kind of cell.
     rows = [
         {"nan": math.nan, "inf": math.inf, "ninf": -math.inf, "zero": -0.0,
          "tiny": 5e-324, "flag": True, "off": False, "none": None, "count": 7},
         {"accent": "é", "quote": '"', "backslash": "\\", "newline": "\n",
-         "error": "ValueError: a, b"},
+         "error": "ValueError: a, b", "percent": "%s", "escaped": "%%"},
         {"error": ""},
         {"nan": "", "inf": 1.5, "ninf": 2, "zero": None, "tiny": "x",
          "flag": math.nan, "off": "é", "none": -0.0, "count": False},
     ]
-    for group in [[row] for row in rows] + [[rows[0], rows[3]]]:
+    groups = [[row] for row in rows] + [[rows[0], rows[3]]]
+    groups += [_rotated_rows({**ROW_CELLS, "none": None}, size) for size in (1, 3, 1024)]
+    for group in groups:
         names = tuple(group[0])
         writer = _Writer(names, csv=False)
         columns = [writer.column([row[name] for row in group]) for name in names]
+        text = writer.text(columns)
+        assert text == _percent_template_text(names, False, columns)
         want = json.dumps({"rows": group}, indent=2, sort_keys=True)
-        assert '{\n  "rows": [\n    ' + writer.text(columns) + "\n  ]\n}" == want
+        assert '{\n  "rows": [\n    ' + text + "\n  ]\n}" == want
+
+
+def test_csv_row_encoder_matches_csv_writer():
+    # The column writer of the CSV format against the csv module, in blocks
+    # of 1, 3 and 1 024 rows of every kind of cell.  The CSV format writes a
+    # bool as 1 or 0 (the unitarity `valid` column), so csv.writer is given
+    # its int.
+    names = tuple(ROW_CELLS)
+    writer = _Writer(names, csv=True)
+    for size in (1, 3, 1024):
+        rows = _rotated_rows(ROW_CELLS, size)
+        columns = [writer.column([row[name] for row in rows]) for name in names]
+        text = writer.text(columns)
+        assert text == _percent_template_text(names, True, columns)
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(
+            [int(value) if isinstance(value, bool) else value for value in row.values()]
+            for row in rows)
+        assert text == out.getvalue()
 
 
 # Artifacts recorded before the writer was rewritten: a bool column
@@ -721,6 +777,23 @@ def test_digests_do_not_depend_on_the_avx512_dispatch():
 def test_direct_spec_is_checked_like_flags_and_config(subcommand, grids, params, message):
     with pytest.raises(ConfigError, match=message):
         run_scan(ScanSpec(subcommand=subcommand, grids=grids, params=params))
+
+
+# A ScanSpec built directly may hold any values; its grids take ints, floats,
+# bools and np.float64 (a float subclass), checked over every value.
+@pytest.mark.parametrize("last", [0.5, 2, True, np.float64(0.25)],
+                         ids=["float", "int", "bool", "float64"])
+def test_direct_spec_grid_takes_real_values(last):
+    spec = ScanSpec(subcommand="interf", grids={"phi": (0.0,) * 19_999 + (last,)})
+    assert cli.validate_spec(spec) == {"tolerance": 1e-10}
+
+
+@pytest.mark.parametrize("last", ["0.5", None, 1j], ids=["str", "none", "complex"])
+def test_direct_spec_grid_rejects_other_values(last):
+    spec = ScanSpec(subcommand="interf", grids={"phi": (0.0,) * 19_999 + (last,)})
+    with pytest.raises(ConfigError) as excinfo:
+        cli.validate_spec(spec)
+    assert str(excinfo.value) == "grid 'phi': expected a list of real numbers"
 
 
 def test_direct_spec_window_text_is_resolved(capsys):
