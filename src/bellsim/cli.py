@@ -19,8 +19,8 @@ exits 2.  The JSON artifact's ``spec.params`` records every parameter
 value the rows used, defaults included.  The parser is built once per
 process and shared by every :func:`main` call; a parse does not change it.
 
-Rows run in grid order on the calling thread, a block of up to
-``_BLOCK_ROWS`` grid points at a time.  Each grid axis's entry has a domain
+Rows run in grid order, a block of up to ``_BLOCK_ROWS`` grid points at a
+time.  Each grid axis's entry has a domain
 (finite, finite and >= 0, or an integer), checked over the block as one
 array: a row with a value outside it is an error row, "ValueError: <axis>
 must be <noun>, got <value>", naming the first such axis in table order.
@@ -47,13 +47,22 @@ formats.  A JSON artifact's
 of more than ``_MAX_ROWS`` grid points, or a chain (``chained`` ``n``,
 ``extensions`` ``n_cap``) longer than ``_MAX_CHAIN``, with exit 2 before
 any grid is built.  The output file is opened before any row runs; a scan
-that raises outside row evaluation exits 1 and removes the partly written
-file.
+that raises outside row evaluation, in any process, exits 1 and removes the
+partly written file.
 
-``--workers`` is still accepted and validated (>= 1) but changes nothing,
-and the JSON artifact leaves it out of its ``spec``.  Outputs are
-byte-identical for identical spec and seed: rows are pure functions of the
-grid point (plus a per-row stream index for sampling).
+``--workers N`` splits a scan's blocks into up to N contiguous ranges, each
+run by one process: the calling process runs the first, and ``os.fork()``ed
+children run the others, each writing its text into an unnamed temporary
+file that the caller copies into the artifact in range order, a chunk at a
+time.  Processes, not threads: float ``repr``, most of a cheap row's cost,
+holds the interpreter lock.  N is capped by the scan's blocks and by the
+CPUs this process may run on; at one, or where the platform has no
+``os.fork``, every block runs in the calling process, through the same block
+loop.  From Python 3.12 on, ``fork()`` in a process with other threads
+(numpy's BLAS threads may count) issues a DeprecationWarning.  Outputs are
+byte-identical for identical spec and seed, whatever N: rows are pure
+functions of the grid point (plus a per-row stream index for sampling), and
+the JSON artifact leaves N out of its ``spec``.
 
 Exit codes: 0 success, 1 any row failed numerically (the row's ``error``
 column carries the diagnostic and the scan continues) or the scan failed
@@ -97,15 +106,26 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# The types of a real value in a ScanSpec built directly: numpy's integer
+# and floating scalars count as Python's do.  A bool is a real grid value but
+# no real parameter.
+_REALS = (int, float, np.integer, np.floating)
+
+
 def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, _REALS) and not isinstance(value, bool)
+
+
+def _plain(value):
+    """A numpy scalar as the Python value it holds; any other value as is."""
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def _where(test: Callable[[object], bool]) -> Callable[[object], object]:
     def accept(value):
         if not test(value):
             raise ValueError(value)
-        return value
+        return _plain(value)
     return accept
 
 
@@ -114,7 +134,7 @@ def _window(value):
     if isinstance(value, str) and value != "auto":
         value = None if value.lower() == "none" else float(value)
     if value is None or value == "auto" or _is_real(value):
-        return value
+        return _plain(value)
     raise TypeError(value)
 
 
@@ -213,8 +233,9 @@ class ScanSpec:
     params: dict = field(default_factory=dict)
     output: str = _option("-", _TEXT, "output path, '-' for stdout (default)")
     format: str = _option("csv", _TEXT, "output format", ("csv", "json"))
-    workers: int = _option(1, _WORKERS, "accepted for compatibility (>= 1); rows always "
-                                        "run in grid order on one thread")
+    workers: int = _option(1, _WORKERS, "processes that run the scan's blocks (>= 1), at "
+                                        "most one per block and per usable CPU; the "
+                                        "artifact is the same for every count")
 
     def to_dict(self) -> dict:
         data = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -358,20 +379,24 @@ def _interf_rows(spec: ScanSpec, rows: np.ndarray, points: dict) -> tuple[list, 
 
 def _unitarity_rows(spec: ScanSpec, rows: np.ndarray, points: dict) -> tuple[list, list[str]]:
     """Each distinct reflection phase of the block builds and checks its
-    matrix once and takes the port law at its rows' phases as one array."""
-    phase, phi = points["reflection_phase"], points["phi"]
-    residual, p = np.empty(phase.size), np.empty((2, phase.size))
-    valid = np.empty(phase.size, dtype=bool)
-    bits = phase.view(np.int64)  # which tell -0.0 from 0.0
-    amplitudes = measurement.PathAmplitudes.balanced()
-    # A set, not np.unique: its first call imports numpy.ma (about 2 MB).
-    for key in set(bits.tolist()):
-        group = np.flatnonzero(bits == key)
-        m = measurement.mach_zehnder_effective(phase[group[0]].item())
-        validation = measurement.is_valid_quantum_measurement(m, spec.params["tolerance"])
-        residual[group] = validation.residual
-        valid[group] = validation.valid
-        p[:, group] = measurement.outcome_probabilities(m, amplitudes, phi[group])
+    matrix once; the block's ports are one array evaluation of the port law,
+    each row measured by its phase's matrix."""
+    phase = points["reflection_phase"]
+    # Distinct phases by their bits, which tell -0.0 from 0.0, found by a
+    # sort: np.unique's first call imports numpy.ma (about 2 MB).
+    bits = phase.view(np.int64)
+    order = np.argsort(bits, kind="stable")
+    first = np.concatenate(([True], bits[order[1:]] != bits[order[:-1]]))
+    which = np.empty(phase.size, dtype=np.intp)
+    which[order] = np.cumsum(first) - 1
+    matrices = [measurement.mach_zehnder_effective(value)
+                for value in phase[order[first]].tolist()]
+    checks = [measurement.is_valid_quantum_measurement(m, spec.params["tolerance"])
+              for m in matrices]
+    residual = np.array([check.residual for check in checks])[which]
+    valid = np.array([check.valid for check in checks])[which]
+    p = measurement.outcome_probabilities_by_point(
+        matrices, which, measurement.PathAmplitudes.balanced(), points["phi"])
     return [residual, valid, p[0], p[1], p[0] + p[1]], [""] * phase.size
 
 
@@ -573,8 +598,9 @@ def validate_spec(spec: ScanSpec) -> dict:
             )
         if not values:
             raise ConfigError(f"grid {name!r} is empty; grids must be nonempty")
-        # A ScanSpec built directly may hold ints and bools, which rows take as floats.
-        if not all(map(isinstance, values, repeat((int, float)))):
+        # A ScanSpec built directly may hold ints, bools and numpy scalars,
+        # which rows take as floats.
+        if not all(map(isinstance, values, repeat(_REALS))):
             raise ConfigError(f"grid {name!r}: expected a list of real numbers")
     rows = math.prod(len(values) for values in spec.grids.values())
     if rows > _MAX_ROWS:
@@ -760,19 +786,25 @@ def _json_tail(spec: ScanSpec, grid_cells: dict[str, list[str]]) -> list[str]:
 def run_scan(spec: ScanSpec) -> int:
     """Execute the scan and write its artifact; returns the exit status.
 
-    Rows run in grid order on the calling thread, ``_BLOCK_ROWS`` grid
-    points at a time: the subcommand's row function evaluates a block, and
-    the block is formatted by column and written before the next one runs,
-    so the artifact is never held in memory whole.  A grid axis whose values
-    repeat over the rows is formatted once per scan, and each block indexes
-    its cells; an output float column with the bits of a column already
-    formatted in the block reuses its cells.  A JSON artifact's
-    ``spec.grids`` lists are written from the same cells, so its text equals
-    ``json.dumps({"spec": ..., "rows": ...}, indent=2, sort_keys=True)``.
-    ``spec.workers`` does not change how rows run.  The output file is
-    opened before any row runs, so an unwritable path fails first; if the
-    scan raises outside row evaluation, the partly written file is removed
-    (what went to stdout stays written).
+    Rows run in grid order, ``_BLOCK_ROWS`` grid points at a time: the
+    subcommand's row function evaluates a block, and the block is formatted
+    by column and written before the next one runs, so the artifact is never
+    held in memory whole.  A grid axis whose values repeat over the rows is
+    formatted once per scan, and each block indexes its cells; an output
+    float column with the bits of a column already formatted in the block
+    reuses its cells.  A JSON artifact's ``spec.grids`` lists are written
+    from the same cells, so its text equals ``json.dumps({"spec": ...,
+    "rows": ...}, indent=2, sort_keys=True)``.
+
+    The blocks are split into :func:`_processes` contiguous ranges.  With
+    one, the calling process runs every block; with more, it runs the first
+    range and forked children the others (:func:`bellsim._workers.run`).
+    Every process runs the same block loop, so the artifact has the same
+    bytes for every ``spec.workers``.  The output file is opened before any
+    row runs, so an unwritable path fails first.  If the scan raises outside
+    row evaluation, in any process, the partly written file is removed
+    (what went to stdout stays written) and the error of the earliest block
+    that raised is raised.
     """
     spec = replace(spec, params=validate_spec(spec))
     sub = _SUBCOMMANDS[spec.subcommand]
@@ -795,7 +827,7 @@ def run_scan(spec: ScanSpec) -> int:
     if spec.format == "json":
         for (name, values), cells in zip(spec.grids.items(), axis_cells):
             if set(map(type, values)) != {float}:
-                spec_cells[name] = writer.column(list(values))
+                spec_cells[name] = writer.column(list(map(_plain, values)))
             elif cells is None:
                 spec_cells[name] = block_pieces[name] = []
             else:
@@ -804,12 +836,13 @@ def run_scan(spec: ScanSpec) -> int:
     else:
         head = ",".join(names) + "\n"
 
-    to_file = spec.output != "-"
-    out = open(spec.output, "w", encoding="utf-8", newline="\n") if to_file else sys.stdout
-    failed = False
-    try:
-        out.write(head)
-        for start in range(0, rows, _BLOCK_ROWS):
+    def write_blocks(first: int, stop: int, write: Callable[[str], object],
+                     pieces: dict[str, list[str]]) -> bool:
+        """Evaluate blocks ``first`` to ``stop - 1`` in grid order and pass
+        each block's text to ``write``; a 1-D axis's JSON spec cells go to
+        its list in ``pieces``.  Returns whether any row failed."""
+        failed = False
+        for start in range(first * _BLOCK_ROWS, min(stop * _BLOCK_ROWS, rows), _BLOCK_ROWS):
             block = np.arange(start, min(start + _BLOCK_ROWS, rows))
             index = np.unravel_index(block, shape)
             inputs = [grid[i] for grid, i in zip(grids, index)]
@@ -821,8 +854,8 @@ def run_scan(spec: ScanSpec) -> int:
                      else list(map(cached.__getitem__, i.tolist()))
                      for values, cached, i in zip(inputs, axis_cells, index)]
             for name, column in zip(spec.grids, cells):
-                if name in block_pieces:
-                    block_pieces[name].append(_SPEC_CELL.join(column))
+                if name in pieces:
+                    pieces[name].append(_SPEC_CELL.join(column))
             # The cells of the block's float columns by their bits, which
             # tell -0.0 from 0.0; failed rows are blanked on a copy.
             formatted = {values.tobytes(): column for values, column in zip(inputs, cells)}
@@ -839,8 +872,22 @@ def run_scan(spec: ScanSpec) -> int:
                         column[i] = writer.blank
                 cells.append(column)
             cells.append(writer.column(errors) if failures else [writer.blank] * len(errors))
-            out.write((writer.separator if start else "") + writer.text(cells))
+            write((writer.separator if start else "") + writer.text(cells))
             failed = failed or bool(failures)
+        return failed
+
+    blocks = -(-rows // _BLOCK_ROWS)
+    count = _processes(spec.workers, blocks)
+    to_file = spec.output != "-"
+    out = open(spec.output, "w", encoding="utf-8", newline="\n") if to_file else sys.stdout
+    try:
+        out.write(head)
+        if count == 1:
+            failed = write_blocks(0, blocks, out.write, block_pieces)
+        else:
+            # Imported here, so that a scan in one process never compiles it.
+            from . import _workers
+            failed = _workers.run(write_blocks, blocks, count, out, block_pieces)
         if spec.format == "json":
             out.writelines(_json_tail(spec, spec_cells))
         if to_file:
@@ -851,6 +898,22 @@ def run_scan(spec: ScanSpec) -> int:
             os.remove(spec.output)
         raise
     return ROW_ERROR if failed else 0
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _processes(workers: int, blocks: int) -> int:
+    """The processes a scan of ``blocks`` blocks runs in: one per worker,
+    but no more than its blocks or the CPUs this process may run on, and
+    only the calling one where the platform cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    return min(workers, blocks, _usable_cpus())
 
 
 # ---------------------------------------------------------------------------

@@ -109,20 +109,42 @@ def outcome_probabilities(
     expression.  A non-finite phase is rejected with the message of the
     first one.
     """
+    return _port_law(_ports(m, amps), amps.L, phi)
+
+
+def outcome_probabilities_by_point(
+    matrices: list[MeasurementMatrix], which: np.ndarray, amps: PathAmplitudes,
+    phi: np.ndarray
+) -> np.ndarray:
+    """Port probabilities as a (2, M) array, the phase ``phi[i]`` measured by
+    ``matrices[which[i]]``: the bits of :func:`outcome_probabilities` of
+    each matrix at its points, from one array evaluation."""
+    ports = np.array([_ports(m, amps) for m in matrices])[which]
+    return _port_law(np.moveaxis(ports, 0, -1), amps.L, phi)
+
+
+def _ports(m: MeasurementMatrix, amps: PathAmplitudes) -> tuple:
+    """Per port, the coefficient of the long-path amplitude and the short
+    path's amplitude there."""
+    return (m.a11, m.a21 * amps.S), (m.a12, m.a22 * amps.S)
+
+
+def _port_law(ports, long: complex, phi) -> np.ndarray:
+    """The probability of each port of ``ports`` at every phase of ``phi``;
+    a port's coefficients are scalars or one value per phase."""
     phi = np.asarray(phi, dtype=float)
     finite = np.isfinite(phi)
     if not finite.all():
         raise ValueError(f"phi must be finite, got {phi[~finite][0].item()!r}")
     cos, sin = np.cos(phi), np.sin(phi)
-    long_re = amps.L.real * cos - amps.L.imag * sin  # L * exp(i phi)
-    long_im = amps.L.real * sin + amps.L.imag * cos
-    return np.stack([_port_probability(a, b * amps.S, long_re, long_im)
-                     for a, b in ((m.a11, m.a21), (m.a12, m.a22))])
+    long_re = long.real * cos - long.imag * sin  # L * exp(i phi)
+    long_im = long.real * sin + long.imag * cos
+    return np.stack([_port_probability(a, short, long_re, long_im) for a, short in ports])
 
 
-def _port_probability(a: complex, short: complex, long_re: np.ndarray,
-                      long_im: np.ndarray) -> np.ndarray:
-    """|a * long + short|^2 at every long-path amplitude."""
+def _port_probability(a, short, long_re: np.ndarray, long_im: np.ndarray) -> np.ndarray:
+    """|a * long + short|^2 at every long-path amplitude; ``a`` and
+    ``short`` are complex scalars or arrays."""
     modulus = np.hypot(a.real * long_re - a.imag * long_im + short.real,
                        a.real * long_im + a.imag * long_re + short.imag)
     return np.fromiter(map(math.pow, modulus.tolist(), itertools.repeat(2.0)), float,

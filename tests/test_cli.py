@@ -780,20 +780,52 @@ def test_direct_spec_is_checked_like_flags_and_config(subcommand, grids, params,
 
 
 # A ScanSpec built directly may hold any values; its grids take ints, floats,
-# bools and np.float64 (a float subclass), checked over every value.
-@pytest.mark.parametrize("last", [0.5, 2, True, np.float64(0.25)],
-                         ids=["float", "int", "bool", "float64"])
+# bools and numpy's integer and floating scalars, checked over every value.
+@pytest.mark.parametrize("last", [0.5, 2, True, np.float64(0.25), np.int64(2), np.int32(2),
+                                  np.float32(0.25)],
+                         ids=["float", "int", "bool", "float64", "int64", "int32", "float32"])
 def test_direct_spec_grid_takes_real_values(last):
     spec = ScanSpec(subcommand="interf", grids={"phi": (0.0,) * 19_999 + (last,)})
     assert cli.validate_spec(spec) == {"tolerance": 1e-10}
 
 
-@pytest.mark.parametrize("last", ["0.5", None, 1j], ids=["str", "none", "complex"])
+@pytest.mark.parametrize("last", ["0.5", None, 1j, np.complex128(1j), np.bool_(True)],
+                         ids=["str", "none", "complex", "complex128", "numpy_bool"])
 def test_direct_spec_grid_rejects_other_values(last):
     spec = ScanSpec(subcommand="interf", grids={"phi": (0.0,) * 19_999 + (last,)})
     with pytest.raises(ConfigError) as excinfo:
         cli.validate_spec(spec)
     assert str(excinfo.value) == "grid 'phi': expected a list of real numbers"
+
+
+@pytest.mark.parametrize("value", ["0.5", None, 1j, True, np.bool_(True)],
+                         ids=["str", "none", "complex", "bool", "numpy_bool"])
+def test_direct_spec_real_parameter_rejects_other_values(value):
+    spec = ScanSpec(subcommand="interf", grids={"phi": (0.0,)}, params={"tolerance": value})
+    with pytest.raises(ConfigError) as excinfo:
+        cli.validate_spec(spec)
+    assert str(excinfo.value) == f"'tolerance' must be a positive real number, got {value!r}"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.float32, np.float64])
+def test_numpy_scalars_are_taken_as_the_values_they_hold(capsys, kind, fmt):
+    # As grid values and as real parameters, numpy scalars give the artifact
+    # of the Python numbers they hold; a floating kind also gives the
+    # physical Franson delays and window.
+    def artifact(number):
+        specs = [ScanSpec(subcommand="chained", grids={"n": (number(2), number(3))},
+                          params={"visibility": number(1)}, format=fmt)]
+        if issubclass(kind, np.floating):
+            params = {**PHYSICAL_PARAMS, "tau_a": number(1e-9),
+                      "coincidence_window": number(6e-10)}
+            specs.append(ScanSpec(subcommand="franson", grids={"tau_b": (number(1.2e-9),)},
+                                  params=params, format=fmt))
+        for spec in specs:
+            assert run_scan(spec) == 0
+        return capsys.readouterr().out
+
+    assert artifact(kind) == artifact(lambda value: kind(value).item())
 
 
 def test_direct_spec_window_text_is_resolved(capsys):

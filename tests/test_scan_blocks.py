@@ -268,6 +268,32 @@ def test_unitarity_blocks_repeat_phases_across_edges():
         assert_unitarity_scan(phases, phis, phase_outer, fmt, rows_per_block)
 
 
+@pytest.mark.parametrize("phase_outer", [True, False], ids=["phase_outer", "phase_inner"])
+def test_unitarity_block_ports_equal_one_port_law_call_per_phase(phase_outer):
+    # The block's one array evaluation against one outcome_probabilities
+    # call per distinct phase, bit for bit; -0.0 and 0.0 are two phases.
+    phases = [0.0, -0.0, PI / 2, 0.801322977421273, PI / 4, -0.0, 3.0]
+    phis = [6.781800114893231, 0.0, -0.0, 0.5, PI, 1e3]
+    pairs = (itertools.product(phases, phis) if phase_outer
+             else ((phase, phi) for phi, phase in itertools.product(phis, phases)))
+    phase, phi = np.array(list(pairs)).T
+    spec = cli.ScanSpec(subcommand="unitarity", grids={}, params={"tolerance": 1e-10})
+    columns, errors = cli._unitarity_rows(spec, np.arange(phase.size),
+                                          {"reflection_phase": phase, "phi": phi})
+    residual, valid, p_plus, p_minus, total = columns
+    bits = phase.view(np.int64)
+    for key in set(bits.tolist()):
+        group = bits == key
+        m = mach_zehnder_effective(phase[group][0].item())
+        check = is_valid_quantum_measurement(m, 1e-10)
+        p = outcome_probabilities(m, PathAmplitudes.balanced(), phi[group])
+        assert residual[group].tolist() == [check.residual] * group.sum()
+        assert valid[group].tolist() == [check.valid] * group.sum()
+        for got, want in ((p_plus, p[0]), (p_minus, p[1]), (total, p[0] + p[1])):
+            assert got[group].tobytes() == want.tobytes()
+    assert errors == [""] * phase.size
+
+
 amplitude = st.floats(-2.0, 2.0)
 entries = st.builds(complex, amplitude, amplitude)
 
