@@ -34,8 +34,9 @@ from .entangle import CorrelationModel, ideal_joint_probabilities, joint_probabi
 # call: a warm chained_I(quantum_model(), n=10^5) takes about 325 minor page
 # faults (getrusage ru_minflt), against 517 while each batch made its phases
 # in seven fresh arrays, and the chains of the deep benchmark's scans (seed
-# 1) 700-800 a pass against 840-1 340, moving with the heap's state.  None
-# take any with both thresholds raised.
+# 1) 550-800 a pass, moving with the heap's state (and with the checkout's
+# path) more than with the batch's temporaries.  None take any with both
+# thresholds raised.
 BATCH = 1 << 14
 
 
@@ -220,25 +221,32 @@ def _exact_partials(x: np.ndarray) -> list[float]:
 
     Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
     summation part I", SIAM J. Sci. Comput. 31(1), 2008, Lemma 3.3): with
-    max|x| < 2^e and sigma = 2^(e + ceil(log2(len(x) + 2))), every
-    q = (sigma + x) - sigma is a multiple of ulp(sigma)/2 and |sum q| <=
-    sigma, so ``q.sum()`` is exact in any order, and so is x - q, whose
-    magnitude is at most ulp(sigma)/2.  Each pass strips at least
-    52 - ceil(log2(len(x) + 2)) bits off x (35 for a full batch), until it
-    is zero.  sigma must not overflow: ``chained_I``'s terms are below 3.
+    max|x| < 2^e and sigma = 2^(e + spread), spread = ceil(log2(len(x) + 2)),
+    every q = (sigma + x) - sigma is a multiple of ulp(sigma)/2 and |sum q|
+    <= sigma, so ``q.sum()`` is exact in any order, and so is x - q, whose
+    magnitude is at most ulp(sigma)/2 = 2^(e + spread - 53).  Only the first
+    pass scans x for its e; each later pass takes e + spread - 52 from that
+    bound, so it strips 52 - spread bits (37 for a full batch) off the bound
+    without a scan, until x is zero.  While x is not, the bound stays above
+    its smallest nonzero magnitude, 2^-1074, so sigma never underflows.
+    sigma must not overflow: ``chained_I``'s terms are below 3.
     """
     q = np.empty_like(x)
+    top = np.abs(x, out=q).max()
+    if top == 0.0:
+        return []
     spread = (x.size + 1).bit_length()  # ceil(log2(len(x) + 2))
+    e = math.frexp(top)[1]  # top < 2^e
     partials = []
     while True:
-        top = np.abs(x, out=q).max()
-        if top == 0.0:
-            return partials
-        sigma = math.ldexp(1.0, math.frexp(top)[1] + spread)
+        sigma = math.ldexp(1.0, e + spread)
         np.add(x, sigma, out=q)
         q -= sigma
         partials.append(float(q.sum()))
         x -= q
+        if not x.any():
+            return partials
+        e += spread - 52
 
 
 def quantum_I_closed_form(n: int, theta: float) -> float:

@@ -31,14 +31,21 @@ def check_distribution(entries: Sequence[float], what: str = "probabilities") ->
         raise ValueError(f"{what} sum to {total!r}, not 1")
 
 
-def valid_columns(p: np.ndarray) -> np.ndarray:
-    """Mask of the columns of the 2-D array ``p`` that
-    :func:`check_distribution` accepts."""
+def _sum_errors(p: np.ndarray) -> np.ndarray:
+    """|column sum - 1| for each column of the 2-D array ``p``, its rows
+    added top to bottom: the order :func:`check_distribution` adds a
+    column's entries in."""
     total = p[0].copy()
     for row in p[1:]:
         total += row
     total -= 1.0
-    good = np.abs(total, out=total) <= SUM_TOL
+    return np.abs(total, out=total)
+
+
+def valid_columns(p: np.ndarray) -> np.ndarray:
+    """Mask of the columns of the 2-D array ``p`` that
+    :func:`check_distribution` accepts."""
+    good = _sum_errors(p) <= SUM_TOL
     # a NaN entry makes its column's min and max NaN, which fail both tests
     good &= p.min(axis=0) >= _LOW
     good &= p.max(axis=0) <= _HIGH
@@ -47,7 +54,17 @@ def valid_columns(p: np.ndarray) -> np.ndarray:
 
 def check_batch(p: np.ndarray, what: str = "probabilities") -> None:
     """Raise ValueError unless every column of the 2-D array ``p`` is a
-    distribution; the message is that of the first invalid column."""
+    distribution; the message is that of the first invalid column.
+
+    A valid batch is accepted by one test of the whole array: its smallest
+    and largest entries and its largest column-sum error, the sums added as
+    :func:`valid_columns` adds them.  A NaN entry makes the smallest entry
+    NaN, and an infinite one lies outside the bounds, so either fails that
+    test.  Only a batch that fails it, or an empty one, takes the
+    per-column mask, which names the first invalid column.
+    """
+    if p.size and p.min() >= _LOW and p.max() <= _HIGH and _sum_errors(p).max() <= SUM_TOL:
+        return
     good = valid_columns(p)
     if not good.all():
         check_distribution(p[:, int(np.argmin(good))].tolist(), what)

@@ -19,6 +19,7 @@ from bellsim.bell import (
     quantum_model,
     suppressed_nonlocality_model,
 )
+from bellsim import cli
 from bellsim.cli import main
 from bellsim.entangle import (
     FransonConfig,
@@ -46,6 +47,7 @@ from bellsim.measurement import (
     unitarity_residual,
 )
 from bellsim.spectra import PLANCK_CONSTANT, Spectrum, coherence_time, heisenberg_product
+from test_cli import SPLIT_ROWS, _forks
 
 TWO_PI = 2.0 * math.pi
 PI = math.pi
@@ -234,14 +236,15 @@ def test_criterion_11_counting_statistics():
           f"double-count rate {local.n_double / 1e6:.6f}, |dev| = {double_dev / sigma:.2f} sigma")
 
 
-def test_criterion_12_cli_determinism(tmp_path):
-    args = ["sample", "--grid", "phi=linspace:0:3.141592653589793:11",
-            "--seed", "31415", "--n", "200000", "--model", "local"]
-    paths = [tmp_path / name for name in ("one.csv", "two.csv", "threaded.csv")]
+def test_criterion_12_cli_determinism(tmp_path, monkeypatch):
+    args = ["sample", "--grid", f"phi=linspace:0:3.141592653589793:{SPLIT_ROWS}",
+            "--seed", "31415", "--n", "2000", "--model", "local"]
+    paths = [tmp_path / name for name in ("one.csv", "two.csv", "forked.csv")]
     assert main(args + ["--output", str(paths[0])]) == 0
     assert main(args + ["--output", str(paths[1])]) == 0
+    forks = _forks(monkeypatch)
     assert main(args + ["--workers", "4", "--output", str(paths[2])]) == 0
     blobs = [p.read_bytes() for p in paths]
     check(12, "byte-identical scan artifacts across runs and worker counts",
-          blobs[0] == blobs[1] == blobs[2],
-          f"{len(blobs[0])} bytes")
+          blobs[0] == blobs[1] == blobs[2] and bool(forks) == (cli._usable_cpus() >= 2),
+          f"{len(blobs[0])} bytes, {len(forks)} forked")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -328,6 +329,19 @@ def test_i_value_is_the_fsum_of_its_contributions():
                              (suppressed_nonlocality_model(), PI), (strategy, PI)):
             cfg = ChainedConfig(n=n, theta=theta)
             assert chained_I(model, cfg) == math.fsum(chain_terms(model, cfg)), (model.name, n, theta)
+
+
+def test_chain_bits_are_pinned():
+    # the bits of I at batch edges (BATCH // 2 = 8192 settings fill one
+    # batch), at theta != pi and for every provided array model, as one
+    # digest of the float.hex texts: models outermost, then n, then theta
+    digest = hashlib.sha256()
+    for model in (quantum_model(), quantum_model(0.9), pr_box_model(),
+                  suppressed_nonlocality_model()):
+        for n in (2, 3, 10, 100, 1000, 8191, 8192, 8193, 16384, 50_000, 100_000):
+            for theta in (PI, 2.5, 0.0, 1e-3):
+                digest.update(float.hex(chained_I(model, ChainedConfig(n, theta))).encode())
+    assert digest.hexdigest().startswith("351e76635ee4cee1"), digest.hexdigest()
 
 
 def test_chained_I_leaves_the_model_array_untouched():

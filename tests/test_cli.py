@@ -185,13 +185,32 @@ def test_row_error_continues_scan_and_exits_one(tmp_path):
     assert rows[1]["witness_n"] == ""
 
 
-def test_sample_determinism_across_runs_and_workers(tmp_path):
-    args = ["sample", "--grid", "phi=linspace:0:3.141592653589793:9",
-            "--seed", "123", "--n", "100000", "--model", "local"]
+def _forks(monkeypatch):
+    """Record each fork and make it."""
+    calls = []
+    fork = os.fork
+
+    def recorder():
+        calls.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", recorder)
+    return calls
+
+
+# Three blocks: a --workers scan forks a child wherever two CPUs are usable.
+SPLIT_ROWS = 2 * cli._BLOCK_ROWS + 1
+
+
+def test_sample_determinism_across_runs_and_workers(tmp_path, monkeypatch):
+    args = ["sample", "--grid", f"phi=linspace:0:3.141592653589793:{SPLIT_ROWS}",
+            "--seed", "123", "--n", "1000", "--model", "local"]
     paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
     assert main(args + ["--output", str(paths[0])]) == 0
     assert main(args + ["--output", str(paths[1])]) == 0
+    forks = _forks(monkeypatch)
     assert main(args + ["--workers", "4", "--output", str(paths[2])]) == 0
+    assert bool(forks) == (cli._usable_cpus() >= 2)
     blobs = [p.read_bytes() for p in paths]
     assert blobs[0] == blobs[1] == blobs[2]
 
@@ -244,13 +263,16 @@ def test_module_entry_point(tmp_path):
     assert out.read_text().startswith("phi,p_plus,p_minus,error")
 
 
-def test_json_artifact_does_not_depend_on_workers(tmp_path):
-    args = ["chained", "--grid", "n=2,3,4", "--format", "json",
+def test_json_artifact_does_not_depend_on_workers(tmp_path, monkeypatch):
+    # A 1-D grid: a child hands back its rows and its spec.grids cells.
+    args = ["franson", "--grid", f"phi=linspace:-3.5:9.5:{SPLIT_ROWS}", "--format", "json",
             "--output", str(tmp_path / "out.json")]
     blobs = []
+    forks = _forks(monkeypatch)
     for workers in ("1", "4"):
         assert main(args + ["--workers", workers]) == 0
         blobs.append((tmp_path / "out.json").read_bytes())
+    assert bool(forks) == (cli._usable_cpus() >= 2)
     assert blobs[0] == blobs[1]
     assert "workers" not in json.loads(blobs[0])["spec"]
 

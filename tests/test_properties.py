@@ -23,13 +23,13 @@ from bellsim.bell import (
 )
 from bellsim.entangle import (_CLASS_COEFFS, _CLASSES, FransonConfig, bob_measurement_rule,
                               downconverted_frequencies, ideal_joint_distribution,
-                              ideal_joint_probabilities, physical_joint_distribution,
-                              physical_joint_probabilities)
+                              ideal_joint_probabilities, joint_probabilities,
+                              physical_joint_distribution, physical_joint_probabilities)
 from bellsim.extensions import BiasedMarginalModel, FalsificationCapError, find_falsifying_N
 from bellsim.interferometer import fringe_probabilities, probability_monochromatic
 from bellsim.measurement import (MeasurementMatrix, PathAmplitudes, is_valid_quantum_measurement,
                                  outcome_distribution)
-from bellsim.probability import valid_columns
+from bellsim.probability import SUM_TOL, check_batch, check_distribution, valid_columns
 from bellsim.spectra import Spectrum, SpectrumShape
 
 PI = math.pi
@@ -81,6 +81,132 @@ def test_fringe_law_has_one_value_and_the_pair_law_is_its_half(phis, visibility)
             equal, differ = ports
             assert bits(ideal_joint_distribution(phi, visibility).as_tuple()) == bits(
                 [0.5 * equal, 0.5 * differ, 0.5 * differ, 0.5 * equal])
+
+
+def _sum_in_order(column) -> float:
+    total = 0.0
+    for p in column:
+        total += p
+    return total
+
+
+def _column_sum_edge(side: float) -> float:
+    """The column sum farthest from 1 on ``side`` (+1 or -1) that the sum
+    test accepts."""
+    total = 1.0 + side * SUM_TOL
+    while abs(total - 1.0) > SUM_TOL:
+        total = math.nextafter(total, 1.0)
+    while abs(math.nextafter(total, side * math.inf) - 1.0) <= SUM_TOL:
+        total = math.nextafter(total, side * math.inf)
+    return total
+
+
+# One perturbation of one column: an entry set to NaN, +-inf, or at or just
+# past a bound with the column's other entries moved to keep its sum near 1,
+# the column sum set at or just past 1 +- SUM_TOL, or nothing.
+ENTRY_VALUES = (math.nan, math.inf, -math.inf, -1e-15, -2e-15, 1.0 + 1e-15, 1.0 + 2e-15)
+SUM_EDGES = [edge for side in (1.0, -1.0) for edge in
+             (_column_sum_edge(side), math.nextafter(_column_sum_edge(side), side * math.inf))]
+perturbations = st.one_of(
+    st.none(),
+    st.tuples(st.just("entry"), st.integers(0, 3), st.sampled_from(ENTRY_VALUES)),
+    st.tuples(st.just("sum"), st.sampled_from(SUM_EDGES)))
+
+
+def _set_column_sum(column: list[float], total: float, keep: int = -1) -> bool:
+    """Move the column's largest entry but its ``keep``-th until its sum in
+    order is ``total``; False if no float of that entry gives it."""
+    r = max((i for i in range(len(column)) if i != keep), key=column.__getitem__)
+    column[r] += total - _sum_in_order(column)
+    for _ in range(8):
+        now = _sum_in_order(column)
+        if now == total:
+            return True
+        column[r] = math.nextafter(column[r], math.inf if now < total else -math.inf)
+    return False
+
+
+def _rejection(column) -> str | None:
+    try:
+        check_distribution(column, "joint probabilities")
+    except ValueError as error:
+        return str(error)
+    return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, PI, -PI, 3 * PI, 1e6]),
+                          st.floats(-4 * PI, 4 * PI)), min_size=1, max_size=40),
+       st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       perturbations, st.integers(0, 39))
+def test_one_check_accept_agrees_with_the_per_column_path(phis, visibility, change, m):
+    p = ideal_joint_probabilities(np.array(phis), visibility)
+    if change is not None:
+        m %= len(phis)
+        column = p[:, m].tolist()
+        if change[0] == "entry":
+            r, value = change[1:]
+            if value > 0.5:
+                column = [0.0] * 4
+            column[r] = value
+            if -0.5 < value < 0.5:
+                assume(_set_column_sum(column, 1.0, keep=r))
+        else:
+            assume(_set_column_sum(column, change[1]))
+        p[:, m] = column
+    rejections = [_rejection(column) for column in p.T.tolist()]
+    assert valid_columns(p).tolist() == [r is None for r in rejections]
+    first = next((r for r in rejections if r is not None), None)
+    if first is None:
+        check_batch(p, "joint probabilities")
+    else:
+        with pytest.raises(ValueError) as error:
+            check_batch(p, "joint probabilities")
+        assert str(error.value) == first
+
+
+def test_the_sum_edges_hold_both_verdicts():
+    for edge, past in zip(SUM_EDGES[::2], SUM_EDGES[1::2]):
+        column = [0.25, 0.25, 0.25, 0.25]
+        assert _set_column_sum(column, edge) and _rejection(column) is None
+        assert _set_column_sum(column, past) and _rejection(column) is not None
+
+
+def test_batch_sums_are_added_in_the_order_of_the_scalar_check():
+    # columns whose sum in order sits at an edge, in reverse order past it
+    rng = np.random.default_rng(26)
+    columns = []
+    while len(columns) < 8:
+        column = rng.dirichlet(np.ones(4)).tolist()
+        edge = SUM_EDGES[2 * (len(columns) % 2)]
+        if (_set_column_sum(column, edge)
+                and abs(_sum_in_order(column[::-1]) - 1.0) > SUM_TOL):
+            columns.append(column)
+    p = np.array(columns).T
+    check_batch(p)
+    assert valid_columns(p).all()
+    with pytest.raises(ValueError, match=r"^probabilities sum to"):
+        check_batch(p[::-1].copy())
+
+
+@pytest.mark.parametrize("model", [quantum_model(), quantum_model(0.9), pr_box_model(),
+                                   suppressed_nonlocality_model()], ids=lambda m: m.name)
+def test_an_empty_batch_is_accepted(model):
+    p = joint_probabilities(model, [], [])
+    assert p.shape == (4, 0)
+    check_batch(np.empty((4, 0)))
+
+
+@pytest.mark.parametrize("phi", [np.array([math.nan, PI, 0.0]), np.empty(0),
+                                 np.linspace(-7.0, 7.0, 12).reshape(3, 4)],
+                         ids=["1-d", "empty", "2-d"])
+def test_pair_law_is_a_fresh_array_of_the_halved_ports(phi):
+    for visibility in (1.0, 0.9):
+        pair = ideal_joint_probabilities(phi, visibility)
+        want = 0.5 * fringe_probabilities(phi, visibility)[[0, 1, 1, 0]]
+        assert pair.shape == want.shape == (4, *np.shape(phi))
+        assert bits(pair) == bits(want)
+        assert pair.flags.writeable and pair.flags.owndata
 
 
 # Doubles with exponents from -1074 to 1 and both signs, zeros and the

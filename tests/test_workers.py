@@ -14,7 +14,7 @@ import pytest
 from bellsim import cli
 from bellsim.cli import main
 from bellsim.spectra import IntegrationError
-from test_cli import FULL_SCALE_DIGESTS, GOLDEN, GOLDEN_JSON, _with_row
+from test_cli import FULL_SCALE_DIGESTS, GOLDEN, GOLDEN_JSON, _forks, _with_row
 
 BLOCK = cli._BLOCK_ROWS
 
@@ -186,19 +186,6 @@ def test_an_interrupted_scan_kills_and_reaps_its_children(tmp_path, monkeypatch,
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert not out.exists()
-
-
-def _forks(monkeypatch):
-    """Record each fork and make it."""
-    calls = []
-    fork = os.fork
-
-    def recorder():
-        calls.append(None)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", recorder)
-    return calls
 
 
 @pytest.mark.parametrize("workers, rows, usable, processes", [
