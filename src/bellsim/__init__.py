@@ -21,7 +21,14 @@ over all of it.
 # arguments in [-700, 700], and np.log changes bits too.  Where an artifact
 # needs exp, map libm's math.exp over the elements, as the gaussian
 # envelope does; Spectrum.density's np.exp reaches only the library's
-# gaussian quadrature, which no artifact reads.  The tier-1 test
+# gaussian quadrature, which no artifact reads.  An artifact's squares are
+# numpy products (the port law squares each modulus as modulus * modulus),
+# so libm exp defines artifact bits but no libm pow does: glibc's
+# pow(x, 2.0) differs from the correctly rounded product at 0.085% of x in
+# [0, 2).  Python's float ** 2 (libm pow) remains only where the square is
+# exact (the pair populations, 0.25 squared) or meets an artifact through a
+# tolerance test alone (the path norms behind the unitarity `valid`
+# column).  The tier-1 test
 # test_digests_do_not_depend_on_the_avx512_dispatch reruns every full-scale
 # digest and JSON golden with the AVX-512 kernels disabled.
 

@@ -327,8 +327,9 @@ class _Subcommand:
     row: Callable[[ScanSpec, np.ndarray, dict], tuple[list, list[str]]]
 
 
-# What a failed row raises: its error column says so and the scan goes on.
-_ROW_ERRORS = (ValueError, KeyError, IntegrationError, extensions.FalsificationCapError)
+# What a failed point row raises: its error column says so and the scan goes
+# on.  Any other exception is a fault of the program and ends the scan.
+_ROW_ERRORS = (ValueError, extensions.FalsificationCapError)
 
 
 def _error_text(e: Exception) -> str:

@@ -21,7 +21,6 @@ point of this module is to let such violations surface.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -104,10 +103,10 @@ def outcome_probabilities(
     (2, M) array, with the phase applied to the long-path amplitude.
 
     The amplitudes are combined in real arithmetic, term by term as complex
-    multiplication rounds them, and each modulus is squared by libm ``pow``
-    (as ``abs(z) ** 2`` is), so a point gets the bits of the complex
-    expression.  A non-finite phase is rejected with the message of the
-    first one.
+    multiplication rounds them, and each modulus is squared as the IEEE
+    product ``abs(z) * abs(z)``, which rounds correctly on every host and
+    SIMD kernel, so a point gets the bits of that complex expression.  A
+    non-finite phase is rejected with the message of the first one.
     """
     return _port_law(_ports(m, amps), amps.L, phi)
 
@@ -143,12 +142,11 @@ def _port_law(ports, long: complex, phi) -> np.ndarray:
 
 
 def _port_probability(a, short, long_re: np.ndarray, long_im: np.ndarray) -> np.ndarray:
-    """|a * long + short|^2 at every long-path amplitude; ``a`` and
-    ``short`` are complex scalars or arrays."""
+    """|a * long + short|^2 at every long-path amplitude, the square an
+    IEEE product; ``a`` and ``short`` are complex scalars or arrays."""
     modulus = np.hypot(a.real * long_re - a.imag * long_im + short.real,
                        a.real * long_im + a.imag * long_re + short.imag)
-    return np.fromiter(map(math.pow, modulus.tolist(), itertools.repeat(2.0)), float,
-                       modulus.size)
+    return modulus * modulus
 
 
 def outcome_distribution(

@@ -43,3 +43,14 @@ def mp_splitter_pair(m, phi: float):
                            + short_a * r * mpmath.mpc(m[1][port]))
                 probabilities.append(abs(amp) ** 2)
         return probabilities
+
+
+def mp_port_probabilities(m, amps, phi: float):
+    """Port probabilities (p_plus, p_minus) |a * L exp(i phi) + b * S|^2 to
+    40 digits, at the exact binary values of the entries of the
+    MeasurementMatrix ``m``, of the PathAmplitudes ``amps`` and of phi."""
+    with mpmath.workdps(40):
+        long_amp = mpmath.mpc(amps.L) * mpmath.expj(mpmath.mpf(phi))
+        short_amp = mpmath.mpc(amps.S)
+        return [abs(mpmath.mpc(a) * long_amp + mpmath.mpc(b) * short_amp) ** 2
+                for a, b in ((m.a11, m.a21), (m.a12, m.a22))]

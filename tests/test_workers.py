@@ -8,6 +8,8 @@ import json
 import math
 import os
 import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -211,3 +213,27 @@ def test_a_platform_without_fork_runs_every_block_in_process(tmp_path, monkeypat
     one = _bytes(argv, tmp_path, 1, 0)
     monkeypatch.delattr(os, "fork")
     assert _bytes(argv, tmp_path, 3, 0) == one
+
+
+# Runs a three-block scan at --workers 1, then 2, in a fresh interpreter and
+# prints whether bellsim._workers was imported after the import of the CLI
+# and after each scan, and the CPUs the scans could use.
+_IMPORT_CHILD = """
+import contextlib, io, json, sys
+from bellsim import cli
+seen = ["bellsim._workers" in sys.modules]
+argv = ["interf", "--grid", f"phi=linspace:0:1:{3 * cli._BLOCK_ROWS}"]
+for workers in ("1", "2"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv + ["--workers", workers])
+    seen.append([code, "bellsim._workers" in sys.modules])
+print(json.dumps({"seen": seen, "cpus": cli._usable_cpus()}))
+"""
+
+
+def test_only_a_scan_that_forks_imports_the_worker_module():
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_CHILD], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["seen"] == [False, [0, False], [0, report["cpus"] >= 2]]
