@@ -28,9 +28,14 @@ over all of it.
 # [0, 2).  Python's float ** 2 (libm pow) remains only where the square is
 # exact (the pair populations, 0.25 squared) or meets an artifact through a
 # tolerance test alone (the path norms behind the unitarity `valid`
-# column).  The tier-1 test
+# column).  No BLAS or LAPACK call (np.dot, matmul, numpy.linalg) may define
+# an artifact bit: OpenBLAS picks its kernel per host, and a dot product's
+# summation order follows the kernel, so the quadrature sums each pass with
+# math.fsum and takes its Gauss-Legendre rule from a table.  The tier-1 test
 # test_digests_do_not_depend_on_the_avx512_dispatch reruns every full-scale
-# digest and JSON golden with the AVX-512 kernels disabled.
+# digest and JSON golden with numpy's AVX-512 kernels disabled, and
+# test_digests_do_not_depend_on_the_openblas_kernel on OpenBLAS's Haswell
+# kernels.
 
 from .spectra import (
     HBAR,

@@ -137,7 +137,10 @@ def wavepacket_ports(phi: np.ndarray, contrast: float) -> np.ndarray:
 def _contrast(shape: str, bandwidth: float, tau: float, tol: float) -> float:
     """Mean of cos(u*tau) over the offsets u of a spectrum from its center:
     one quadrature over the spectrum re-centered at 0.0, to ``tol``, clamped
-    to [-1, 1] because its sum can round to 1 + 2.2e-16."""
+    to [-1, 1].  Each pass's sum is exact, so a rectangle of bandwidth
+    2.79e-9 or 7.0e-10 gives 1.0 and one of 1e-300 gives 1 - 1.1e-16; but
+    the normalization 1/bandwidth and its product with that sum each round,
+    so nothing bounds the result by 1, and the clamp stays."""
     offsets = Spectrum(shape=shape, center=0.0, bandwidth=bandwidth, signed=True)
     return min(max(integrate_over_spectrum(offsets, lambda u: np.cos(u * tau), tol), -1.0), 1.0)
 

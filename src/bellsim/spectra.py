@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 # CODATA / SI exact values.
 PLANCK_CONSTANT = 6.62607015e-34  # J s
@@ -40,8 +39,25 @@ RATIO_THRESHOLD = 100.0
 # Gaussian densities are truncated at +- this many bandwidths.
 GAUSSIAN_TRUNCATION = 5.0
 
+# The 16-point Gauss-Legendre rule on [-1, 1]: the nodes and weights numpy's
+# leggauss(16) returns, bit for bit, kept as data so that importing the
+# library loads no Legendre module and runs no LAPACK eigen-solve.  The
+# rule is exactly mirror-symmetric (node i is minus node 15 - i and has its
+# weight), so each row holds a positive node and its weight, and the
+# negative half is their mirror image; negation is exact.
 _GL_ORDER = 16
-_GL_NODES, _GL_WEIGHTS = leggauss(_GL_ORDER)
+_GL_HALF_RULE = np.array([
+    (0.09501250983763744, 0.18945061045506864),
+    (0.2816035507792589, 0.18260341504492364),
+    (0.45801677765722737, 0.16915651939500265),
+    (0.6178762444026438, 0.1495959888165767),
+    (0.755404408355003, 0.12462897125553407),
+    (0.8656312023878318, 0.0951585116824926),
+    (0.9445750230732326, 0.062253523938647456),
+    (0.9894009349916499, 0.027152459411754176),
+])
+_GL_NODES = np.concatenate((-_GL_HALF_RULE[::-1, 0], _GL_HALF_RULE[:, 0]))
+_GL_WEIGHTS = np.concatenate((_GL_HALF_RULE[::-1, 1], _GL_HALF_RULE[:, 1]))
 _NODE_BUDGET = 2 ** 16
 
 
@@ -187,7 +203,11 @@ def integrate_over_spectrum(
     and ``f`` at center + u.  Panels are doubled until two successive
     refinements agree within ``tol``; exceeding 2**16 nodes in a single
     pass raises :class:`IntegrationError` with the achieved error
-    estimate.  Fixed panel/node layout keeps results deterministic.
+    estimate.  The rule is a fixed table, the panel/node layout is fixed,
+    and each pass is the correctly rounded sum (``math.fsum``) of its
+    weighted values, not a BLAS dot product, whose summation order follows
+    the kernel OpenBLAS picks for the host: so the result has the same bits
+    on every machine.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -204,7 +224,7 @@ def integrate_over_spectrum(
         weights = np.tile(h * _GL_WEIGHTS, n_panels)
         if weighted:
             weights *= spectrum.density(offsets)
-        return k * float(np.dot(weights, f(center + offsets)))
+        return k * math.fsum((weights * f(center + offsets)).tolist())
 
     n_panels = 4
     previous = one_pass(n_panels)

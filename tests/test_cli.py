@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -684,7 +685,7 @@ FULL_SCALE_DIGESTS = [
     ("interf_wavepacket",
      ["interf", "--grid", "phi=linspace:-3.5:9.5:401",
       "--grid", "dphi=0.5,3.14,6.283185307179586,20,200"],
-     0, "2d7fee2e12aa6797f8d0fbc0d4757d9dc4e4004d90f83473e0fa284f0e425d86"),
+     0, "dfb606f3467069c0f14cd7ec3b195b8c55fe35d0c4914332c8e27fc1d891e5cc"),
     ("interf_wavepacket_edges_json",
      ["interf", "--grid", "phi=" + _values([0.0, -0.0, PI, -PI, 1e-300, 1e3, math.nan, math.inf]),
       "--grid", "dphi=" + _values([0.0, 1e-6, 0.5, 4 * PI, 50.0, 1000.0, -1.0, math.inf,
@@ -779,6 +780,23 @@ print(json.dumps({"found": found, "digests": digests}))
 """
 
 
+def _digests_in_child(child_env):
+    """Runs every full-scale digest scan and every JSON golden in a fresh
+    interpreter with ``child_env`` added to its environment, checks their
+    exit codes and digests, and returns the child's process and report."""
+    scans = {name: (argv, code, digest) for name, argv, code, digest in FULL_SCALE_DIGESTS}
+    for name, argv, code in GOLDEN_JSON:
+        digest = hashlib.sha256((GOLDEN / f"{name}.json").read_bytes()).hexdigest()
+        scans[f"golden_{name}"] = (argv + ["--format", "json"], code, digest)
+    env = {**os.environ, **child_env, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _DIGEST_CHILD], env=env, capture_output=True, text=True,
+        input=json.dumps([[name, argv] for name, (argv, _, _) in scans.items()]), check=True)
+    report = json.loads(proc.stdout)
+    assert report["digests"] == {name: [code, digest] for name, (_, code, digest) in scans.items()}
+    return proc, report
+
+
 def test_digests_do_not_depend_on_the_avx512_dispatch():
     """Every full-scale digest and every JSON golden has the same bytes with
     numpy's AVX-512 kernels disabled: the ufuncs that define artifact bits
@@ -789,18 +807,22 @@ def test_digests_do_not_depend_on_the_avx512_dispatch():
     group = [name for name in found if name.startswith("AVX512") or name == "X86_V4"]
     if not group:
         pytest.skip(f"numpy dispatches no AVX-512 kernels on this host (found: {found})")
-    scans = {name: (argv, code, digest) for name, argv, code, digest in FULL_SCALE_DIGESTS}
-    for name, argv, code in GOLDEN_JSON:
-        digest = hashlib.sha256((GOLDEN / f"{name}.json").read_bytes()).hexdigest()
-        scans[f"golden_{name}"] = (argv + ["--format", "json"], code, digest)
-    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(group),
-           "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-c", _DIGEST_CHILD], env=env, capture_output=True, text=True,
-        input=json.dumps([[name, argv] for name, (argv, _, _) in scans.items()]), check=True)
-    report = json.loads(proc.stdout)
+    _, report = _digests_in_child({"NPY_DISABLE_CPU_FEATURES": " ".join(group)})
     assert not set(group) & set(report["found"]), report["found"]
-    assert report["digests"] == {name: [code, digest] for name, (_, code, digest) in scans.items()}
+
+
+def test_digests_do_not_depend_on_the_openblas_kernel():
+    """Every full-scale digest and every JSON golden has the same bytes with
+    OpenBLAS on its Haswell kernels, those of an x86 host without AVX-512:
+    no BLAS call defines an artifact bit.  The child's OpenBLAS reports the
+    kernel it chose on stderr."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if "openblas" not in blas.lower():
+        pytest.skip(f"numpy is not linked to OpenBLAS (blas: {blas})")
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip(f"OpenBLAS has no Haswell kernels on {platform.machine()}")
+    proc, _ = _digests_in_child({"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_VERBOSE": "2"})
+    assert "Core: Haswell" in proc.stderr, proc.stderr
 
 
 @pytest.mark.parametrize("subcommand, grids, params, message", [

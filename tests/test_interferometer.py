@@ -256,12 +256,13 @@ def test_wavepacket_keeps_its_digits_at_large_centers(center):
                                        20.0, 700.0])
 def test_wavepacket_contrast_matches_mpmath_sinc(bandwidth):
     """sin(x)/x at x = bandwidth/2, negative between 2 pi and 4 pi, and never
-    outside [-1, 1]: at 2.79e-9 and 7.0e-10 the quadrature's sum rounds to
-    1 + 2.2e-16, and at 1e-300 to 1 - 2.2e-16."""
+    outside [-1, 1].  Each quadrature pass is an exact sum: at 2.79e-9 and
+    7.0e-10 the contrast is 1.0 and at 1e-300 it is 1 - 1.1e-16, the worst
+    error here."""
     contrast = wavepacket_contrast(bandwidth)
     assert -1.0 <= contrast <= 1.0
     with mpmath.workdps(50):
-        assert abs(contrast - mp_envelope("rectangular", bandwidth, 1)) <= 2.3e-16
+        assert abs(contrast - mp_envelope("rectangular", bandwidth, 1)) <= 1.2e-16
     assert wavepacket_contrast(bandwidth, 1e-13) == pytest.approx(contrast, abs=1e-15)
 
 

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -6,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellsim import spectra
 from bellsim.spectra import (
     PLANCK_CONSTANT,
     IntegrationError,
@@ -164,9 +170,37 @@ def test_integration_failure_reports_estimate():
     assert err.value.nodes_used <= 2 ** 16
 
 
+def test_gauss_legendre_table_is_numpys_rule():
+    """The library's literal 16-point rule is numpy's leggauss(16), bit for
+    bit, nodes ascending."""
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert spectra._GL_NODES.dtype == spectra._GL_WEIGHTS.dtype == np.float64
+    assert spectra._GL_NODES.view(np.int64).tolist() == nodes.view(np.int64).tolist()
+    assert spectra._GL_WEIGHTS.view(np.int64).tolist() == weights.view(np.int64).tolist()
+
+
+# Prints the numpy.polynomial modules that importing the CLI loaded.
+_IMPORT_CHILD = """
+import json, sys
+import bellsim.cli
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("numpy.polynomial"))))
+"""
+
+
+def test_importing_the_cli_leaves_numpy_polynomial_unloaded():
+    """The rule is a table, so no import runs leggauss: a fresh
+    interpreter's `import bellsim.cli` never loads numpy.polynomial."""
+    env = {**os.environ, "PYTHONPATH": str(Path(spectra.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_CHILD], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
 def unmemoized_integral(spectrum, f, tol):
     """The reference pass of integrate_over_spectrum: each pass builds its
-    nodes and weights from scratch."""
+    nodes and weights from scratch, with numpy's leggauss(16), and sums
+    exactly."""
     nodes, weights = np.polynomial.legendre.leggauss(16)
     half, center, k = spectrum.half_width, spectrum.center, spectrum.normalization
 
@@ -176,7 +210,7 @@ def unmemoized_integral(spectrum, f, tol):
         w = np.tile(h * weights, n_panels)
         if spectrum.shape != "rectangular":
             w *= spectrum.density(offsets)
-        return k * float(np.dot(w, f(center + offsets)))
+        return k * math.fsum((w * f(center + offsets)).tolist())
 
     n_panels = 4
     previous = one_pass(n_panels)
