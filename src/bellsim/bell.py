@@ -10,7 +10,9 @@ satisfies I >= 1 for every locally deterministic assignment; I < 1 certifies
 nonlocality, and I = 0 at finite N would be maximal nonlocality.  Provided
 models, all array rules: the quantum fringe law, a sign-box that is
 maximally nonlocal on pi-chains, the product-of-marginals model with all
-correlations suppressed, and explicit deterministic strategies.  The local
+correlations suppressed (these three also carry their laws as functions
+of the phase difference, by which chained_I sums their chains), and
+explicit deterministic strategies.  The local
 bound I >= 1 follows from parity; the tests confirm it by enumerating every
 deterministic strategy.
 """
@@ -19,23 +21,27 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .entangle import CorrelationModel, ideal_joint_probabilities, joint_probabilities
+from .probability import check_batch
 
-# Terms per rule evaluation; bounds each array of a chain, its exact sum's
-# included, at 128 KiB a row.  glibc's default mmap and trim thresholds are
-# 128 KiB too, so the arrays a batch makes (the model's law, the exact sum's
-# scratch) are mapped fresh or left to a heap that is trimmed between
-# batches.  A chain writes its setting phases into two buffers made once per
-# call: a warm chained_I(quantum_model(), n=10^5) takes about 325 minor page
-# faults (getrusage ru_minflt), against 517 while each batch made its phases
-# in seven fresh arrays, and the chains of the deep benchmark's scans (seed
-# 1) 550-800 a pass, moving with the heap's state (and with the checkout's
-# path) more than with the batch's temporaries.  None take any with both
+# Terms per batch; bounds each array of a chain, its exact sum's included,
+# at 128 KiB a row.  Both paths of chained_I write a batch's setting phases
+# into buffers made once per call.  On the difference path (the quantum,
+# PR-box and suppressed models) those buffers and an in-place sort are all a
+# batch touches: a warm chained_I(quantum_model(), n=10^5) takes no minor
+# page faults (getrusage ru_minflt), nor do the chains of a warm pass of the
+# deep benchmark's scans (seed 1), against 325 and about 800 while every
+# term was evaluated.  The batch path, which every other model takes, still
+# costs that: glibc's default mmap and trim thresholds are 128 KiB too, so
+# the arrays each batch makes (the model's law, the exact sum's scratch)
+# are mapped fresh or left to a heap that is trimmed between batches, and a
+# warm n = 10^5 call takes about 325 minor faults.  None take any with both
 # thresholds raised.
 BATCH = 1 << 14
 
@@ -94,10 +100,10 @@ def classify(i_value: float) -> Classification:
 def quantum_model(visibility: float = 1.0) -> CorrelationModel:
     """Fringe-law correlations, phase = difference of the setting phases."""
 
-    def probabilities(phi_a: np.ndarray, phi_b: np.ndarray) -> np.ndarray:
-        return ideal_joint_probabilities(phi_a - phi_b, visibility)
+    def law(phi: np.ndarray) -> np.ndarray:
+        return ideal_joint_probabilities(phi, visibility)
 
-    return CorrelationModel(name="quantum", probabilities=probabilities)
+    return CorrelationModel.of_difference("quantum", law)
 
 
 def pr_box_model() -> CorrelationModel:
@@ -108,21 +114,21 @@ def pr_box_model() -> CorrelationModel:
     nonlocality with uniform marginals.
     """
 
-    def probabilities(phi_a: np.ndarray, phi_b: np.ndarray) -> np.ndarray:
-        equal = np.where(np.cos(phi_a - phi_b) >= 0.0, 0.5, 0.0)
+    def law(phi: np.ndarray) -> np.ndarray:
+        equal = np.where(np.cos(phi) >= 0.0, 0.5, 0.0)
         differ = 0.5 - equal
         return np.stack((equal, differ, differ, equal))
 
-    return CorrelationModel(name="pr_box", probabilities=probabilities)
+    return CorrelationModel.of_difference("pr_box", law)
 
 
 def suppressed_nonlocality_model() -> CorrelationModel:
     """Product of the uniform marginals: all correlations removed."""
 
-    def probabilities(phi_a: np.ndarray, phi_b: np.ndarray) -> np.ndarray:
-        return np.full((4, phi_a.size), 0.25)
+    def law(phi: np.ndarray) -> np.ndarray:
+        return np.full((4, phi.size), 0.25)
 
-    return CorrelationModel(name="suppressed_nonlocality", probabilities=probabilities)
+    return CorrelationModel.of_difference("suppressed_nonlocality", law)
 
 
 def deterministic_strategy_model(
@@ -168,22 +174,51 @@ def chained_I(model, cfg: ChainedConfig) -> float:
 
     Term 0 is the closing pair (settings 0 and 2N-1), term k >= 1 the
     adjacent pair (k-1, k); the even setting of a pair is side A's.  The
-    terms are evaluated by :func:`~bellsim.entangle.joint_probabilities` in
-    batches of at most :data:`BATCH`, so an invalid distribution is rejected
-    with the diagnostic of the first invalid term.  :func:`classify` names
-    the class of I.
+    setting phases are formed in batches of at most :data:`BATCH` terms, and
+    an invalid distribution is rejected with the diagnostic of the first
+    invalid term, as :func:`~bellsim.entangle.joint_probabilities` gives it.
+    :func:`classify` names the class of I.
 
     I is the correctly rounded sum of the terms, ``math.fsum`` of them: plain
     accumulation loses ~2e-12 against the closed form at N = 10^4, and the
     N -> infinity limit that takes the paper's argument from nonlocality at
-    detection to Bell nonlocality is read off these small sums.  Each batch's
-    setting phases and terms are written into arrays of at most
+    detection to Bell nonlocality is read off these small sums.  It is
+    reached by one of two paths, with the same bits:
+
+    * A model with a difference law (``model.difference``: the quantum,
+      PR-box and suppressed models) is summed by difference
+      (:func:`_sum_by_difference`).  Its terms depend on phi_a - phi_b
+      alone, and the 2N differences take few distinct bits (37 with the
+      closing pair's at N = 10^5 and theta = pi, 52 at N = 10^7), so the
+      law is evaluated and checked once per distinct difference and each
+      term is counted by its multiplicity.  A law that the check rejects
+      takes the batch path for its diagnostic.
+    * Every other model (deterministic strategies, the pairs of
+      :func:`~bellsim.entangle.bob_measurement_rule` and of
+      :mod:`~bellsim.extensions`) is evaluated by
+      :func:`~bellsim.entangle.joint_probabilities` one batch at a time
+      (:func:`_sum_by_batch`).
+
+    No array outlives the call or outgrows a batch: tracemalloc's peak for a
+    call at N = 10^6 is 0.40 MiB on the difference path and 2.01 MiB on the
+    batch path, as at N = 10^5.
+    """
+    law = model.difference if isinstance(model, CorrelationModel) else None
+    if law is not None:
+        value = _sum_by_difference(law, cfg)
+        if value is not None:
+            return value
+    return _sum_by_batch(model, cfg)
+
+
+def _sum_by_batch(model, cfg: ChainedConfig) -> float:
+    """I from the model's rule at every term, a batch at a time.
+
+    Each batch's setting phases and terms are written into arrays of at most
     :data:`BATCH` floats made once per call, never into the model's, and the
     terms are split there into a few floats whose exact sum is the batch's
     (:func:`_exact_partials`), so ``fsum`` of all the batches' floats is
-    ``fsum`` of the terms, bit for bit, wherever the batches split.  No
-    array outlives the call or outgrows a batch: tracemalloc's peak for a
-    call at N = 10^6 is 2.01 MiB, as at N = 10^5.
+    ``fsum`` of the terms, bit for bit, wherever the batches split.
     """
     terms = 2 * cfg.n
     step = cfg.theta / terms
@@ -213,6 +248,85 @@ def chained_I(model, cfg: ChainedConfig) -> float:
             batch[0] = p[0, 0] + p[3, 0]
         partials += _exact_partials(batch)
     return math.fsum(partials)
+
+
+def _sum_by_difference(law, cfg: ChainedConfig) -> float | None:
+    """I from the difference law ``law``, evaluated once per distinct
+    difference; None if the check rejects the law there.
+
+    Each batch's setting phases are those of :func:`_sum_by_batch`, the bits
+    of i * step for setting i, and each term's difference is phi_a - phi_b,
+    the subtraction the model's rule makes.  The differences are counted by
+    their bits (as int64, so -0.0 and 0.0 stay apart), and the law is called
+    once, on the closing difference and the distinct adjacent ones.  Equal
+    differences give equal columns, so the check accepts exactly when it
+    accepts every batch of the batch path, and the terms, each weighted by
+    its count, are that path's terms: :func:`_weighted_sum` of them is their
+    ``fsum``.
+    """
+    terms = 2 * cfg.n
+    step = cfg.theta / terms
+    size = min(terms, BATCH)
+    settings = np.arange(-1.0, size)  # setting start - 1 + j at index j
+    phi, differences = np.empty(size + 1), np.empty(size)
+    counts: dict[int, int] = {}
+    for start in range(0, terms, BATCH):
+        count = min(BATCH, terms - start)
+        if start:
+            settings += BATCH
+        s = np.multiply(settings[:count + 1], step, out=phi[:count + 1])
+        # Term start + j pairs settings start + j - 1 and start + j, s[j] and
+        # s[j + 1]; start is even, so side A's is s[j + 1] at even j.
+        d = differences[:count]
+        np.subtract(s[1:count:2], s[0:count:2], out=d[0::2])
+        np.subtract(s[1:count:2], s[2::2], out=d[1::2])
+        if start == 0:
+            closing = s[1] - (terms - 1) * step  # settings 0 and 2N - 1
+            d = d[1:]
+        _count_bits(d, counts)
+    phases = np.array([0, *counts], dtype=np.int64).view(float)
+    phases[0] = closing
+    p = np.asarray(law(phases), dtype=float)
+    if p.shape != (4, phases.size):
+        return None
+    try:
+        check_batch(p, "joint probabilities")
+    except ValueError:
+        return None
+    values = np.add(p[1], p[2])
+    values[0] = p[0, 0] + p[3, 0]
+    return _weighted_sum(values, [1, *counts.values()])
+
+
+def _count_bits(x: np.ndarray, counts: dict[int, int]) -> None:
+    """Add to ``counts`` the number of times each bit pattern (an int64 key)
+    occurs in the nonempty float array ``x``, which is reordered."""
+    keys = x.view(np.int64)
+    keys.sort()
+    # the last index of each run of equal keys
+    last = [*(keys[1:] != keys[:-1]).nonzero()[0].tolist(), keys.size - 1]
+    for key, low, high in zip(keys.take(last).tolist(), [-1, *last], last):
+        counts[key] = counts.get(key, 0) + high - low
+
+
+def _weighted_sum(values: np.ndarray, counts: Sequence[int]) -> float:
+    """The correctly rounded value of sum(count * value) over the finite
+    floats ``values`` and the integers ``counts``, summed exactly.
+
+    Each value is m * 2^e with 2^53 m an integer (``np.frexp``), so the sum
+    is an integer over a power of two, and Python's division of two integers
+    is correctly rounded.  This equals ``math.fsum`` of the list in which
+    each value appears ``count`` times, +0.0 for an all-zero sum included; a
+    sum beyond the float range raises OverflowError, as ``fsum`` does.
+    """
+    fraction, exponent = np.frexp(values)
+    fraction *= 9007199254740992.0  # 2^53: every fraction is now an integer
+    exponent = exponent.tolist()
+    low = min(exponent)
+    total = sum(map(int.__lshift__, map(operator.mul, map(int, fraction.tolist()), counts),
+                    map(low.__rsub__, exponent)))  # count * mantissa << (exponent - low)
+    scale = 53 - low
+    return total / (1 << scale) if scale >= 0 else float(total << -scale)
 
 
 def _exact_partials(x: np.ndarray) -> list[float]:

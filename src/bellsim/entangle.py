@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -47,6 +47,7 @@ from .spectra import RATIO_THRESHOLD, Spectrum, coherence_time
 
 
 ArrayRule = Callable[[np.ndarray, np.ndarray], np.ndarray]
+DifferenceLaw = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -81,10 +82,33 @@ class CorrelationModel:
     returns the (4, M) array of p(+,+), p(+,-), p(-,+), p(-,-) per pair;
     :func:`joint_probabilities` validates it.  :meth:`rule` is the scalar
     view of one pair.
+
+    A rotation-invariant model also carries its law as a function of the
+    phase difference: ``difference(d)`` maps a float array d = phi_a - phi_b
+    of shape (M,) to the (4, M) law, whose column m depends on d[m] alone.
+    Only :meth:`of_difference` sets it, and it derives ``probabilities``
+    from the law, so the two views cannot disagree;
+    :func:`~bellsim.bell.chained_I` sums a chain of such a model from its
+    distinct differences.  Every other model, such as a deterministic
+    strategy or the pair of :func:`bob_measurement_rule` (a law of
+    phi_a + phi_b), leaves ``difference`` None.
     """
 
     name: str
     probabilities: ArrayRule
+    difference: DifferenceLaw | None = field(default=None, init=False)
+
+    @classmethod
+    def of_difference(cls, name: str, law: DifferenceLaw) -> CorrelationModel:
+        """The model whose law at (phi_a, phi_b) is ``law(phi_a - phi_b)``,
+        the only constructor that sets ``difference``."""
+
+        def probabilities(phi_a: np.ndarray, phi_b: np.ndarray) -> np.ndarray:
+            return law(phi_a - phi_b)
+
+        model = cls(name, probabilities)
+        object.__setattr__(model, "difference", law)  # a frozen field
+        return model
 
     def rule(self, phi_a: float, phi_b: float) -> JointDistribution:
         p = self.probabilities(np.array([phi_a], dtype=float), np.array([phi_b], dtype=float))

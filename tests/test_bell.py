@@ -21,8 +21,8 @@ from bellsim.bell import (
     quantum_model,
     suppressed_nonlocality_model,
 )
-from bellsim.entangle import (JointDistribution, joint_probabilities, marginal,
-                              no_signaling_residual)
+from bellsim.entangle import (JointDistribution, ideal_joint_probabilities, joint_probabilities,
+                              marginal, no_signaling_residual)
 
 PI = math.pi
 
@@ -48,6 +48,12 @@ def chain_terms(model, cfg: ChainedConfig) -> np.ndarray:
     terms = p[1] + p[2]
     terms[0] = p[0, 0] + p[3, 0]
     return terms
+
+
+def batch_path(model: CorrelationModel) -> CorrelationModel:
+    """``model`` without its difference law: chained_I evaluates its rule at
+    every term, a batch at a time."""
+    return CorrelationModel(model.name, model.probabilities)
 
 
 def test_chained_config_settings():
@@ -366,13 +372,74 @@ def test_chained_I_leaves_the_model_array_untouched():
 
 def test_chained_I_memory_stays_within_its_batches():
     # the 2 * 10^6 terms (16 MB) are never held at once: every array lives
-    # and dies within its call, none longer than a batch (2.01 MiB peak)
+    # and dies within its call, none longer than a batch (peaks of 0.40 MiB
+    # summed by difference, 2.01 MiB a batch at a time)
     cfg = ChainedConfig(n=10 ** 6, theta=PI)
-    chained_I(quantum_model(), ChainedConfig(n=2, theta=PI))
-    tracemalloc.start()
-    try:
-        chained_I(quantum_model(), cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2 ** 20, peak
+    for model, bound in ((quantum_model(), 2 ** 20), (batch_path(quantum_model()), 4 * 2 ** 20)):
+        chained_I(model, ChainedConfig(n=2, theta=PI))
+        tracemalloc.start()
+        try:
+            chained_I(model, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (model.difference, peak)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8191, 8192, 8193, 16384, 10 ** 5, 10 ** 6])
+def test_difference_path_gives_the_batch_path_bits(n):
+    # one batch, a batch filled exactly, a 2-term second batch, two full
+    # batches and many; theta = 0 makes every difference 0.0 and 1e-300
+    # makes them subnormal
+    models = [quantum_model(v) for v in (1.0, 0.9, 0.5, 0.0)]
+    for model in (*models, pr_box_model(), suppressed_nonlocality_model()):
+        assert model.difference is not None
+        for theta in (PI, 2.5, 0.0, 1e-3, 1e-300, 7.0):
+            cfg = ChainedConfig(n, theta)
+            fast = chained_I(model, cfg)
+            assert float.hex(fast) == float.hex(chained_I(batch_path(model), cfg)), (model.name, theta)
+
+
+def test_difference_law_is_called_once_on_the_distinct_differences():
+    # a silent fall back to the batch path would call the law once a batch,
+    # on 16384 phases
+    n = 10 ** 5
+    calls = []
+
+    def law(phi):
+        calls.append(phi.copy())
+        return ideal_joint_probabilities(phi)
+
+    value = chained_I(CorrelationModel.of_difference("recording", law), ChainedConfig(n, PI))
+    assert len(calls) == 1
+    phases = calls[0]
+    assert phases.size < 64, phases.size
+    assert phases[0] == 0.0 - (2 * n - 1) * (PI / (2 * n))  # the closing pair's
+    adjacent = phases[1:].view(np.int64).tolist()
+    assert len(set(adjacent)) == len(adjacent)
+    assert value == chained_I(quantum_model(), ChainedConfig(n, PI))
+
+
+@pytest.mark.parametrize("where", ["closing", "adjacent"])
+def test_invalid_difference_law_raises_the_batch_diagnostic(where):
+    # the terms span two batches; an adjacent pair whose difference is
+    # positive (setting k even) is skewed by its difference, so the
+    # diagnostic names the first such term, not the first distinct one
+    n = BATCH // 2 + 3
+    closing = 0.0 - (2 * n - 1) * (PI / (2 * n))
+
+    def law(phi):
+        p = np.full((4, phi.size), 0.25)
+        p[0] += np.where(phi == closing, 0.5, 0.0) if where == "closing" else np.maximum(phi, 0.0)
+        return p
+
+    model = CorrelationModel.of_difference("skewed", law)
+    with pytest.raises(ValueError) as fast:
+        chained_I(model, ChainedConfig(n, PI))
+    with pytest.raises(ValueError) as batch:
+        chained_I(batch_path(model), ChainedConfig(n, PI))
+    assert str(fast.value) == str(batch.value)
+    assert "joint probabilities sum to" in str(fast.value)
+    with pytest.raises(ValueError, match=r"returned shape \(16384,\), expected \(4, 16384\)"):
+        chained_I(CorrelationModel.of_difference("flat", lambda phi: np.full(phi.size, 0.25)),
+                  ChainedConfig(n, PI))

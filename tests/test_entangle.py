@@ -4,7 +4,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from bellsim.bell import pr_box_model, quantum_model
+from bellsim.bell import (ChainedConfig, deterministic_strategy_model, pr_box_model, quantum_model,
+                          suppressed_nonlocality_model)
+from bellsim.extensions import BiasedMarginalModel
 from bellsim.entangle import (
     CorrelationModel,
     FransonConfig,
@@ -440,6 +442,39 @@ def test_no_signaling_residuals():
     assert no_signaling_residual(signaling_rule, [0.0], [0.0, math.pi]) == pytest.approx(0.1, abs=1e-12)
     with pytest.raises(ValueError):
         no_signaling_residual(signaling_rule, [], [0.0])
+
+
+def test_difference_model_rule_is_its_law_at_the_difference():
+    rng = np.random.default_rng(31)
+    phi_a, phi_b = rng.uniform(-10.0, 10.0, (2, 40))
+    seen = []
+
+    def law(phi):
+        seen.append(phi)
+        return ideal_joint_probabilities(phi, 0.7)
+
+    model = CorrelationModel.of_difference("fringe", law)
+    assert model.difference is law
+    with pytest.raises(TypeError):  # no rule can be paired with a law it disagrees with
+        CorrelationModel("fringe", model.probabilities, law)
+    p = model.probabilities(phi_a, phi_b)
+    assert np.array_equal(seen[0], phi_a - phi_b)
+    assert p.tobytes() == law(phi_a - phi_b).tobytes()
+    assert model.rule(1.5, 0.25) == JointDistribution(*law(np.array([1.25]))[:, 0].tolist())
+    # the library's rotation-invariant models keep the bits of their rules
+    for model, want in ((quantum_model(0.9), ideal_joint_probabilities(phi_a - phi_b, 0.9)),
+                        (pr_box_model(), pr_box_model().difference(phi_a - phi_b)),
+                        (suppressed_nonlocality_model(), np.full((4, 40), 0.25))):
+        assert model.probabilities(phi_a, phi_b).tobytes() == want.tobytes(), model.name
+
+
+def test_models_of_more_than_the_difference_have_no_difference_law():
+    biased = BiasedMarginalModel(base=quantum_model(), bias=0.2)
+    for model in (CorrelationModel("rule", lambda a, b: np.full((4, a.size), 0.25)),
+                  bob_measurement_rule(pi_quarter_model()),
+                  deterministic_strategy_model((1, -1, -1, 1), ChainedConfig(2, math.pi)),
+                  biased.subensemble_rule(0), biased.subensemble_rule(1), biased.ensemble_rule()):
+        assert model.difference is None, model.name
 
 
 def test_bob_matrix_unitarity_chain():

@@ -13,7 +13,10 @@ from hypothesis import strategies as st
 
 from bellsim.bell import (
     ChainedConfig,
+    CorrelationModel,
     _exact_partials,
+    _weighted_sum,
+    chained_I,
     deterministic_strategy_model,
     pr_box_model,
     quantum_I_closed_form,
@@ -232,6 +235,38 @@ def exact_sum(values) -> Fraction:
     return Fraction(sum(n * (scale // d) for n, d in map(float.as_integer_ratio, values)), scale)
 
 
+finite_floats = st.one_of(summands, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(finite_floats, st.integers(1, 2 * 10 ** 7)), min_size=1, max_size=60))
+def test_weighted_sum_is_the_correctly_rounded_exact_sum(runs):
+    values, counts = zip(*runs)
+    exact = sum((Fraction(x) * count for x, count in runs), Fraction(0))
+    try:
+        want = float(exact)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            _weighted_sum(np.array(values), counts)
+        return
+    assert float.hex(_weighted_sum(np.array(values), counts)) == float.hex(want)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(summands, st.integers(1, 50)), min_size=1, max_size=40))
+def test_weighted_sum_is_the_fsum_of_the_repeated_values(runs):
+    values, counts = zip(*runs)
+    got = _weighted_sum(np.array(values), counts)
+    assert float.hex(got) == float.hex(math.fsum(x for x, count in runs for _ in range(count)))
+
+
+def test_weighted_sum_of_zeros_is_positive_zero():
+    for values in ([0.0], [-0.0], [-0.0, 0.0, -0.0], [5e-324, -5e-324]):
+        for counts in ([1] * len(values), [2 * 10 ** 7] * len(values)):
+            got = _weighted_sum(np.array(values), counts)
+            assert float.hex(got) == float.hex(math.fsum(values)) == "0x0.0p+0", (values, counts)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.lists(st.integers(2, 10 ** 7), min_size=1, max_size=50),
        st.one_of(st.sampled_from([PI, 2.5]), st.floats(-4 * PI, 4 * PI)))
@@ -239,6 +274,18 @@ def test_closed_form_scalar_equals_array_bit_for_bit(ns, theta):
     # find_falsifying_N scans the array form and reports the scalar one
     batch = quantum_I_closed_form_array(np.array(ns), theta)
     assert bits(batch) == bits([quantum_I_closed_form(n, theta) for n in ns])
+
+
+@PROPERTY
+@given(st.floats(0.0, 1.0),
+       st.one_of(st.sampled_from([PI, 2.5, 0.0, 1e-300]), st.floats(0.0, 100.0)),
+       st.integers(2, 2 * 10 ** 4))
+def test_difference_models_sum_chains_as_their_rules_do(visibility, theta, n):
+    # the difference path against the batch path of the same rule
+    cfg = ChainedConfig(n, theta)
+    for model in (quantum_model(visibility), pr_box_model(), suppressed_nonlocality_model()):
+        batched = chained_I(CorrelationModel(model.name, model.probabilities), cfg)
+        assert float.hex(chained_I(model, cfg)) == float.hex(batched), model.name
 
 
 def assert_matches_scalar_view(model, phi_a: np.ndarray, phi_b: np.ndarray) -> None:
