@@ -33,7 +33,8 @@ over all of it.
 # summation order follows the kernel, so the quadrature sums each pass with
 # math.fsum and takes its Gauss-Legendre rule from a table.  The chained sum
 # adds its distinct terms exactly, as Python integers from np.frexp, which
-# is exact on every kernel.  The tier-1 test
+# is exact on every kernel, or, for a model without a difference law, sums
+# all its terms with math.fsum.  The tier-1 test
 # test_digests_do_not_depend_on_the_avx512_dispatch reruns every full-scale
 # digest and JSON golden with numpy's AVX-512 kernels disabled, and
 # test_digests_do_not_depend_on_the_openblas_kernel on OpenBLAS's Haswell

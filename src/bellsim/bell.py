@@ -20,6 +20,7 @@ deterministic strategy.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -30,19 +31,12 @@ import numpy as np
 from .entangle import CorrelationModel, ideal_joint_probabilities, joint_probabilities
 from .probability import check_batch
 
-# Terms per batch; bounds each array of a chain, its exact sum's included,
-# at 128 KiB a row.  Both paths of chained_I write a batch's setting phases
-# into buffers made once per call.  On the difference path (the quantum,
-# PR-box and suppressed models) those buffers and an in-place sort are all a
-# batch touches: a warm chained_I(quantum_model(), n=10^5) takes no minor
-# page faults (getrusage ru_minflt), nor do the chains of a warm pass of the
-# deep benchmark's scans (seed 1), against 325 and about 800 while every
-# term was evaluated.  The batch path, which every other model takes, still
-# costs that: glibc's default mmap and trim thresholds are 128 KiB too, so
-# the arrays each batch makes (the model's law, the exact sum's scratch)
-# are mapped fresh or left to a heap that is trimmed between batches, and a
-# warm n = 10^5 call takes about 325 minor faults.  None take any with both
-# thresholds raised.
+# Terms per batch; bounds each array of a chain at 128 KiB a row.  On the
+# difference path (the quantum, PR-box and suppressed models) a batch's
+# setting phases are written into buffers made once per call and sorted in
+# place, so a warm chained_I(quantum_model(), n=10^5) takes no minor page
+# faults (getrusage ru_minflt), nor do the chains of a warm pass of the deep
+# benchmark's scans (seed 1).  The batch path makes each batch's arrays anew.
 BATCH = 1 << 14
 
 
@@ -60,7 +54,7 @@ class ChainedConfig:
     theta: float
 
     def __post_init__(self):
-        if self.n < 2:
+        if _integer(self.n, "n") < 2:
             raise ValueError(f"need at least 2 settings per side, got n={self.n!r}")
         if not 0.0 <= self.theta < math.inf:
             raise ValueError(f"theta must be finite and >= 0, got {self.theta!r}")
@@ -87,6 +81,15 @@ class BoundednessReport:
     closing_concordance_positive: bool
     tail_product: float  # N * I(N, pi) at n_max; tends to pi^2 / 8
     i_values: np.ndarray
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int, if it is a Python or numpy integer (never a
+    float, even an integral one); otherwise a ValueError naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def classify(i_value: float) -> Classification:
@@ -196,11 +199,12 @@ def chained_I(model, cfg: ChainedConfig) -> float:
     * Every other model (deterministic strategies, the pairs of
       :func:`~bellsim.entangle.bob_measurement_rule` and of
       :mod:`~bellsim.extensions`) is evaluated by
-      :func:`~bellsim.entangle.joint_probabilities` one batch at a time
-      (:func:`_sum_by_batch`).
+      :func:`~bellsim.entangle.joint_probabilities` one batch at a time,
+      and I is ``math.fsum`` of all its terms (:func:`_sum_by_batch`), the
+      definition that the tests hold the difference path to.
 
     No array outlives the call or outgrows a batch: tracemalloc's peak for a
-    call at N = 10^6 is 0.40 MiB on the difference path and 2.01 MiB on the
+    call at N = 10^6 is 0.40 MiB on the difference path and 1.88 MiB on the
     batch path, as at N = 10^5.
     """
     law = model.difference if isinstance(model, CorrelationModel) else None
@@ -212,42 +216,30 @@ def chained_I(model, cfg: ChainedConfig) -> float:
 
 
 def _sum_by_batch(model, cfg: ChainedConfig) -> float:
-    """I from the model's rule at every term, a batch at a time.
+    """I from the model's rule at every term: ``math.fsum`` of the 2N terms.
 
-    Each batch's setting phases and terms are written into arrays of at most
-    :data:`BATCH` floats made once per call, never into the model's, and the
-    terms are split there into a few floats whose exact sum is the batch's
-    (:func:`_exact_partials`), so ``fsum`` of all the batches' floats is
-    ``fsum`` of the terms, bit for bit, wherever the batches split.
+    The terms are formed a batch at a time, and each batch reaches the sum
+    in place through a memoryview, so no list of the terms is made.  Setting
+    i's phase is the exact integer i times step, the bits of
+    ``cfg.settings``.
     """
     terms = 2 * cfg.n
     step = cfg.theta / terms
-    size = min(terms, BATCH)
-    # Every batch starts at an even k, so the j-th term of the batch starting
-    # at k = start pairs settings start + side_a[j] and start + side_b[j]:
-    # k - 1 and k, the even one on side A.
-    side_a = np.arange(-1.0, size - 1)  # k - 1 - start
-    side_b = side_a + 1.0
-    side_a[::2] += 1.0  # k - 1 odd at even j
-    side_b[::2] -= 1.0
-    phi_a, phi_b, values = np.empty(size), np.empty(size), np.empty(size)
-    partials: list[float] = []
-    for start in range(0, terms, BATCH):
-        count = min(BATCH, terms - start)
-        a, b, batch = phi_a[:count], phi_b[:count], values[:count]
-        # Exact integers times step: the bits of i * step for setting i.
-        np.add(side_a[:count], start, out=a)
-        np.add(side_b[:count], start, out=b)
-        a *= step
-        b *= step
-        if start == 0:
-            b[0] = (terms - 1) * step  # the closing pair; a[0] is setting 0's
-        p = joint_probabilities(model, a, b)
-        np.add(p[1], p[2], out=batch)
-        if start == 0:
-            batch[0] = p[0, 0] + p[3, 0]
-        partials += _exact_partials(batch)
-    return math.fsum(partials)
+
+    def batches():
+        for start in range(0, terms, BATCH):
+            k = np.arange(start, min(start + BATCH, terms))
+            # term k pairs settings k - 1 and k; the even one is side A's
+            a, b = (k & -2) * step, ((k - 1) | 1) * step
+            if start == 0:
+                b[0] = (terms - 1) * step  # the closing pair; a[0] is setting 0's
+            p = joint_probabilities(model, a, b)
+            values = p[1] + p[2]
+            if start == 0:
+                values[0] = p[0, 0] + p[3, 0]
+            yield memoryview(values)
+
+    return math.fsum(itertools.chain.from_iterable(batches()))
 
 
 def _sum_by_difference(law, cfg: ChainedConfig) -> float | None:
@@ -329,40 +321,6 @@ def _weighted_sum(values: np.ndarray, counts: Sequence[int]) -> float:
     return total / (1 << scale) if scale >= 0 else float(total << -scale)
 
 
-def _exact_partials(x: np.ndarray) -> list[float]:
-    """Floats whose exact sum is the exact sum of the finite array ``x``,
-    which is overwritten (with zeros).
-
-    Error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
-    summation part I", SIAM J. Sci. Comput. 31(1), 2008, Lemma 3.3): with
-    max|x| < 2^e and sigma = 2^(e + spread), spread = ceil(log2(len(x) + 2)),
-    every q = (sigma + x) - sigma is a multiple of ulp(sigma)/2 and |sum q|
-    <= sigma, so ``q.sum()`` is exact in any order, and so is x - q, whose
-    magnitude is at most ulp(sigma)/2 = 2^(e + spread - 53).  Only the first
-    pass scans x for its e; each later pass takes e + spread - 52 from that
-    bound, so it strips 52 - spread bits (37 for a full batch) off the bound
-    without a scan, until x is zero.  While x is not, the bound stays above
-    its smallest nonzero magnitude, 2^-1074, so sigma never underflows.
-    sigma must not overflow: ``chained_I``'s terms are below 3.
-    """
-    q = np.empty_like(x)
-    top = np.abs(x, out=q).max()
-    if top == 0.0:
-        return []
-    spread = (x.size + 1).bit_length()  # ceil(log2(len(x) + 2))
-    e = math.frexp(top)[1]  # top < 2^e
-    partials = []
-    while True:
-        sigma = math.ldexp(1.0, e + spread)
-        np.add(x, sigma, out=q)
-        q -= sigma
-        partials.append(float(q.sum()))
-        x -= q
-        if not x.any():
-            return partials
-        e += spread - 52
-
-
 def quantum_I_closed_form(n: int, theta: float) -> float:
     """Direct substitution of the fringe law into the chained sum.
 
@@ -373,7 +331,7 @@ def quantum_I_closed_form(n: int, theta: float) -> float:
     strictly positive for every finite N, decreasing, with N * I tending to
     pi^2 / 8.
     """
-    if n < 2:
+    if (n := _integer(n, "n")) < 2:
         raise ValueError(f"need n >= 2, got {n!r}")
     half_adj = theta / (4 * n)
     closing = math.cos((2 * n - 1) * half_adj)
@@ -399,7 +357,7 @@ def lhv_minimum_I(n: int) -> LhvMinimum:
     reported strategy, all -1, is the first minimizer in ascending word
     order (bit i of the word is setting l_i, set bit = +1).
     """
-    if n < 2:
+    if (n := _integer(n, "n")) < 2:
         raise ValueError(f"need n >= 2, got {n!r}")
     return LhvMinimum(value=1.0, strategy=(-1,) * (2 * n), n_strategies=4 ** n)
 
@@ -412,7 +370,7 @@ def boundedness_check(n_max: int) -> BoundednessReport:
     no-maximal-nonlocality argument.  Both are evaluated as sin^2(pi/4N), so
     no digits cancel at large N.
     """
-    if n_max < 2:
+    if (n_max := _integer(n_max, "n_max")) < 2:
         raise ValueError(f"need n_max >= 2, got {n_max!r}")
     ns = np.arange(2, n_max + 1, dtype=float)
     closing = np.sin(math.pi / (4.0 * ns)) ** 2

@@ -1,10 +1,10 @@
 """Falsification of biased-marginal extensions of the fringe-law correlations.
 
 No-signaling bounds the statistical distance D between any subensemble's
-outcome distribution and the uniform one by 1.5 times the chained figure of
-merit.  Because the quantum pi-chain value can be driven arbitrarily close
-to zero by raising N, any model positing D > 0 is contradicted by some
-finite chain; :func:`find_falsifying_N` locates the smallest such N and
+outcome distribution and the uniform one by :data:`BOUND_FACTOR` times the
+chained figure of merit.  Because the quantum pi-chain value can be driven
+arbitrarily close to zero by raising N, any model positing D > 0 is
+contradicted by some finite chain; :func:`find_falsifying_N` locates the smallest such N and
 :func:`leggett_inconsistency_demo` packages the whole argument for an
 explicit two-subensemble model.
 """
@@ -21,6 +21,7 @@ from .bell import (
     BATCH,
     ChainedConfig,
     CorrelationModel,
+    _integer,
     chained_I,
     quantum_I_closed_form,
     quantum_I_closed_form_array,
@@ -29,10 +30,14 @@ from .bell import (
 from .entangle import marginal
 from .probability import check_distribution
 
+# The factor c of the no-signaling bound D <= c * I(N) on a subensemble's
+# distance from uniform, in every bound this module computes; ROADMAP item 13
+# decides its value.
+BOUND_FACTOR = 1.5
 _FIRST_CHUNK = 64  # chain lengths in the first scan chunk; later chunks double
 # The longest cap up to which the tests check that the float pi-chain bound
-# 1.5 * I(N, pi) never rises, so that bisection finds the scan's witness; it
-# covers every cap the CLI accepts.
+# BOUND_FACTOR * I(N, pi) never rises, so that bisection finds the scan's
+# witness; it covers every cap the CLI accepts.
 _MONOTONE_UP_TO = 10 ** 7
 
 
@@ -52,7 +57,7 @@ class FalsificationCapError(RuntimeError):
 @dataclass(frozen=True)
 class DistanceReport:
     distance: float
-    bound: float  # 1.5 * I(N)
+    bound: float  # BOUND_FACTOR * I(N)
     violated: bool
     i_value: float
 
@@ -89,11 +94,12 @@ def statistical_distance(p: Sequence[float], q: Sequence[float]) -> float:
 def colbeck_renner_bound(
     n: int, theta: float, model, distance: float
 ) -> DistanceReport:
-    """Evaluate the no-signaling bound 1.5 * I(N) and compare a claimed D."""
+    """Evaluate the no-signaling bound BOUND_FACTOR * I(N) and compare a
+    claimed D."""
     if not 0.0 <= distance <= 1.0:
         raise ValueError(f"distance must lie in [0, 1], got {distance!r}")
     i_value = chained_I(model, ChainedConfig(n=n, theta=theta))
-    bound = 1.5 * i_value
+    bound = BOUND_FACTOR * i_value
     return DistanceReport(
         distance=distance, bound=bound, violated=distance > bound, i_value=i_value,
     )
@@ -102,53 +108,57 @@ def colbeck_renner_bound(
 def find_falsifying_N(
     distance: float, theta: float = math.pi, n_cap: int = 1_000_000
 ) -> FalsificationWitness:
-    """Smallest N whose quantum bound 1.5 * I(N, theta) drops below D.
+    """Smallest N whose quantum bound BOUND_FACTOR * I(N, theta) drops below D.
 
     At theta = pi with a cap of at most ``_MONOTONE_UP_TO`` (10^7), bisects
     [2, n_cap] with the scalar :func:`quantum_I_closed_form`, in about
     log2(n_cap) evaluations.  The result is the scan's, exactly: the float
-    bound 1.5 * I(N, pi) never rises from one N to the next up to that cap
-    (the tests check every step), so "bound < D" is false below the witness
-    and true from it on.  At any other angle, or a larger cap, the bound
-    need not be monotone, and the search scans upward from N = 2 over chunks
-    of the array closed form (64 chain lengths at first, doubling up to
-    :data:`~bellsim.bell.BATCH`), which equals the scalar form bit for bit.
-    The witness reports the bound on both sides of the crossing.  Raises
-    :class:`FalsificationCapError` (carrying the bound at the cap) if no N
-    up to the cap is below D; at theta = pi, exactly when the bound at the
-    cap is not.
+    bound BOUND_FACTOR * I(N, pi) never rises from one N to the next up to
+    that cap (the tests check every step), so "bound < D" is false below the
+    witness and true from it on.  At any other angle, or a larger cap, the
+    bound need not be monotone, and the search scans upward from N = 2 over
+    chunks of the array closed form (64 chain lengths at first, doubling up
+    to :data:`~bellsim.bell.BATCH`), which equals the scalar form bit for
+    bit.  The witness reports the bound on both sides of the crossing.
+    Raises :class:`FalsificationCapError` (carrying the bound at the cap) if
+    no N up to the cap is below D; at theta = pi, exactly when the bound at
+    the cap is not.  Like :class:`~bellsim.bell.ChainedConfig`, it takes
+    only a finite theta >= 0 and an integer cap.
     """
     if not 0.0 < distance <= 1.0:
         raise ValueError(f"distance must lie in (0, 1], got {distance!r}")
-    if n_cap < 2:
+    if (n_cap := _integer(n_cap, "n_cap")) < 2:
         raise ValueError(f"n_cap must be >= 2, got {n_cap!r}")
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta!r}")
+    if theta < 0.0:  # the domain of ChainedConfig
+        raise ValueError(f"theta must be finite and >= 0, got {theta!r}")
     if theta == math.pi and n_cap <= _MONOTONE_UP_TO:
         n = _bisect_pi_chain(distance, n_cap)
     else:
         n = _scan_chain(distance, theta, n_cap)
     if n is None:
-        raise FalsificationCapError(distance, n_cap, 1.5 * quantum_I_closed_form(n_cap, theta))
+        raise FalsificationCapError(distance, n_cap,
+                                     BOUND_FACTOR * quantum_I_closed_form(n_cap, theta))
     i_value = quantum_I_closed_form(n, theta)
     previous_i = quantum_I_closed_form(n - 1, theta) if n > 2 else None
     return FalsificationWitness(
-        n=n, bound=1.5 * i_value, i_value=i_value,
-        previous_bound=None if previous_i is None else 1.5 * previous_i,
+        n=n, bound=BOUND_FACTOR * i_value, i_value=i_value,
+        previous_bound=None if previous_i is None else BOUND_FACTOR * previous_i,
         previous_i=previous_i,
         distance=distance,
     )
 
 
 def _bisect_pi_chain(distance: float, n_cap: int) -> int | None:
-    """Smallest N in [2, n_cap] with 1.5 * I(N, pi) < D, or None; the bound
-    must not rise over that range."""
-    if not 1.5 * quantum_I_closed_form(n_cap, math.pi) < distance:
+    """Smallest N in [2, n_cap] with BOUND_FACTOR * I(N, pi) < D, or None;
+    the bound must not rise over that range."""
+    if not BOUND_FACTOR * quantum_I_closed_form(n_cap, math.pi) < distance:
         return None
     low, high = 1, n_cap  # the bound is below D at high and not at low (or low < 2)
     while high - low > 1:
         mid = (low + high) // 2
-        if 1.5 * quantum_I_closed_form(mid, math.pi) < distance:
+        if BOUND_FACTOR * quantum_I_closed_form(mid, math.pi) < distance:
             high = mid
         else:
             low = mid
@@ -156,11 +166,11 @@ def _bisect_pi_chain(distance: float, n_cap: int) -> int | None:
 
 
 def _scan_chain(distance: float, theta: float, n_cap: int) -> int | None:
-    """First N in [2, n_cap] with 1.5 * I(N, theta) < D, or None."""
+    """First N in [2, n_cap] with BOUND_FACTOR * I(N, theta) < D, or None."""
     start, size = 2, _FIRST_CHUNK
     while start <= n_cap:
         ns = np.arange(start, min(start + size, n_cap + 1))
-        below = np.flatnonzero(1.5 * quantum_I_closed_form_array(ns, theta) < distance)
+        below = np.flatnonzero(BOUND_FACTOR * quantum_I_closed_form_array(ns, theta) < distance)
         if below.size:
             return int(ns[below[0]])
         start += size

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 
 import mpmath
@@ -21,8 +22,10 @@ from bellsim.bell import (
     quantum_model,
     suppressed_nonlocality_model,
 )
-from bellsim.entangle import (JointDistribution, ideal_joint_probabilities, joint_probabilities,
-                              marginal, no_signaling_residual)
+from bellsim.entangle import (JointDistribution, bob_measurement_rule, ideal_joint_probabilities,
+                              joint_probabilities, marginal, no_signaling_residual)
+from bellsim.extensions import BiasedMarginalModel
+from bellsim.measurement import mach_zehnder_effective, symmetric_beam_splitter
 
 PI = math.pi
 
@@ -69,6 +72,32 @@ def test_chained_config_settings():
     for theta in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="theta must be finite and >= 0"):
             ChainedConfig(n=2, theta=theta)
+
+
+@pytest.mark.parametrize("value", [3.0, 2.5, 10.5, np.float64(4.0), "3", None])
+def test_chain_lengths_must_be_integers(value):
+    # a float is refused where the chain's length enters, even an integral
+    # one, with the argument's name, never from inside numpy or range()
+    calls = {"n": (lambda n: ChainedConfig(n=n, theta=PI), lambda n: quantum_I_closed_form(n, PI),
+                   lhv_minimum_I),
+             "n_max": (boundedness_check,)}
+    for name, functions in calls.items():
+        message = f"^{name} must be an integer, got {re.escape(repr(value))}$"
+        for function in functions:
+            with pytest.raises(ValueError, match=message):
+                function(value)
+
+
+def test_chain_lengths_take_numpy_integers():
+    for n in (np.int64(3), np.int32(3), np.uint8(3)):
+        assert chained_I(quantum_model(), ChainedConfig(n=n, theta=PI)) == \
+            chained_I(quantum_model(), ChainedConfig(n=3, theta=PI))
+        assert quantum_I_closed_form(n, PI) == quantum_I_closed_form(3, PI)
+        assert lhv_minimum_I(n) == lhv_minimum_I(3)
+        report = boundedness_check(n)
+        assert report.n_max == 3 and report.tail_product == boundedness_check(3).tail_product
+    # 4^40 strategies overflow no int64
+    assert lhv_minimum_I(np.int64(40)).n_strategies == 4 ** 40
 
 
 def test_quantum_chsh_point():
@@ -322,10 +351,11 @@ def test_visibility_degrades_quantum_value():
 
 
 def test_i_value_is_the_fsum_of_its_contributions():
-    # fsum is correctly rounded, so summing the batches' exact partials or
-    # the oracle's unbatched terms gives the same bits.  BATCH // 2 settings
-    # fill one batch exactly, one more leaves a 2-term second batch; theta = 0
-    # makes every adjacent term zero; the strategy's terms are 0 and 1.
+    # fsum is correctly rounded, and so is the difference path's exact sum
+    # by multiplicity, so either path gives the bits of fsum over the
+    # oracle's unbatched terms.  BATCH // 2 settings fill one batch exactly,
+    # one more leaves a 2-term second batch; theta = 0 makes every adjacent
+    # term zero; the strategy's terms are 0 and 1.
     rng = np.random.default_rng(20)
     for n in (*range(2, 401), BATCH // 2, BATCH // 2 + 1, 10 ** 5):
         cfg = ChainedConfig(n=n, theta=PI)
@@ -373,7 +403,7 @@ def test_chained_I_leaves_the_model_array_untouched():
 def test_chained_I_memory_stays_within_its_batches():
     # the 2 * 10^6 terms (16 MB) are never held at once: every array lives
     # and dies within its call, none longer than a batch (peaks of 0.40 MiB
-    # summed by difference, 2.01 MiB a batch at a time)
+    # summed by difference, 1.88 MiB a batch at a time)
     cfg = ChainedConfig(n=10 ** 6, theta=PI)
     for model, bound in ((quantum_model(), 2 ** 20), (batch_path(quantum_model()), 4 * 2 ** 20)):
         chained_I(model, ChainedConfig(n=2, theta=PI))
@@ -384,6 +414,24 @@ def test_chained_I_memory_stays_within_its_batches():
         finally:
             tracemalloc.stop()
         assert peak < bound, (model.difference, peak)
+
+
+@pytest.mark.parametrize("n", [2, 3, BATCH // 2, BATCH // 2 + 1, BATCH // 2 + 3, 10 ** 5])
+def test_batch_path_sums_the_library_models_without_a_difference_law(n):
+    # Bob's terms depend on phi_a + phi_b, so most of them differ (17 206
+    # distinct values of 20 000 terms at n = 10^4 and theta = pi behind the
+    # Mach-Zehnder splitter, all 20 000 behind the symmetric one), and an
+    # inexactly summed batch would show here
+    biased = BiasedMarginalModel(quantum_model(), 0.3)
+    models = (bob_measurement_rule(mach_zehnder_effective(PI / 2)),
+              bob_measurement_rule(symmetric_beam_splitter()),
+              biased.subensemble_rule(0), biased.subensemble_rule(1), biased.ensemble_rule())
+    for model in models:
+        assert model.difference is None
+        for theta in (PI, 2.5):
+            cfg = ChainedConfig(n, theta)
+            want = math.fsum(chain_terms(model, cfg))
+            assert float.hex(chained_I(model, cfg)) == float.hex(want), (model.name, theta)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8191, 8192, 8193, 16384, 10 ** 5, 10 ** 6])

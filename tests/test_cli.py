@@ -1019,6 +1019,18 @@ def test_non_finite_theta_gives_error_rows_without_warnings(tmp_path, argv, mess
         assert [row["error"] for row in csv.DictReader(fh)] == [message] * 2
 
 
+@pytest.mark.parametrize("argv", [["chained", "--grid", "n=2,20"],
+                                  ["extensions", "--grid", "d=0.1,0.9"]],
+                         ids=["chained", "extensions"])
+def test_negative_theta_gives_error_rows(tmp_path, argv):
+    # both subcommands take theta in the domain of ChainedConfig
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--theta", "-3", "--output", str(out)]) == 1
+    with out.open(newline="") as fh:
+        errors = [row["error"] for row in csv.DictReader(fh)]
+    assert errors == ["ValueError: theta must be finite and >= 0, got -3.0"] * 2
+
+
 def _with_row(monkeypatch, subcommand, row):
     monkeypatch.setitem(cli._SUBCOMMANDS, subcommand,
                         replace(cli._SUBCOMMANDS[subcommand], row=row))

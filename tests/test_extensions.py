@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +114,35 @@ def test_find_falsifying_n_cap_guard():
     # flat chains never fall below any positive distance
     with pytest.raises(FalsificationCapError):
         find_falsifying_N(0.5, 0.0, n_cap=100)
+
+
+@pytest.mark.parametrize("theta", [-3.0, -1e-300, -PI])
+def test_find_falsifying_n_takes_the_theta_of_a_chain(theta):
+    # ChainedConfig(n=20, theta=-3.0) refuses theta, so no witness exists
+    with pytest.raises(ValueError, match="theta must be finite and >= 0"):
+        ChainedConfig(n=20, theta=theta)
+    message = f"^theta must be finite and >= 0, got {re.escape(repr(theta))}$"
+    with pytest.raises(ValueError, match=message):
+        find_falsifying_N(0.1, theta=theta)
+
+
+@pytest.mark.parametrize("n_cap", [2.5, 1e6, np.float64(100.0)])
+def test_find_falsifying_n_takes_an_integer_cap(n_cap):
+    message = f"^n_cap must be an integer, got {re.escape(repr(n_cap))}$"
+    with pytest.raises(ValueError, match=message):
+        find_falsifying_N(0.9, n_cap=n_cap)
+
+
+def test_find_falsifying_n_takes_numpy_integer_caps():
+    for theta in (PI, 2.5):
+        want = find_falsifying_N(0.3, theta=theta, n_cap=100)
+        assert find_falsifying_N(0.3, theta=theta, n_cap=np.int64(100)) == want
+        assert type(want.n) is int
+
+
+def test_colbeck_renner_bound_takes_an_integer_chain_length():
+    with pytest.raises(ValueError, match="^n must be an integer, got 3.0$"):
+        colbeck_renner_bound(3.0, PI, quantum_model(), 0.1)
 
 
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])

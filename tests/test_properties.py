@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from bellsim.bell import (
     ChainedConfig,
     CorrelationModel,
-    _exact_partials,
     _weighted_sum,
     chained_I,
     deterministic_strategy_model,
@@ -218,23 +217,6 @@ summands = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -2.0]),
     st.builds(lambda sign, m, e: sign * math.ldexp(m, e), st.sampled_from([1.0, -1.0]),
               st.floats(1.0, 2.0, exclude_max=True), st.integers(-1074, 1)))
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.lists(st.tuples(summands, st.integers(1, 1000)), min_size=1, max_size=40))
-def test_exact_partials_sum_to_the_exact_sum(runs):
-    xs = [x for x, count in runs for _ in range(count)][:5000]
-    partials = _exact_partials(np.array(xs))
-    assert exact_sum(partials) == exact_sum(xs)
-    assert math.fsum(partials) == float(exact_sum(xs)) == math.fsum(xs)
-
-
-def exact_sum(values) -> Fraction:
-    """The exact sum of finite doubles, each a multiple of 2^-1074."""
-    scale = 1 << 1074
-    return Fraction(sum(n * (scale // d) for n, d in map(float.as_integer_ratio, values)), scale)
-
-
 finite_floats = st.one_of(summands, st.floats(allow_nan=False, allow_infinity=False))
 
 
