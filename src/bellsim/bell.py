@@ -54,10 +54,8 @@ class ChainedConfig:
     theta: float
 
     def __post_init__(self):
-        if _integer(self.n, "n") < 2:
-            raise ValueError(f"need at least 2 settings per side, got n={self.n!r}")
-        if not 0.0 <= self.theta < math.inf:
-            raise ValueError(f"theta must be finite and >= 0, got {self.theta!r}")
+        _chain_length(self.n, "n")
+        _phase_spread(self.theta)
 
     @property
     def settings(self) -> tuple[float, ...]:
@@ -83,13 +81,22 @@ class BoundednessReport:
     i_values: np.ndarray
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int, if it is a Python or numpy integer (never a
+def _chain_length(value, name: str) -> int:
+    """``value`` as an int, if it is a Python or numpy integer >= 2 (never a
     float, even an integral one); otherwise a ValueError naming ``name``."""
     try:
-        return operator.index(value)
+        n = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if n < 2:
+        raise ValueError(f"{name} must be >= 2, got {n!r}")
+    return n
+
+
+def _phase_spread(theta: float) -> None:
+    """A chain's total phase is finite and >= 0; otherwise a ValueError."""
+    if not 0.0 <= theta < math.inf:
+        raise ValueError(f"theta must be finite and >= 0, got {theta!r}")
 
 
 def classify(i_value: float) -> Classification:
@@ -331,8 +338,7 @@ def quantum_I_closed_form(n: int, theta: float) -> float:
     strictly positive for every finite N, decreasing, with N * I tending to
     pi^2 / 8.
     """
-    if (n := _integer(n, "n")) < 2:
-        raise ValueError(f"need n >= 2, got {n!r}")
+    n = _chain_length(n, "n")
     half_adj = theta / (4 * n)
     closing = math.cos((2 * n - 1) * half_adj)
     adjacent = math.sin(half_adj)
@@ -357,8 +363,7 @@ def lhv_minimum_I(n: int) -> LhvMinimum:
     reported strategy, all -1, is the first minimizer in ascending word
     order (bit i of the word is setting l_i, set bit = +1).
     """
-    if (n := _integer(n, "n")) < 2:
-        raise ValueError(f"need n >= 2, got {n!r}")
+    n = _chain_length(n, "n")
     return LhvMinimum(value=1.0, strategy=(-1,) * (2 * n), n_strategies=4 ** n)
 
 
@@ -370,8 +375,7 @@ def boundedness_check(n_max: int) -> BoundednessReport:
     no-maximal-nonlocality argument.  Both are evaluated as sin^2(pi/4N), so
     no digits cancel at large N.
     """
-    if (n_max := _integer(n_max, "n_max")) < 2:
-        raise ValueError(f"need n_max >= 2, got {n_max!r}")
+    n_max = _chain_length(n_max, "n_max")
     ns = np.arange(2, n_max + 1, dtype=float)
     closing = np.sin(math.pi / (4.0 * ns)) ** 2
     i_values = 2.0 * ns * closing

@@ -24,13 +24,14 @@ time.  Each grid axis's entry has a domain
 (finite, finite and >= 0, or an integer), checked over the block as one
 array: a row with a value outside it is an error row, "ValueError: <axis>
 must be <noun>, got <value>", naming the first such axis in table order.
-The subcommand's row function sees only the other grid points, as one
-float array per axis with their row numbers, and returns output columns
-plus one error text per row.  ``interf``, ``unitarity`` and both Franson
-modes are array laws over the block.  A Franson law runs once per block:
-if it raises, at a fixed parameter outside its domain, every row takes
-that error, and a row whose physical law overflows is a NaN column that
-takes the probability check's text.  ``sample`` takes its block's fringe
+The subcommand's row function runs once on the whole block, as one float
+array per axis with the row numbers, and returns output columns plus one
+error text per row.  It never sees a value outside a domain: it is
+replaced by 0.0 and its row's result dropped.  ``interf``, ``unitarity``
+and both Franson modes are array laws over the block.  A Franson law runs
+once per block: if it raises, at a fixed parameter outside its domain,
+every row takes that error, and a row whose physical law overflows is a
+NaN column that takes the probability check's text.  ``sample`` takes its block's fringe
 ports from one array call and draws each row's counts from them;
 ``chained`` and ``extensions`` call the library once per row.
 
@@ -643,33 +644,23 @@ def _evaluate(spec: ScanSpec, sub: _Subcommand, rows: np.ndarray,
               points: dict) -> tuple[list, list[str]]:
     """Output columns and error texts of the block's grid points.
 
-    A point with a value outside its axis's domain is an error row, which
-    names the first such axis in table order; the row function sees only
-    the other points, and its columns and errors are scattered back."""
-    errors = [""] * rows.size
-    inside = np.ones(rows.size, dtype=bool)
+    The row function runs once on the whole block and never sees a value
+    outside a domain: it is replaced by 0.0, which every domain holds, and
+    its row's result dropped.  That row is an error row, whose text names
+    the first such axis in table order; its cells are written blank."""
+    texts = {}
     for axis in sub.grids:
         if axis.domain is not None and axis.name in points:
             values = points[axis.name]
-            outside = inside & ~axis.domain.holds(values)
-            for i in np.flatnonzero(outside).tolist():
-                errors[i] = (f"ValueError: {axis.name} must be {axis.domain.noun}, "
-                             f"got {values[i].item()!r}")
-            inside &= ~outside
-    if inside.all():
-        return sub.row(spec, rows, points)
-    kept = np.flatnonzero(inside)
-    # The cells of the error rows are written blank, whatever they hold.
-    columns = [np.zeros(rows.size) for _ in sub.columns]
-    if kept.size:
-        outputs, kept_errors = sub.row(spec, rows[kept],
-                                       {axis: values[kept] for axis, values in points.items()})
-        for k, values in enumerate(outputs):
-            # an array column keeps its dtype; a list column becomes an object array
-            columns[k] = np.zeros(rows.size, getattr(values, "dtype", object))
-            columns[k][kept] = values
-        for i, error in zip(kept.tolist(), kept_errors):
-            errors[i] = error
+            outside = ~axis.domain.holds(values)
+            if outside.any():
+                for i in np.flatnonzero(outside).tolist():
+                    texts.setdefault(i, f"ValueError: {axis.name} must be "
+                                        f"{axis.domain.noun}, got {values[i].item()!r}")
+                points = {**points, axis.name: np.where(outside, 0.0, values)}
+    columns, errors = sub.row(spec, rows, points)
+    if texts:
+        errors = [texts.get(i, error) for i, error in enumerate(errors)]
     return columns, errors
 
 

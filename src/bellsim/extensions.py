@@ -21,7 +21,8 @@ from .bell import (
     BATCH,
     ChainedConfig,
     CorrelationModel,
-    _integer,
+    _chain_length,
+    _phase_spread,
     chained_I,
     quantum_I_closed_form,
     quantum_I_closed_form_array,
@@ -123,16 +124,12 @@ def find_falsifying_N(
     Raises :class:`FalsificationCapError` (carrying the bound at the cap) if
     no N up to the cap is below D; at theta = pi, exactly when the bound at
     the cap is not.  Like :class:`~bellsim.bell.ChainedConfig`, it takes
-    only a finite theta >= 0 and an integer cap.
+    only a finite theta >= 0 and an integer cap >= 2, with its texts.
     """
     if not 0.0 < distance <= 1.0:
         raise ValueError(f"distance must lie in (0, 1], got {distance!r}")
-    if (n_cap := _integer(n_cap, "n_cap")) < 2:
-        raise ValueError(f"n_cap must be >= 2, got {n_cap!r}")
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta!r}")
-    if theta < 0.0:  # the domain of ChainedConfig
-        raise ValueError(f"theta must be finite and >= 0, got {theta!r}")
+    n_cap = _chain_length(n_cap, "n_cap")
+    _phase_spread(theta)
     if theta == math.pi and n_cap <= _MONOTONE_UP_TO:
         n = _bisect_pi_chain(distance, n_cap)
     else:

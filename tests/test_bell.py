@@ -24,7 +24,7 @@ from bellsim.bell import (
 )
 from bellsim.entangle import (JointDistribution, bob_measurement_rule, ideal_joint_probabilities,
                               joint_probabilities, marginal, no_signaling_residual)
-from bellsim.extensions import BiasedMarginalModel
+from bellsim.extensions import BiasedMarginalModel, find_falsifying_N
 from bellsim.measurement import mach_zehnder_effective, symmetric_beam_splitter
 
 PI = math.pi
@@ -86,6 +86,30 @@ def test_chain_lengths_must_be_integers(value):
         for function in functions:
             with pytest.raises(ValueError, match=message):
                 function(value)
+
+
+@pytest.mark.parametrize("value", [1, 0, -3, np.int64(1)])
+def test_short_chain_lengths_share_one_text(value):
+    # every entry point that takes a chain's length refuses one below 2 with
+    # the same text, naming its own argument and the value as an int
+    calls = {"n": (lambda n: ChainedConfig(n=n, theta=PI), lambda n: quantum_I_closed_form(n, PI),
+                   lhv_minimum_I),
+             "n_max": (boundedness_check,),
+             "n_cap": (lambda n: find_falsifying_N(0.1, n_cap=n),)}
+    for name, functions in calls.items():
+        message = f"^{name} must be >= 2, got {int(value)}$"
+        for function in functions:
+            with pytest.raises(ValueError, match=message):
+                function(value)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf])
+def test_non_finite_theta_shares_one_text(theta):
+    message = f"^theta must be finite and >= 0, got {theta!r}$"
+    with pytest.raises(ValueError, match=message):
+        ChainedConfig(n=2, theta=theta)
+    with pytest.raises(ValueError, match=message):
+        find_falsifying_N(0.1, theta=theta)
 
 
 def test_chain_lengths_take_numpy_integers():

@@ -972,7 +972,8 @@ def test_non_finite_inputs_give_error_rows(tmp_path, argv, axis, inside, noun, o
     2.5 for n, unless the case names its own), put between the values of a
     scan inside it in one block, give error rows with the domain's text;
     every other row keeps the bytes of the scan without them (the sample
-    rows keep their streams)."""
+    rows keep their streams).  A scan of those values alone, whose row
+    function runs at 0.0 in their place, gives the same error rows."""
     inside = inside or [0.0, 0.5, 1.5, 3.0, 4.5, 6.0, 2.0, 9.0]
     if outside is None:
         outside = ([math.nan, -math.inf] + ([] if axis == "n" else [math.inf])
@@ -981,7 +982,7 @@ def test_non_finite_inputs_give_error_rows(tmp_path, argv, axis, inside, noun, o
     for k, value in enumerate(outside):
         mixed[2 * k + 1] = value
     texts = {}
-    for name, values in (("inside", inside), ("mixed", mixed)):
+    for name, values in (("inside", inside), ("mixed", mixed), ("outside", outside)):
         out = tmp_path / f"{name}.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -989,15 +990,28 @@ def test_non_finite_inputs_give_error_rows(tmp_path, argv, axis, inside, noun, o
         assert code == (0 if name == "inside" else 1)
         texts[name] = out.read_text().splitlines()
     assert len(texts["mixed"]) == len(inside) + 1
+    assert len(texts["outside"]) == len(outside) + 1
     header = texts["mixed"][0].split(",")
+    failed = list(zip(texts["outside"][1:], outside))
     for line, want, value in zip(texts["mixed"][1:], texts["inside"][1:], mixed):
         if value in inside:
             assert line == want
-            continue
+        else:
+            failed.append((line, value))
+    for line, value in failed:
         row = dict(zip(header, next(csv.reader([line]))))
         assert row["error"] == f"ValueError: {axis} must be {noun}, got {value!r}"
         assert all(cell == "" for name, cell in row.items()
                    if name not in (axis, "phi", "reflection_phase", "dphi", "error"))
+
+
+def test_every_grid_domain_holds_zero():
+    # _evaluate runs a row function at 0.0 in place of a value outside its
+    # axis's domain, so 0.0 must lie inside every domain
+    for name, sub in cli._SUBCOMMANDS.items():
+        for axis in sub.grids:
+            if axis.domain is not None:
+                assert axis.domain.holds(np.array([0.0, -0.0])).all(), (name, axis.name)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -1006,9 +1020,9 @@ def test_non_finite_inputs_give_error_rows(tmp_path, argv, axis, inside, noun, o
     (["chained", "--grid", "n=2,3", "--theta", "inf"],
      "ValueError: theta must be finite and >= 0, got inf"),
     (["extensions", "--grid", "d=0.1,0.01", "--theta", "nan"],
-     "ValueError: theta must be finite, got nan"),
+     "ValueError: theta must be finite and >= 0, got nan"),
     (["extensions", "--grid", "d=0.1,0.01", "--theta", "inf"],
-     "ValueError: theta must be finite, got inf"),
+     "ValueError: theta must be finite and >= 0, got inf"),
 ], ids=["chained_nan", "chained_inf", "extensions_nan", "extensions_inf"])
 def test_non_finite_theta_gives_error_rows_without_warnings(tmp_path, argv, message):
     out = tmp_path / "out.csv"
