@@ -268,7 +268,8 @@ _OPTIONS = tuple(_Param(f.name, default=f.default, **f.metadata)
 
 def _resolve_grid(name: str, value) -> tuple[float, ...]:
     """A grid is a nonempty list of real numbers or {"linspace": [start, stop,
-    num]} with real start and stop and an integer num >= 1."""
+    num]} with finite start and stop, a finite span stop - start and an
+    integer num >= 1."""
     if isinstance(value, dict):
         extra = set(value) - {"linspace"}
         if extra:
@@ -291,7 +292,12 @@ def _resolve_grid(name: str, value) -> tuple[float, ...]:
         raise ConfigError(f"grid {name!r} is empty; grids must be nonempty")
     try:
         if isinstance(value, dict):
-            return tuple(np.linspace(float(start), float(stop), num).tolist())
+            start, stop = float(start), float(stop)
+            # a NaN or infinite start or stop makes the span NaN or infinite too
+            if not math.isfinite(stop - start):
+                raise ConfigError(f"grid {name!r}: linspace start, stop and stop - start "
+                                  f"must be finite, got {start!r} and {stop!r}")
+            return tuple(np.linspace(start, stop, num).tolist())
         return tuple(map(float, value))
     except OverflowError:
         raise ConfigError(f"grid {name!r}: a value is out of float range") from None

@@ -208,13 +208,8 @@ def ideal_joint_distribution(phi: float, visibility: float = 1.0) -> JointDistri
 
 def ideal_joint_probabilities(phi: np.ndarray, visibility: float = 1.0) -> np.ndarray:
     """:func:`ideal_joint_distribution` at every phase of ``phi``, as a
-    (4, M) array (pp, pm, mp, mm), from the array fringe law: the halved
-    ports are written into rows 0 and 1 and copied into rows 3 and 2."""
-    ports = fringe_probabilities(phi, visibility)
-    p = np.empty((4, *ports.shape[1:]))
-    np.multiply(ports, 0.5, out=p[:2])
-    p[2:] = p[1::-1]
-    return p
+    (4, M) array (pp, pm, mp, mm): the halved ports of the array fringe law."""
+    return 0.5 * fringe_probabilities(phi, visibility)[[0, 1, 1, 0]]
 
 
 def marginal(dist: JointDistribution, side: str) -> float:

@@ -84,31 +84,16 @@ def fringe_probabilities(phi: np.ndarray, visibility: float = 1.0) -> np.ndarray
     """The fringe law's (2, M) array (p_plus, p_minus) = (1 +- V cos(phi))/2
     at the phases ``phi``.  Where cos(phi) > 1/2, p_minus is taken as
     (1 - V)/2 + V sin^2(phi/2), and where cos(phi) < -1/2, p_plus as
-    (1 - V)/2 + V cos^2(phi/2), each by ufuncs with ``where=`` on its branch
-    only: no digits cancel, no rounded distance to pi enters (p_plus(math.pi)
-    is cos^2(math.pi/2) = 3.7e-33, not 0), and a chain's phases, all on one
-    branch, take two trig passes."""
+    (1 - V)/2 + V cos^2(phi/2): no digits cancel, and no rounded distance
+    to pi enters (p_plus(math.pi) is cos^2(math.pi/2) = 3.7e-33, not 0)."""
     if not 0.0 <= visibility <= 1.0:
         raise ValueError(f"visibility must lie in [0, 1], got {visibility!r}")
     cos_phi = np.cos(phi)
-    p = np.empty((2, *cos_phi.shape))
-    np.multiply(visibility, cos_phi, out=p[1])
-    np.add(1.0, p[1], out=p[0])
-    np.subtract(1.0, p[1], out=p[1])
-    p *= 0.5
-    near, far = cos_phi > 0.5, cos_phi < -0.5
-    # The half-angle's sine or cosine overwrites cos(phi) on its branch; off
-    # both, cos(phi) (in [-1, 1], or NaN) stays, overflows nothing below and
-    # reaches no port.
-    half = np.multiply(0.5, phi)
-    trig = np.sin(half, out=cos_phi, where=near)
-    np.cos(half, out=trig, where=far)
-    form = np.multiply(visibility, trig, out=half)
-    form *= trig
-    form += 0.5 * (1.0 - visibility)
-    np.copyto(p[1], form, where=near)
-    np.copyto(p[0], form, where=far)
-    return p
+    half = np.where(cos_phi >= 0.0, np.sin(0.5 * phi), np.cos(0.5 * phi))
+    half_angle_form = 0.5 * (1.0 - visibility) + visibility * half * half
+    p_plus = np.where(cos_phi < -0.5, half_angle_form, 0.5 * (1.0 + visibility * cos_phi))
+    p_minus = np.where(cos_phi > 0.5, half_angle_form, 0.5 * (1.0 - visibility * cos_phi))
+    return np.array((p_plus, p_minus))
 
 
 def _ports(phi: float, visibility: float = 1.0) -> list[float]:

@@ -54,17 +54,7 @@ def valid_columns(p: np.ndarray) -> np.ndarray:
 
 def check_batch(p: np.ndarray, what: str = "probabilities") -> None:
     """Raise ValueError unless every column of the 2-D array ``p`` is a
-    distribution; the message is that of the first invalid column.
-
-    A valid batch is accepted by one test of the whole array: its smallest
-    and largest entries and its largest column-sum error, the sums added as
-    :func:`valid_columns` adds them.  A NaN entry makes the smallest entry
-    NaN, and an infinite one lies outside the bounds, so either fails that
-    test.  Only a batch that fails it, or an empty one, takes the
-    per-column mask, which names the first invalid column.
-    """
-    if p.size and p.min() >= _LOW and p.max() <= _HIGH and _sum_errors(p).max() <= SUM_TOL:
-        return
+    distribution; the message is that of the first invalid column."""
     good = valid_columns(p)
     if not good.all():
         check_distribution(p[:, int(np.argmin(good))].tolist(), what)

@@ -1,4 +1,7 @@
-"""High-precision oracles shared by the test modules."""
+"""Oracles shared by the test modules: high-precision ones in mpmath, and
+the fringe law in plain libm arithmetic."""
+
+import math
 
 import mpmath
 
@@ -54,3 +57,19 @@ def mp_port_probabilities(m, amps, phi: float):
         short_amp = mpmath.mpc(amps.S)
         return [abs(mpmath.mpc(a) * long_amp + mpmath.mpc(b) * short_amp) ** 2
                 for a, b in ((m.a11, m.a21), (m.a12, m.a22))]
+
+
+def math_fringe(phi: float, visibility: float) -> tuple[float, float]:
+    """The fringe law's ports (p_plus, p_minus) in plain libm arithmetic, the
+    half-angle forms on the same branches as the array law's: an oracle
+    that shares no numpy code with it."""
+    cos_phi = math.cos(phi)
+    p_plus = 0.5 * (1.0 + visibility * cos_phi)
+    p_minus = 0.5 * (1.0 - visibility * cos_phi)
+    if cos_phi < -0.5:
+        half = math.cos(0.5 * phi)
+        p_plus = 0.5 * (1.0 - visibility) + visibility * half * half
+    elif cos_phi > 0.5:
+        half = math.sin(0.5 * phi)
+        p_minus = 0.5 * (1.0 - visibility) + visibility * half * half
+    return p_plus, p_minus

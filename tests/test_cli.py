@@ -336,6 +336,10 @@ PHYSICAL_PARAMS = {"mode": "physical", "pump_center": 2.4e15, "pump_bandwidth": 
     (["sample"], {"subcommand": "sample", "grids": {"phi": [0]}, "seed": 1}),
     (["sample", "--grid", "phi=0"], None),
     (["interf", "--grid", "phi=0", "--grid", "phi=1"], None),
+    (["interf", "--grid", "phi=linspace:0:inf:3"], None),
+    (["interf", "--grid", "phi=linspace:-1e308:1e308:3"], None),
+    (["interf", "--grid", "phi=linspace:nan:1:2"], None),
+    (["interf"], {"subcommand": "interf", "grids": {"phi": {"linspace": [0, math.inf, 3]}}}),
 ], ids=["coincidence_window", "workers", "tolerance", "seed", "visibility_text",
         "theta_text", "n_cap_fraction", "n_bool", "shape_unknown", "mode_unknown",
         "pump_center_missing", "chained_model_unknown", "sample_model_unknown",
@@ -343,7 +347,8 @@ PHYSICAL_PARAMS = {"mode": "physical", "pump_center": 2.4e15, "pump_bandwidth": 
         "linspace_fraction", "grid_text", "linspace_flag_text", "grid_value_types",
         "linspace_bool_num", "visibility_for_pr_box", "tau_b_grid_in_ideal_mode",
         "visibility_in_physical_config", "seed_for_chained", "tolerance_for_franson",
-        "top_level_seed", "seed_missing", "grid_twice"])
+        "top_level_seed", "seed_missing", "grid_twice", "linspace_infinite_stop",
+        "linspace_infinite_span", "linspace_nan_start", "linspace_infinite_config"])
 def test_malformed_option_values_exit_two(tmp_path, capsys, argv, config):
     if config is not None:
         path = tmp_path / "scan.json"

@@ -33,6 +33,7 @@ from bellsim.measurement import (MeasurementMatrix, PathAmplitudes, is_valid_qua
                                  outcome_distribution)
 from bellsim.probability import SUM_TOL, check_batch, check_distribution, valid_columns
 from bellsim.spectra import Spectrum, SpectrumShape
+from mp_oracles import math_fringe
 
 PI = math.pi
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -45,22 +46,6 @@ def bits(values) -> list[int]:
     """The float64 bit patterns of ``values``, one canonical NaN for all."""
     a = np.asarray(values, dtype=float)
     return np.where(np.isnan(a), math.nan, a).view(np.int64).tolist()
-
-
-def math_fringe(phi: float, visibility: float) -> tuple[float, float]:
-    """The fringe law's ports (p_plus, p_minus) in plain libm arithmetic, the
-    half-angle forms on the same branches as the array law's: an oracle
-    that shares no numpy code with it."""
-    cos_phi = math.cos(phi)
-    p_plus = 0.5 * (1.0 + visibility * cos_phi)
-    p_minus = 0.5 * (1.0 - visibility * cos_phi)
-    if cos_phi < -0.5:
-        half = math.cos(0.5 * phi)
-        p_plus = 0.5 * (1.0 - visibility) + visibility * half * half
-    elif cos_phi > 0.5:
-        half = math.sin(0.5 * phi)
-        p_minus = 0.5 * (1.0 - visibility) + visibility * half * half
-    return p_plus, p_minus
 
 
 fringe_phases = st.one_of(st.sampled_from([0.0, -0.0, PI, -PI, 3 * PI, 1e6, math.nan]),
@@ -205,8 +190,11 @@ def test_an_empty_batch_is_accepted(model):
 def test_pair_law_is_a_fresh_array_of_the_halved_ports(phi):
     for visibility in (1.0, 0.9):
         pair = ideal_joint_probabilities(phi, visibility)
-        want = 0.5 * fringe_probabilities(phi, visibility)[[0, 1, 1, 0]]
-        assert pair.shape == want.shape == (4, *np.shape(phi))
+        # the halves of the plain-libm ports, phase by phase
+        halves = [(0.5 * equal, 0.5 * differ, 0.5 * differ, 0.5 * equal)
+                  for equal, differ in (math_fringe(p, visibility) for p in phi.ravel().tolist())]
+        want = np.array(halves, dtype=float).reshape(-1, 4).T.reshape(4, *phi.shape)
+        assert pair.shape == (4, *np.shape(phi))
         assert bits(pair) == bits(want)
         assert pair.flags.writeable and pair.flags.owndata
 
