@@ -29,14 +29,14 @@ from typing import Sequence
 import numpy as np
 
 from .entangle import CorrelationModel, ideal_joint_probabilities, joint_probabilities
-from .probability import check_batch
 
-# Terms per batch; bounds each array of a chain at 128 KiB a row.  On the
-# difference path (the quantum, PR-box and suppressed models) a batch's
-# setting phases are written into buffers made once per call and sorted in
-# place, so a warm chained_I(quantum_model(), n=10^5) takes no minor page
-# faults (getrusage ru_minflt), nor do the chains of a warm pass of the deep
-# benchmark's scans (seed 1).  The batch path makes each batch's arrays anew.
+# Terms per batch; bounds each array of a chain at 128 KiB a row.  Both sums
+# read a batch's setting phases from one buffer per call
+# (:func:`_setting_batches`), and the difference path takes the differences
+# into a second one and sorts them in place, so a warm
+# chained_I(quantum_model(), n=10^5) takes no minor page faults (getrusage
+# ru_minflt), nor do the chains of a warm pass of the deep benchmark's scans
+# (seed 1).  The batch path makes each batch's side arrays and law anew.
 BATCH = 1 << 14
 
 
@@ -146,34 +146,28 @@ def deterministic_strategy_model(
 ) -> CorrelationModel:
     """Local deterministic responses: setting l_i always yields outcomes[i].
 
-    Settings are recognized by their phase on the equipartition grid, so the
-    model only accepts the phases of ``cfg`` (and needs theta > 0 to tell
-    them apart).
+    A phase is read as setting i only if it equals ``cfg.settings[i]``, so
+    the model accepts exactly the phases of ``cfg``, which must be distinct:
+    theta > 0, with a step theta/2N that does not underflow to 0.
     """
     outcomes = tuple(outcomes)
     if len(outcomes) != 2 * cfg.n:
         raise ValueError(f"need {2 * cfg.n} outcomes, got {len(outcomes)}")
     if any(o not in (1, -1) for o in outcomes):
         raise ValueError("outcomes must be +-1")
-    if cfg.theta <= 0.0:
-        raise ValueError("setting phases are degenerate at theta = 0")
-    step = cfg.theta / (2 * cfg.n)
+    settings = np.array(cfg.settings)
+    if not (settings[1:] > settings[:-1]).all():
+        raise ValueError(f"setting phases are degenerate at theta = {cfg.theta!r}")
     plus = np.array(outcomes) == 1
 
-    def index_of(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        i = np.rint(phi / step)  # round half to even, like round()
-        bad = ~((i >= 0) & (i < 2 * cfg.n) & (np.abs(phi - i * step) <= 1e-9 * max(step, 1.0)))
-        return np.where(bad, 0, i).astype(np.intp), bad
-
     def probabilities(phi_a: np.ndarray, phi_b: np.ndarray) -> np.ndarray:
-        ia, bad_a = index_of(phi_a)
-        ib, bad_b = index_of(phi_b)
-        bad = bad_a | bad_b
+        phi = np.stack((phi_a, phi_b), axis=1)  # pair m's phases, side A's first
+        i = np.minimum(np.searchsorted(settings, phi), settings.size - 1)
+        bad = settings[i] != phi
         if bad.any():
-            m = int(np.argmax(bad))
-            phi = float(phi_a[m] if bad_a[m] else phi_b[m])
-            raise ValueError(f"phase {phi!r} is not one of the chain settings")
-        a, b = plus[ia], plus[ib]
+            raise ValueError(f"phase {float(phi.flat[np.argmax(bad)])!r} "
+                             "is not one of the chain settings")
+        a, b = plus[i].T
         return np.stack((a & b, a & ~b, ~a & b, ~a & ~b)).astype(float)
 
     return CorrelationModel(name="local_deterministic", probabilities=probabilities)
@@ -183,11 +177,12 @@ def chained_I(model, cfg: ChainedConfig) -> float:
     """The chained figure of merit I of a correlation model.
 
     Term 0 is the closing pair (settings 0 and 2N-1), term k >= 1 the
-    adjacent pair (k-1, k); the even setting of a pair is side A's.  The
-    setting phases are formed in batches of at most :data:`BATCH` terms, and
-    an invalid distribution is rejected with the diagnostic of the first
-    invalid term, as :func:`~bellsim.entangle.joint_probabilities` gives it.
-    :func:`classify` names the class of I.
+    adjacent pair (k-1, k); the even setting of a pair is side A's.  Both
+    paths below read the setting phases from :func:`_setting_batches`, in
+    batches of at most :data:`BATCH` terms, and check the law's output with
+    :func:`~bellsim.entangle.joint_probabilities`; an invalid distribution
+    is rejected with the diagnostic of the first invalid term, as that
+    function gives it.  :func:`classify` names the class of I.
 
     I is the correctly rounded sum of the terms, ``math.fsum`` of them: plain
     accumulation loses ~2e-12 against the closed form at N = 10^4, and the
@@ -211,88 +206,88 @@ def chained_I(model, cfg: ChainedConfig) -> float:
       definition that the tests hold the difference path to.
 
     No array outlives the call or outgrows a batch: tracemalloc's peak for a
-    call at N = 10^6 is 0.40 MiB on the difference path and 1.88 MiB on the
+    call at N = 10^6 is 0.40 MiB on the difference path and 2.13 MiB on the
     batch path, as at N = 10^5.
     """
-    law = model.difference if isinstance(model, CorrelationModel) else None
-    if law is not None:
-        value = _sum_by_difference(law, cfg)
+    if isinstance(model, CorrelationModel) and model.difference is not None:
+        value = _sum_by_difference(model, cfg)
         if value is not None:
             return value
     return _sum_by_batch(model, cfg)
+
+
+def _setting_batches(cfg: ChainedConfig):
+    """Each batch's setting phases, one array s with the bits i * step of
+    setting i (those of ``cfg.settings``), in which term start + j of the
+    batch that starts at term ``start`` pairs s[j] and s[j + 1].
+
+    Term k pairs settings k - 1 and k, so s[j] is setting start + j - 1,
+    except that the first batch's s[0] is setting 2N - 1: term 0 is the
+    closing pair (settings 2N - 1 and 0).  A batch has at most
+    :data:`BATCH` terms and starts at an even term, so side A's (even)
+    setting is s[j + 1] at even j and s[j] at odd j.  Every s is a view of
+    one buffer, which the next batch overwrites.
+    """
+    terms = 2 * cfg.n
+    step = cfg.theta / terms
+    index = np.arange(-1.0, min(terms, BATCH))  # s[j]'s setting index
+    index[0] = terms - 1
+    phases = np.empty(index.size)
+    for start in range(0, terms, BATCH):
+        size = min(BATCH, terms - start) + 1
+        yield np.multiply(index[:size], step, out=phases[:size])
+        index[0] = start - 1  # s[0] is setting start - 1 after the first batch
+        index += BATCH
 
 
 def _sum_by_batch(model, cfg: ChainedConfig) -> float:
     """I from the model's rule at every term: ``math.fsum`` of the 2N terms.
 
     The terms are formed a batch at a time, and each batch reaches the sum
-    in place through a memoryview, so no list of the terms is made.  Setting
-    i's phase is the exact integer i times step, the bits of
-    ``cfg.settings``.
+    in place through a memoryview, so no list of the terms is made.
     """
-    terms = 2 * cfg.n
-    step = cfg.theta / terms
 
     def batches():
-        for start in range(0, terms, BATCH):
-            k = np.arange(start, min(start + BATCH, terms))
-            # term k pairs settings k - 1 and k; the even one is side A's
-            a, b = (k & -2) * step, ((k - 1) | 1) * step
-            if start == 0:
-                b[0] = (terms - 1) * step  # the closing pair; a[0] is setting 0's
-            p = joint_probabilities(model, a, b)
+        for k, s in enumerate(_setting_batches(cfg)):
+            p = joint_probabilities(model, np.repeat(s[1::2], 2), np.repeat(s[::2], 2)[1:-1])
             values = p[1] + p[2]
-            if start == 0:
-                values[0] = p[0, 0] + p[3, 0]
+            if k == 0:
+                values[0] = p[0, 0] + p[3, 0]  # the closing pair's concordance
             yield memoryview(values)
 
     return math.fsum(itertools.chain.from_iterable(batches()))
 
 
-def _sum_by_difference(law, cfg: ChainedConfig) -> float | None:
-    """I from the difference law ``law``, evaluated once per distinct
-    difference; None if the check rejects the law there.
+def _sum_by_difference(model: CorrelationModel, cfg: ChainedConfig) -> float | None:
+    """I from the difference law of ``model``, evaluated once per distinct
+    difference; None if :func:`~bellsim.entangle.joint_probabilities`
+    rejects the law there.
 
-    Each batch's setting phases are those of :func:`_sum_by_batch`, the bits
-    of i * step for setting i, and each term's difference is phi_a - phi_b,
-    the subtraction the model's rule makes.  The differences are counted by
-    their bits (as int64, so -0.0 and 0.0 stay apart), and the law is called
-    once, on the closing difference and the distinct adjacent ones.  Equal
-    differences give equal columns, so the check accepts exactly when it
-    accepts every batch of the batch path, and the terms, each weighted by
-    its count, are that path's terms: :func:`_weighted_sum` of them is their
-    ``fsum``.
+    Each term's difference has the bits of phi_a - phi_b, the subtraction
+    the model's rule makes.  The differences are counted by their bits (as
+    int64, so -0.0 and 0.0 stay apart), and the law is called once, on the
+    closing difference and the distinct adjacent ones.  Equal differences
+    give equal columns, so the check accepts exactly when it accepts every
+    batch of the batch path, and the terms, each weighted by its count, are
+    that path's terms: :func:`_weighted_sum` of them is their ``fsum``.
     """
-    terms = 2 * cfg.n
-    step = cfg.theta / terms
-    size = min(terms, BATCH)
-    settings = np.arange(-1.0, size)  # setting start - 1 + j at index j
-    phi, differences = np.empty(size + 1), np.empty(size)
+    differences = np.empty(min(2 * cfg.n, BATCH))
     counts: dict[int, int] = {}
-    for start in range(0, terms, BATCH):
-        count = min(BATCH, terms - start)
-        if start:
-            settings += BATCH
-        s = np.multiply(settings[:count + 1], step, out=phi[:count + 1])
-        # Term start + j pairs settings start + j - 1 and start + j, s[j] and
-        # s[j + 1]; start is even, so side A's is s[j + 1] at even j.
-        d = differences[:count]
-        np.subtract(s[1:count:2], s[0:count:2], out=d[0::2])
-        np.subtract(s[1:count:2], s[2::2], out=d[1::2])
-        if start == 0:
-            closing = s[1] - (terms - 1) * step  # settings 0 and 2N - 1
-            d = d[1:]
+    for k, s in enumerate(_setting_batches(cfg)):
+        d = np.subtract(s[1:], s[:-1], out=differences[:s.size - 1])
+        # side A's setting is s[j] at odd j; 0.0 - x is -x, and +0.0 at two
+        # equal settings, so d[j] has the bits of phi_a - phi_b there too
+        np.subtract(0.0, d[1::2], out=d[1::2])
+        if k == 0:
+            closing, d = d[0], d[1:]
         _count_bits(d, counts)
     phases = np.array([0, *counts], dtype=np.int64).view(float)
     phases[0] = closing
-    p = np.asarray(law(phases), dtype=float)
-    if p.shape != (4, phases.size):
-        return None
-    try:
-        check_batch(p, "joint probabilities")
+    try:  # the rule at (phase, 0.0) is the law at phase - 0.0, the bits of phase
+        p = joint_probabilities(model, phases, np.zeros(phases.size))
     except ValueError:
         return None
-    values = np.add(p[1], p[2])
+    values = p[1] + p[2]
     values[0] = p[0, 0] + p[3, 0]
     return _weighted_sum(values, [1, *counts.values()])
 
@@ -339,6 +334,7 @@ def quantum_I_closed_form(n: int, theta: float) -> float:
     pi^2 / 8.
     """
     n = _chain_length(n, "n")
+    _phase_spread(theta)
     half_adj = theta / (4 * n)
     closing = math.cos((2 * n - 1) * half_adj)
     adjacent = math.sin(half_adj)

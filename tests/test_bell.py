@@ -103,13 +103,15 @@ def test_short_chain_lengths_share_one_text(value):
                 function(value)
 
 
-@pytest.mark.parametrize("theta", [math.nan, math.inf])
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -1.0])
 def test_non_finite_theta_shares_one_text(theta):
+    # every entry point that takes a chain's total phase refuses one outside
+    # [0, inf) with the same text
     message = f"^theta must be finite and >= 0, got {theta!r}$"
-    with pytest.raises(ValueError, match=message):
-        ChainedConfig(n=2, theta=theta)
-    with pytest.raises(ValueError, match=message):
-        find_falsifying_N(0.1, theta=theta)
+    for function in (lambda t: ChainedConfig(n=2, theta=t), lambda t: quantum_I_closed_form(4, t),
+                     lambda t: find_falsifying_N(0.1, theta=t)):
+        with pytest.raises(ValueError, match=message):
+            function(theta)
 
 
 def test_chain_lengths_take_numpy_integers():
@@ -287,6 +289,26 @@ def test_chained_on_deterministic_model_matches_strategy_value():
         assert value >= 1.0
 
 
+def test_strategy_knows_its_settings_by_their_bits():
+    # a phase is setting i only if it equals cfg.settings[i]: a phase near
+    # setting 0 is none of them, and a step that underflows to 0 leaves the
+    # settings degenerate, as theta = 0 does
+    outcomes = (1, -1, 1, -1)
+    m = deterministic_strategy_model(outcomes, ChainedConfig(2, PI))
+    assert m.rule(0.0, PI / 4).p_pm == 1.0
+    for phi_a, phi_b, bad in ((1e-12, PI / 4, 1e-12), (0.0, PI, PI), (0.0, math.nan, math.nan)):
+        with pytest.raises(ValueError, match=f"^phase {bad!r} is not one of the chain settings$"):
+            m.rule(phi_a, phi_b)
+    # the first pair with a phase that is no setting names it, side A first
+    with pytest.raises(ValueError, match="^phase 2.0 is not one"):
+        m.probabilities(np.array([0.0, 1.0]), np.array([2.0, PI / 4]))
+    for theta in (0.0, 5e-324):
+        with pytest.raises(ValueError, match=f"^setting phases are degenerate at theta = {theta!r}$"):
+            deterministic_strategy_model(outcomes, ChainedConfig(2, theta))
+    cfg = ChainedConfig(2, 1e-320)  # a subnormal step, but distinct settings
+    assert chained_I(deterministic_strategy_model(outcomes, cfg), cfg) == 3.0
+
+
 def test_pr_box_is_maximally_nonlocal_on_pi_chains():
     model = pr_box_model()
     for n in (2, 3, 5, 8):
@@ -427,7 +449,7 @@ def test_chained_I_leaves_the_model_array_untouched():
 def test_chained_I_memory_stays_within_its_batches():
     # the 2 * 10^6 terms (16 MB) are never held at once: every array lives
     # and dies within its call, none longer than a batch (peaks of 0.40 MiB
-    # summed by difference, 1.88 MiB a batch at a time)
+    # summed by difference, 2.13 MiB a batch at a time)
     cfg = ChainedConfig(n=10 ** 6, theta=PI)
     for model, bound in ((quantum_model(), 2 ** 20), (batch_path(quantum_model()), 4 * 2 ** 20)):
         chained_I(model, ChainedConfig(n=2, theta=PI))

@@ -366,19 +366,22 @@ def _fresh_counts(dist, n, seed, stream):
     return tuple(rng.multinomial(n, probs / probs.sum()).tolist())
 
 
-_SAMPLED = [
-    (quantum_detection_distribution(0.7), 10 ** 6),
-    (local_detection_distribution(1.0), 1),
-    (DetectionDistribution(0.0, 0.0, 1.0, 0.0), 17),
-    (DetectionDistribution(0.25, 0.25, 0.25, 0.25), 12345),
-    (quantum_detection_distribution(math.pi), 10 ** 9),
-]
+def _sampled():
+    """(distribution, n) cases, built when a test runs, so a fringe law that
+    breaks a distribution fails these tests, not the module's collection."""
+    return [
+        (quantum_detection_distribution(0.7), 10 ** 6),
+        (local_detection_distribution(1.0), 1),
+        (DetectionDistribution(0.0, 0.0, 1.0, 0.0), 17),
+        (DetectionDistribution(0.25, 0.25, 0.25, 0.25), 12345),
+        (quantum_detection_distribution(math.pi), 10 ** 9),
+    ]
 
 
 def test_rekeyed_sampling_equals_a_fresh_philox_per_key():
     # Keys interleave, so each call follows one drawn under another key.
     keys = [(3, 0), (2 ** 64 - 1, 5), (3, 1), (0, 2 ** 64 - 1), (3, 0), (7, 7)]
-    for dist, n in _SAMPLED:
+    for dist, n in _sampled():
         for seed, stream in keys:
             got = sample_events(dist, n, seed=seed, stream=stream)
             assert (got.n_plus, got.n_minus, got.n_double, got.n_null) == (
@@ -386,7 +389,7 @@ def test_rekeyed_sampling_equals_a_fresh_philox_per_key():
 
 
 def test_two_threads_sampling_at_once_keep_their_streams():
-    tasks = [(dist, n, seed, stream) for dist, n in _SAMPLED
+    tasks = [(dist, n, seed, stream) for dist, n in _sampled()
              for seed in (11, 2 ** 64 - 1) for stream in range(200)]
     want = [_fresh_counts(*task) for task in tasks]
     start = threading.Barrier(2)
