@@ -343,7 +343,9 @@ def quantum_I_closed_form(n: int, theta: float) -> float:
 
 def quantum_I_closed_form_array(ns: np.ndarray, theta: float) -> np.ndarray:
     """:func:`quantum_I_closed_form` at every chain length of the integer
-    array ``ns`` (each >= 2), with the same formula."""
+    array ``ns`` (each >= 2), with the same formula; a ``theta`` outside
+    [0, inf) is a ValueError, as there."""
+    _phase_spread(theta)
     half_adj = theta / (4 * ns)
     closing = np.cos((2 * ns - 1) * half_adj)
     adjacent = np.sin(half_adj)

@@ -39,17 +39,25 @@ Each block is formatted by column and written before the next one runs, so
 no artifact is held in memory whole.  A float ``repr`` is most of a cheap
 row's cost, so cells that repeat are formatted once: a grid axis whose
 values repeat over the rows once per scan, an output float column with the
-bits of a column already formatted in the block once per block, and a float
-column made of few runs of one value once per run.  A row is joined from
-its cells and the fixed text around them (a JSON row's keys and indentation,
-a CSV row's commas) by one ``"".join`` per row, the same code for both
-formats.  A JSON artifact's
-``spec.grids`` lists are written from the same cells.  Budgets reject a scan
-of more than ``_MAX_ROWS`` grid points, or a chain (``chained`` ``n``,
-``extensions`` ``n_cap``) longer than ``_MAX_CHAIN``, with exit 2 before
-any grid is built.  The output file is opened before any row runs; a scan
-that raises outside row evaluation, in any process, exits 1 and removes the
-partly written file.
+bits of a column already formatted in the block once per block, a float
+column made of few runs of one value once per run, and an output float
+column whose values repeat out of run order once per distinct bit pattern
+per scan and process.  That last rule needs a process that runs more than
+one block, repeats its first block there can show (not few runs, at most two
+thirds of the values distinct), and a cache of cells by bits that stays
+bounded: a block that brings more than two thirds new values, or would take
+it past ``_CACHED_CELLS`` cells, drops it for the rest of the scan.  It
+takes ``unitarity``'s ``p_plus`` over an inner ``phi`` axis, a law of
+``phi`` alone but for a few bits: about 13% of the float ``repr`` calls of
+the benchmark's ``wide_grid`` pass at seed 1, and none of ``deep``'s.  A row
+is joined from its cells and the fixed text around them (a JSON row's keys
+and indentation, a CSV row's commas) by one ``"".join`` per row, the same
+code for both formats.  A JSON artifact's ``spec.grids`` lists are written
+from the same cells.  Budgets reject a scan of more than ``_MAX_ROWS`` grid
+points, or a chain (``chained`` ``n``, ``extensions`` ``n_cap``) longer than
+``_MAX_CHAIN``, with exit 2 before any grid is built.  The output file is
+opened before any row runs; a scan that raises outside row evaluation, in
+any process, exits 1 and removes the partly written file.
 
 ``--workers N`` splits a scan's blocks into up to N contiguous ranges, each
 run by one process: the calling process runs the first, and ``os.fork()``ed
@@ -687,11 +695,28 @@ def _csv_text(value) -> str:
     return text
 
 
-def _json_floats(values: list) -> list[str]:
-    texts = list(map(float.__repr__, values))
-    if not all(map(math.isfinite, values)):
+def _float_texts(values) -> list[str]:
+    """The ``repr`` of each value of a float array or list; a TypeError at a
+    value that is not a float."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    return list(map(float.__repr__, values))
+
+
+def _json_floats(values) -> list[str]:
+    texts = _float_texts(values)
+    # Every value is a float once formatted, so numpy tests them all at once.
+    if not np.isfinite(values).all():
         texts = [_JSON_NON_FINITE.get(text, text) for text in texts]
     return texts
+
+
+def _runs(values: np.ndarray) -> np.ndarray | None:
+    """The starts of the runs of equal bits of a float array made of few
+    runs (four values or more on average); None for any other array."""
+    bits = values.view(np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    return starts if 4 * starts.size < values.size else None
 
 
 class _Writer:
@@ -707,7 +732,7 @@ class _Writer:
 
     def __init__(self, names: tuple[str, ...], csv: bool):
         if csv:
-            self.floats = lambda values: list(map(float.__repr__, values))
+            self.floats = _float_texts
             # Cell writers by exact type (bool is not int here); any other
             # value is written as quoted text.
             self.cells = {float: float.__repr__, int: int.__repr__,
@@ -737,11 +762,11 @@ class _Writer:
                 cells = [self.cells.get(bool, self.other)(flag) for flag in (False, True)]
                 return list(map(cells.__getitem__, values.tolist()))
             if values.dtype == float:
-                bits = values.view(np.int64)
-                starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-                if 4 * starts.size < values.size:  # runs of four values or more on average
-                    cells = np.array(self.column(values[starts].tolist()), dtype=object)
-                    return np.repeat(cells, np.diff(starts, append=values.size)).tolist()
+                starts = _runs(values)
+                if starts is None:
+                    return self.floats(values)
+                cells = np.array(self.floats(values[starts]), dtype=object)
+                return np.repeat(cells, np.diff(starts, append=values.size)).tolist()
             values = values.tolist()
         try:
             return self.floats(values)
@@ -757,6 +782,44 @@ class _Writer:
             parts += repeat(piece), columns[k]
         parts.append(repeat(self.pieces[-1]))
         return self.separator.join(map("".join, zip(*parts)))
+
+
+# The most cells one output column's cache holds in one process's blocks.
+_CACHED_CELLS = 4096
+
+
+def _cached_column(writer: _Writer, values: np.ndarray,
+                   cache: dict | None) -> tuple[list[str], dict | None]:
+    """The cells of one block of a float output column, and the column's
+    cache for its next block in this process.
+
+    ``cache`` maps the bits of each value formatted so far, which tell -0.0
+    from 0.0, to its cell: empty before the column's first block, None for
+    a column that does not take it or has left it.  A block formats only
+    its values the cache lacks and looks every cell up.  The column leaves
+    the cache at a first block of which more than two thirds of the values
+    are distinct or that is made of few runs, and at a later block of which
+    more than two thirds of the values are new or that would take the cache
+    past ``_CACHED_CELLS``; that block and every later one are formatted by
+    :meth:`_Writer.column`."""
+    if cache is None:
+        return writer.column(values), None
+    bits = values.view(np.int64)
+    if not cache:
+        # A sort tells a column without repeats for a fifth to a half of the
+        # cost of the set below (1 024 to 240 values), so that such a column
+        # pays almost nothing for the test.
+        ordered = np.sort(bits)
+        distinct = 1 + np.count_nonzero(ordered[1:] != ordered[:-1])
+        if 3 * distinct > 2 * bits.size or _runs(values) is not None:
+            return writer.column(values), None
+    keys = bits.tolist()
+    new = set(keys).difference(cache)
+    if 3 * len(new) > 2 * len(keys) or len(cache) + len(new) > _CACHED_CELLS:
+        return writer.column(values), None
+    new = list(new)
+    cache.update(zip(new, writer.floats(np.array(new, dtype=np.int64).view(float))))
+    return list(map(cache.__getitem__, keys)), cache
 
 
 # The grids entry of the indented JSON spec text when the grids are {}.
@@ -790,9 +853,12 @@ def run_scan(spec: ScanSpec) -> int:
     held in memory whole.  A grid axis whose values repeat over the rows is
     formatted once per scan, and each block indexes its cells; an output
     float column with the bits of a column already formatted in the block
-    reuses its cells.  A JSON artifact's ``spec.grids`` lists are written
-    from the same cells, so its text equals ``json.dumps({"spec": ...,
-    "rows": ...}, indent=2, sort_keys=True)``.
+    reuses its cells; and an output float column whose values repeat out of
+    run order is formatted once per distinct bit pattern in each process
+    that runs more than one block, through a bounded cache
+    (:func:`_cached_column`).  A JSON artifact's
+    ``spec.grids`` lists are written from the same cells, so its text equals
+    ``json.dumps({"spec": ..., "rows": ...}, indent=2, sort_keys=True)``.
 
     The blocks are split into :func:`_processes` contiguous ranges.  With
     one, the calling process runs every block; with more, it runs the first
@@ -840,6 +906,9 @@ def run_scan(spec: ScanSpec) -> int:
         each block's text to ``write``; a 1-D axis's JSON spec cells go to
         its list in ``pieces``.  Returns whether any row failed."""
         failed = False
+        # The output columns' caches in this process; one that runs a single
+        # block has no later block to reuse its cells.
+        caches = [{} if stop - first > 1 else None for _ in sub.columns]
         for start in range(first * _BLOCK_ROWS, min(stop * _BLOCK_ROWS, rows), _BLOCK_ROWS):
             block = np.arange(start, min(start + _BLOCK_ROWS, rows))
             index = np.unravel_index(block, shape)
@@ -857,11 +926,12 @@ def run_scan(spec: ScanSpec) -> int:
             # The cells of the block's float columns by their bits, which
             # tell -0.0 from 0.0; failed rows are blanked on a copy.
             formatted = {values.tobytes(): column for values, column in zip(inputs, cells)}
-            for values in outputs:
+            for k, values in enumerate(outputs):
                 if isinstance(values, np.ndarray) and values.dtype == float:
                     column = formatted.get(values.tobytes())
                     if column is None:
-                        column = formatted[values.tobytes()] = writer.column(values)
+                        column, caches[k] = _cached_column(writer, values, caches[k])
+                        formatted[values.tobytes()] = column
                 else:
                     column = writer.column(values)
                 if failures:

@@ -19,6 +19,7 @@ from bellsim.bell import (
     lhv_minimum_I,
     pr_box_model,
     quantum_I_closed_form,
+    quantum_I_closed_form_array,
     quantum_model,
     suppressed_nonlocality_model,
 )
@@ -106,9 +107,10 @@ def test_short_chain_lengths_share_one_text(value):
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -1.0])
 def test_non_finite_theta_shares_one_text(theta):
     # every entry point that takes a chain's total phase refuses one outside
-    # [0, inf) with the same text
+    # [0, inf) with the same text, the array closed form included
     message = f"^theta must be finite and >= 0, got {theta!r}$"
     for function in (lambda t: ChainedConfig(n=2, theta=t), lambda t: quantum_I_closed_form(4, t),
+                     lambda t: quantum_I_closed_form_array(np.array([4]), t),
                      lambda t: find_falsifying_N(0.1, theta=t)):
         with pytest.raises(ValueError, match=message):
             function(theta)

@@ -361,3 +361,113 @@ def test_columns_of_runs_are_written_cell_by_cell(fmt, rows_per_block):
     assert_artifact(code, text, fmt, ["phi", "p_plus", "p_minus", "error"], rows,
                     {"subcommand": "interf", "grids": {"phi": phis},
                      "params": {"tolerance": 1e-10}})
+
+
+@contextlib.contextmanager
+def cache_sizes():
+    """The size of the cache each block of a float output column hands on to
+    the next, in the calling process; None once the column has left it."""
+    sizes, cached_column = [], cli._cached_column
+
+    def spy(writer, values, cache):
+        cells, cache = cached_column(writer, values, cache)
+        sizes.append(None if cache is None else len(cache))
+        return cells, cache
+    with mock.patch.object(cli, "_cached_column", spy):
+        yield sizes
+
+
+def interf_grid_reference(dphis, phis):
+    """The rows of an interf scan over dphi (outer) and phi (inner)."""
+    rows = []
+    for dphi, phi in itertools.product(dphis, phis):
+        cells, error = wavepacket_reference(phi, dphi, 1e-10)
+        rows.append(((dphi, phi), None if error else [float(cell) for cell in cells], error))
+    return rows
+
+
+# Phases on the inner axis whose ports repeat out of run order: -0.0 next to
+# 0.0, and values outside the domain, whose rows are evaluated at 0.0 and
+# then blanked.
+REPEATING_PHIS = [0.0, -0.0, 1.0, math.nan, 1.0, math.inf, -math.inf, 0.5] * 3
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 7, cli._BLOCK_ROWS])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_columns_repeating_out_of_run_order_are_written_cell_by_cell(fmt, rows_per_block):
+    # Each distinct value of such a column is formatted once per scan and
+    # process; every cell must still be the text of its own value, with the
+    # same bytes whether one process or two run the blocks.
+    phases = [-0.0, 0.0, math.nan, *np.linspace(0.0, PI, 48).tolist(), math.inf]
+    with cache_sizes() as sizes:
+        assert_unitarity_scan(phases, REPEATING_PHIS, True, fmt, rows_per_block)
+    # A one-row block has no repeats to find.
+    assert any(sizes) == (rows_per_block > 1)
+    argv = ["unitarity", *grid("reflection_phase", phases), *grid("phi", REPEATING_PHIS)]
+    assert scan(argv + ["--workers", "2"], fmt, rows_per_block) == scan(argv, fmt,
+                                                                         rows_per_block)
+
+    # dphi = 2 pi writes runs of 0.5; the other contrasts repeat each phase's ports.
+    dphis = [0.0, 2 * PI, -0.0, math.nan, 0.5, 0.0, math.inf, -math.inf]
+    argv = ["interf", *grid("dphi", dphis), *grid("phi", REPEATING_PHIS * 6)]
+    with cache_sizes() as sizes:
+        code, text = scan(argv, fmt, rows_per_block)
+    assert any(sizes) == (rows_per_block > 1)
+    assert_artifact(code, text, fmt, ["dphi", "phi", "p_plus", "p_minus", "error"],
+                    interf_grid_reference(dphis, REPEATING_PHIS * 6),
+                    {"subcommand": "interf", "grids": {"dphi": dphis, "phi": REPEATING_PHIS * 6},
+                     "params": {"tolerance": 1e-10}})
+    assert scan(argv + ["--workers", "2"], fmt, rows_per_block) == (code, text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cached_column_formats_each_value_by_its_bits(fmt):
+    # Keyed by value, -0.0 would take the cell of 0.0; every NaN is "nan"
+    # (or NaN in JSON), whatever its sign and payload.
+    writer = cli._Writer(("p",), fmt == "csv")
+    values = np.array([0.0, -0.0, math.nan, math.nan, math.inf, -math.inf, 2.5, 5e-324] * 40)
+    values[3::8] = np.copysign(math.nan, -1.0)
+    np.random.default_rng(1).shuffle(values)
+    cells, cache = [], {}
+    for block in np.split(values, 8):
+        column, cache = cli._cached_column(writer, block, cache)
+        cells += column
+    assert len(cache) == 8
+    assert cells == [writer.column([value])[0] for value in values.tolist()]
+
+
+def test_cached_column_stays_bounded(monkeypatch):
+    # A column whose first block repeats and whose later blocks bring only
+    # new values drops its cache at the first such block; one whose blocks
+    # each bring a few new values drops it where it would pass the cap.
+    # Either way its size does not grow with the rows.  Each block hands on
+    # the caches of p_plus and p_minus, in that order.
+    monkeypatch.setattr(cli, "_CACHED_CELLS", 100)
+    block, largest = 30, set()
+    for later in (12, 48):
+        fresh = np.linspace(0.01, 3.0, later * block).tolist()
+        # Ten new phases a block, each three times and never twice in a row.
+        few_new = [0.1 + 0.001 * (10 * k + j) for k in range(later) for _ in range(3)
+                   for j in range(10)]
+        for phis in ([0.5, 1.0, 1.5, 2.0, 2.5] * 6 + fresh, few_new):
+            with cache_sizes() as sizes:
+                code, text = scan(["interf", *grid("phi", phis)], "csv", block)
+            assert_artifact(code, text, "csv", ["phi", "p_plus", "p_minus", "error"],
+                            [reference_row(interf_reference, phi) for phi in phis], {})
+            assert sizes[-2:] == [None, None]
+            largest.add(max(size or 0 for size in sizes))
+        assert sizes[:4] == [10, 10, 20, 20]
+    assert largest == {5, 100}
+
+
+def test_a_process_of_one_block_takes_no_cache():
+    # Its repeats are those of one block, which no later block reuses.
+    phis = REPEATING_PHIS * 6
+    with cache_sizes() as sizes:
+        code, text = scan(["interf", *grid("phi", phis)], "csv", len(phis))
+    assert sizes == [None, None]
+    assert_artifact(code, text, "csv", ["phi", "p_plus", "p_minus", "error"],
+                    [reference_row(interf_reference, phi) for phi in phis], {})
+    with cache_sizes() as sizes:
+        scan(["interf", *grid("phi", phis)], "csv", len(phis) // 2)
+    assert sizes[:2] == [3, 3]
