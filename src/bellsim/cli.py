@@ -37,22 +37,21 @@ ports from one array call and draws each row's counts from them;
 
 Each block is formatted by column and written before the next one runs, so
 no artifact is held in memory whole.  A float ``repr`` is most of a cheap
-row's cost, so cells that repeat are formatted once: a grid axis whose
-values repeat over the rows once per scan, an output float column with the
-bits of a column already formatted in the block once per block, a float
-column made of few runs of one value once per run, and an output float
-column whose values repeat out of run order once per distinct bit pattern
-per scan and process.  That last rule needs a process that runs more than
-one block, repeats its first block there can show (not few runs, at most two
-thirds of the values distinct), and a cache of cells by bits that stays
-bounded: a block that brings more than two thirds new values, or would take
-it past ``_CACHED_CELLS`` cells, drops it for the rest of the scan.  It
-takes ``unitarity``'s ``p_plus`` over an inner ``phi`` axis, a law of
-``phi`` alone but for a few bits: about 13% of the float ``repr`` calls of
-the benchmark's ``wide_grid`` pass at seed 1, and none of ``deep``'s.  A row
-is joined from its cells and the fixed text around them (a JSON row's keys
-and indentation, a CSV row's commas) by one ``"".join`` per row, the same
-code for both formats.  A JSON artifact's ``spec.grids`` lists are written
+row's cost, so cells that repeat are formatted once, by two rules.  Each
+float column keeps, per process, a table of the cells of the values
+formatted so far, keyed by their bits (-0.0 apart from 0.0, NaNs of any
+payload apart): a block formats only the distinct values its table lacks.
+A grid axis whose values repeat over the rows starts with a table of its
+whole grid, formatted once per scan, which it never leaves; any other
+column starts empty and leaves its table for the rest of the scan at a
+block that brings more than two thirds new values or would take it past
+``_TABLE_CELLS`` cells.  And an output float column with the bits of a
+column already formatted in the block takes that column's cells.  At seed
+1, the benchmark's ``deep`` pass hands 9 865 values to the float formatter
+and its ``wide_grid`` pass 255 128.  A row is
+joined from its cells and the fixed text around them (a JSON row's keys and
+indentation, a CSV row's commas) by one ``"".join`` per row, the same code
+for both formats.  A JSON artifact's ``spec.grids`` lists are written
 from the same cells.  Budgets reject a scan of more than ``_MAX_ROWS`` grid
 points, or a chain (``chained`` ``n``, ``extensions`` ``n_cap``) longer than
 ``_MAX_CHAIN``, with exit 2 before any grid is built.  The output file is
@@ -112,7 +111,8 @@ class ConfigError(ValueError):
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    """A Python or numpy integer; neither bool type is one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 # The types of a real value in a ScanSpec built directly: numpy's integer
@@ -398,15 +398,11 @@ def _unitarity_rows(spec: ScanSpec, rows: np.ndarray, points: dict) -> tuple[lis
     matrix once; the block's ports are one array evaluation of the port law,
     each row measured by its phase's matrix."""
     phase = points["reflection_phase"]
-    # Distinct phases by their bits, which tell -0.0 from 0.0, found by a
-    # sort: np.unique's first call imports numpy.ma (about 2 MB).
     bits = phase.view(np.int64)
-    order = np.argsort(bits, kind="stable")
-    first = np.concatenate(([True], bits[order[1:]] != bits[order[:-1]]))
-    which = np.empty(phase.size, dtype=np.intp)
-    which[order] = np.cumsum(first) - 1
+    distinct = _distinct(bits)
+    which = np.searchsorted(distinct, bits)
     matrices = [measurement.mach_zehnder_effective(value)
-                for value in phase[order[first]].tolist()]
+                for value in distinct.view(float).tolist()]
     checks = [measurement.is_valid_quantum_measurement(m, spec.params["tolerance"])
               for m in matrices]
     residual = np.array([check.residual for check in checks])[which]
@@ -711,12 +707,14 @@ def _json_floats(values) -> list[str]:
     return texts
 
 
-def _runs(values: np.ndarray) -> np.ndarray | None:
-    """The starts of the runs of equal bits of a float array made of few
-    runs (four values or more on average); None for any other array."""
-    bits = values.view(np.int64)
-    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-    return starts if 4 * starts.size < values.size else None
+def _distinct(bits: np.ndarray) -> np.ndarray:
+    """The distinct values of an int64 array, sorted.  Of a float array's
+    bits, they tell -0.0 from 0.0 and NaNs of any payload apart.  (A sort:
+    np.unique's first call imports numpy.ma, about 2 MB.)"""
+    ordered = np.sort(bits)
+    keep = np.ones(ordered.size, dtype=bool)
+    keep[1:] = ordered[1:] != ordered[:-1]
+    return ordered[keep]
 
 
 class _Writer:
@@ -754,19 +752,11 @@ class _Writer:
             self.separator = ",\n    "
 
     def column(self, values) -> list[str]:
-        """The cells of one column of values: a list, or a float or bool
-        array.  A float array made of few runs of equal bits is formatted
-        once per run."""
+        """The cells of one column of values: a list or an array."""
         if isinstance(values, np.ndarray):
             if values.dtype == bool:
                 cells = [self.cells.get(bool, self.other)(flag) for flag in (False, True)]
                 return list(map(cells.__getitem__, values.tolist()))
-            if values.dtype == float:
-                starts = _runs(values)
-                if starts is None:
-                    return self.floats(values)
-                cells = np.array(self.floats(values[starts]), dtype=object)
-                return np.repeat(cells, np.diff(starts, append=values.size)).tolist()
             values = values.tolist()
         try:
             return self.floats(values)
@@ -784,42 +774,42 @@ class _Writer:
         return self.separator.join(map("".join, zip(*parts)))
 
 
-# The most cells one output column's cache holds in one process's blocks.
-_CACHED_CELLS = 4096
+# The most cells one float column's table holds in one process, but for a
+# grid axis's table, which holds its whole grid.
+_TABLE_CELLS = 4096
 
 
-def _cached_column(writer: _Writer, values: np.ndarray,
-                   cache: dict | None) -> tuple[list[str], dict | None]:
-    """The cells of one block of a float output column, and the column's
-    cache for its next block in this process.
+def _table(writer: _Writer, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cell table of a float array: the sorted bits of its distinct
+    values (see :func:`_distinct`) beside an object array of their cells."""
+    keys = _distinct(values.view(np.int64))
+    return keys, np.array(writer.floats(keys.view(float)), dtype=object)
 
-    ``cache`` maps the bits of each value formatted so far, which tell -0.0
-    from 0.0, to its cell: empty before the column's first block, None for
-    a column that does not take it or has left it.  A block formats only
-    its values the cache lacks and looks every cell up.  The column leaves
-    the cache at a first block of which more than two thirds of the values
-    are distinct or that is made of few runs, and at a later block of which
-    more than two thirds of the values are new or that would take the cache
-    past ``_CACHED_CELLS``; that block and every later one are formatted by
-    :meth:`_Writer.column`."""
-    if cache is None:
-        return writer.column(values), None
+
+def _table_cells(writer: _Writer, values: np.ndarray,
+                 table: tuple | None) -> tuple[list[str], tuple | None]:
+    """The cells of one block of a float column, and the column's table for
+    its next block in this process (None once the column has left it).
+
+    A block formats only the distinct values the table lacks, and looks
+    every cell up by its bits.  A block that brings more than two thirds new
+    values, or would take the table past ``_TABLE_CELLS``, is formatted
+    value by value, and the column leaves its table for the rest of the
+    scan.  A block with no new value never leaves it."""
+    if table is None:
+        return writer.floats(values), None
+    keys, cells = table
     bits = values.view(np.int64)
-    if not cache:
-        # A sort tells a column without repeats for a fifth to a half of the
-        # cost of the set below (1 024 to 240 values), so that such a column
-        # pays almost nothing for the test.
-        ordered = np.sort(bits)
-        distinct = 1 + np.count_nonzero(ordered[1:] != ordered[:-1])
-        if 3 * distinct > 2 * bits.size or _runs(values) is not None:
-            return writer.column(values), None
-    keys = bits.tolist()
-    new = set(keys).difference(cache)
-    if 3 * len(new) > 2 * len(keys) or len(cache) + len(new) > _CACHED_CELLS:
-        return writer.column(values), None
-    new = list(new)
-    cache.update(zip(new, writer.floats(np.array(new, dtype=np.int64).view(float))))
-    return list(map(cache.__getitem__, keys)), cache
+    new = _distinct(bits)
+    if keys.size:
+        new = new[keys[np.minimum(np.searchsorted(keys, new), keys.size - 1)] != new]
+    if new.size:
+        if 3 * new.size > 2 * bits.size or keys.size + new.size > _TABLE_CELLS:
+            return writer.floats(values), None
+        at = np.searchsorted(keys, new)
+        keys = np.insert(keys, at, new)
+        cells = np.insert(cells, at, writer.floats(new.view(float)))
+    return cells[np.searchsorted(keys, bits)].tolist(), (keys, cells)
 
 
 # The grids entry of the indented JSON spec text when the grids are {}.
@@ -850,13 +840,11 @@ def run_scan(spec: ScanSpec) -> int:
     Rows run in grid order, ``_BLOCK_ROWS`` grid points at a time: the
     subcommand's row function evaluates a block, and the block is formatted
     by column and written before the next one runs, so the artifact is never
-    held in memory whole.  A grid axis whose values repeat over the rows is
-    formatted once per scan, and each block indexes its cells; an output
-    float column with the bits of a column already formatted in the block
-    reuses its cells; and an output float column whose values repeat out of
-    run order is formatted once per distinct bit pattern in each process
-    that runs more than one block, through a bounded cache
-    (:func:`_cached_column`).  A JSON artifact's
+    held in memory whole.  Each float column's cells come from its table
+    in this process (:func:`_table_cells`), which a grid axis whose values
+    repeat over the rows fills with its whole grid before the first block,
+    unless the column has the bits of a column already formatted in the
+    block, whose cells it reuses.  A JSON artifact's
     ``spec.grids`` lists are written from the same cells, so its text equals
     ``json.dumps({"spec": ..., "rows": ...}, indent=2, sort_keys=True)``.
 
@@ -881,21 +869,23 @@ def run_scan(spec: ScanSpec) -> int:
              if axis.name not in spec.grids and axis.default is not _REQUIRED}
     names = tuple(spec.grids) + sub.columns + ("error",)
     writer = _Writer(names, spec.format == "csv")
-    # The cells of each axis whose values repeat over the rows; None for an
-    # axis that gives each row its own value, whose cells each block formats.
-    axis_cells = [writer.column(grid) if grid.size < rows else None for grid in grids]
+    # Each axis's table: an axis whose values repeat over the rows starts
+    # with its whole grid, formatted once per scan and never left; an axis
+    # that gives each row its own value starts empty, as an output column does.
+    empty = _table(writer, np.empty(0))
+    axis_tables = [_table(writer, grid) if grid.size < rows else empty for grid in grids]
     # JSON spec.grids lists as pieces of joined cells.  A 1-D axis's pieces
     # are added as the blocks format its cells.  Values that are not all
     # floats (possible in a ScanSpec built directly) are written as given.
     spec_cells, block_pieces = {}, {}
     if spec.format == "json":
-        for (name, values), cells in zip(spec.grids.items(), axis_cells):
+        for (name, values), grid, table in zip(spec.grids.items(), grids, axis_tables):
             if set(map(type, values)) != {float}:
                 spec_cells[name] = writer.column(list(map(_plain, values)))
-            elif cells is None:
+            elif grid.size == rows:
                 spec_cells[name] = block_pieces[name] = []
             else:
-                spec_cells[name] = cells
+                spec_cells[name] = _table_cells(writer, grid, table)[0]
         head = '{\n  "rows": [\n    '
     else:
         head = ",".join(names) + "\n"
@@ -906,9 +896,8 @@ def run_scan(spec: ScanSpec) -> int:
         each block's text to ``write``; a 1-D axis's JSON spec cells go to
         its list in ``pieces``.  Returns whether any row failed."""
         failed = False
-        # The output columns' caches in this process; one that runs a single
-        # block has no later block to reuse its cells.
-        caches = [{} if stop - first > 1 else None for _ in sub.columns]
+        # One table per column in this process, the grid axes' first.
+        tables = axis_tables + [empty] * len(sub.columns)
         for start in range(first * _BLOCK_ROWS, min(stop * _BLOCK_ROWS, rows), _BLOCK_ROWS):
             block = np.arange(start, min(start + _BLOCK_ROWS, rows))
             index = np.unravel_index(block, shape)
@@ -917,28 +906,25 @@ def run_scan(spec: ScanSpec) -> int:
             points.update((name, np.full(block.size, value)) for name, value in fixed.items())
             outputs, errors = _evaluate(spec, sub, block, points)
             failures = [i for i, error in enumerate(errors) if error] if any(errors) else []
-            cells = [writer.column(values) if cached is None
-                     else list(map(cached.__getitem__, i.tolist()))
-                     for values, cached, i in zip(inputs, axis_cells, index)]
-            for name, column in zip(spec.grids, cells):
-                if name in pieces:
-                    pieces[name].append(_SPEC_CELL.join(column))
             # The cells of the block's float columns by their bits, which
             # tell -0.0 from 0.0; failed rows are blanked on a copy.
-            formatted = {values.tobytes(): column for values, column in zip(inputs, cells)}
-            for k, values in enumerate(outputs):
+            cells, formatted = [], {}
+            for k, values in enumerate(inputs + outputs):
                 if isinstance(values, np.ndarray) and values.dtype == float:
                     column = formatted.get(values.tobytes())
                     if column is None:
-                        column, caches[k] = _cached_column(writer, values, caches[k])
+                        column, tables[k] = _table_cells(writer, values, tables[k])
                         formatted[values.tobytes()] = column
                 else:
                     column = writer.column(values)
-                if failures:
+                if failures and k >= len(inputs):
                     column = list(column)
                     for i in failures:
                         column[i] = writer.blank
                 cells.append(column)
+            for name, column in zip(spec.grids, cells):
+                if name in pieces:
+                    pieces[name].append(_SPEC_CELL.join(column))
             cells.append(writer.column(errors) if failures else [writer.blank] * len(errors))
             write((writer.separator if start else "") + writer.text(cells))
             failed = failed or bool(failures)

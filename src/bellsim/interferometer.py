@@ -219,6 +219,11 @@ def _keyed_generator(seed: int, stream: int) -> np.random.Generator:
     return rng
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; neither bool type is one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def sample_events(
     dist: DetectionDistribution, n: int, seed: int, stream: int = 0
 ) -> EventCounts:
@@ -232,10 +237,10 @@ def sample_events(
     ``Generator(Philox(key=[seed, stream]))``: the generator's only other
     state, its binomial cache, is a function of the (n, p) it is asked for.
     """
-    if n <= 0:
-        raise ValueError(f"sample size must be positive, got {n!r}")
+    if not (_is_integer(n) and n > 0):
+        raise ValueError(f"sample size must be a positive integer, got {n!r}")
     for name, value in (("seed", seed), ("stream", stream)):
-        if not isinstance(value, int) or not 0 <= value < 2 ** 64:
+        if not (_is_integer(value) and 0 <= value < 2 ** 64):
             raise ValueError(f"{name} must be a non-negative 64-bit integer, got {value!r}")
     probs = np.array(dist.as_tuple(), dtype=float)
     probs = probs / probs.sum()  # exact zeros stay zero

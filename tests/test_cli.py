@@ -836,6 +836,10 @@ def test_digests_do_not_depend_on_the_openblas_kernel():
     ("chained", {"n": (2.0,)}, {"visibility": True},
      "'visibility' must be a real number, got True"),
     ("extensions", {"d": (0.5,)}, {"n_cap": 2.5}, "'n_cap' must be an integer, got 2.5"),
+    ("sample", {"phi": (0.0,)}, {"n": np.bool_(True), "seed": 1},
+     r"'n' must be an integer, got np.True_"),
+    ("sample", {"phi": (0.0,)}, {"seed": True}, "'seed' must be a non-negative 64-bit "
+     "integer, got True"),
     ("franson", {"tau_b": (1e-9,)}, {**PHYSICAL_PARAMS, "coincidence_window": "abc"},
      "'coincidence_window' must be seconds, 'none' or 'auto', got 'abc'"),
     ("franson", {"phi": (0.0,)}, {"mode": "bogus"},
@@ -853,7 +857,7 @@ def test_digests_do_not_depend_on_the_openblas_kernel():
     ("chained", {"n": ("a",)}, {}, "grid 'n': expected a list of real numbers"),
     ("interf", {"phi": (0.0, 1.0), "dphi": (0.5, None)}, {},
      "grid 'dphi': expected a list of real numbers"),
-], ids=["real", "real_bool", "int", "window", "mode", "model", "required_param",
+], ids=["real", "real_bool", "int", "int_numpy_bool", "int_bool", "window", "mode", "model", "required_param",
         "required_grid", "unknown", "inapplicable_param", "inapplicable_grid",
         "grid_text_chained", "grid_none_interf"])
 def test_direct_spec_is_checked_like_flags_and_config(subcommand, grids, params, message):
@@ -894,7 +898,8 @@ def test_direct_spec_real_parameter_rejects_other_values(value):
 def test_numpy_scalars_are_taken_as_the_values_they_hold(capsys, kind, fmt):
     # As grid values and as real parameters, numpy scalars give the artifact
     # of the Python numbers they hold; a floating kind also gives the
-    # physical Franson delays and window.
+    # physical Franson delays and window, an integer kind the integer
+    # parameters and the worker count.
     def artifact(number):
         specs = [ScanSpec(subcommand="chained", grids={"n": (number(2), number(3))},
                           params={"visibility": number(1)}, format=fmt)]
@@ -903,6 +908,12 @@ def test_numpy_scalars_are_taken_as_the_values_they_hold(capsys, kind, fmt):
                       "coincidence_window": number(6e-10)}
             specs.append(ScanSpec(subcommand="franson", grids={"tau_b": (number(1.2e-9),)},
                                   params=params, format=fmt))
+        else:
+            specs += [ScanSpec(subcommand="sample", grids={"phi": (0.0, 1.0)},
+                               params={"n": number(10), "seed": number(1)},
+                               format=fmt, workers=number(2)),
+                      ScanSpec(subcommand="extensions", grids={"d": (0.1,)},
+                               params={"n_cap": number(1000)}, format=fmt)]
         for spec in specs:
             assert run_scan(spec) == 0
         return capsys.readouterr().out

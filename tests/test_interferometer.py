@@ -323,10 +323,17 @@ def test_sampling_deterministic_and_stream_separated():
     assert a == b
     assert a != c
     assert a.total == 10000
-    with pytest.raises(ValueError):
-        sample_events(d, 0, seed=3)
-    with pytest.raises(ValueError):
-        sample_events(d, 10, seed=-1)
+    # numpy integers are the integers they hold; floats and bools are refused.
+    assert sample_events(d, np.int64(10000), seed=np.uint64(3), stream=np.int32(1)) == c
+    for n in (0, 2.5, 10.0, True, np.bool_(True)):
+        with pytest.raises(ValueError, match="sample size must be a positive integer"):
+            sample_events(d, n, seed=3)
+    for seed in (-1, 2 ** 64, 1.0, True, np.bool_(True)):
+        with pytest.raises(ValueError, match="seed must be a non-negative 64-bit integer"):
+            sample_events(d, 10, seed=seed)
+    for stream in (0.0, False):
+        with pytest.raises(ValueError, match="stream must be a non-negative 64-bit integer"):
+            sample_events(d, 10, seed=3, stream=stream)
 
 
 def test_sampling_never_draws_zero_probability_categories():

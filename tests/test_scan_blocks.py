@@ -4,6 +4,7 @@ byte for byte, the one built row by row from the public scalar functions
 ``csv``/``json`` modules."""
 
 import cmath
+import collections
 import contextlib
 import csv
 import io
@@ -364,17 +365,40 @@ def test_columns_of_runs_are_written_cell_by_cell(fmt, rows_per_block):
 
 
 @contextlib.contextmanager
-def cache_sizes():
-    """The size of the cache each block of a float output column hands on to
-    the next, in the calling process; None once the column has left it."""
-    sizes, cached_column = [], cli._cached_column
+def table_sizes():
+    """The size of the table each block of a float column gets and the size
+    of the one it hands on to the next, in the calling process; None once
+    the column has left it."""
+    sizes, table_cells = [], cli._table_cells
 
-    def spy(writer, values, cache):
-        cells, cache = cached_column(writer, values, cache)
-        sizes.append(None if cache is None else len(cache))
-        return cells, cache
-    with mock.patch.object(cli, "_cached_column", spy):
+    def size(table):
+        return None if table is None else table[0].size
+
+    def spy(writer, values, table):
+        cells, handed_on = table_cells(writer, values, table)
+        sizes.append((size(table), size(handed_on)))
+        return cells, handed_on
+    with mock.patch.object(cli, "_table_cells", spy):
         yield sizes
+
+
+def grew(sizes):
+    """Whether a block added cells to its column's table."""
+    return any(on is not None and on > got for got, on in sizes)
+
+
+@contextlib.contextmanager
+def formatted_values():
+    """The bits of each float value handed to ``_Writer.floats`` in the
+    calling process; a column that is not all floats is not counted."""
+    handed, float_texts = [], cli._float_texts
+
+    def spy(values):
+        texts = float_texts(values)
+        handed.extend(np.array(values, dtype=float).view(np.int64).tolist())
+        return texts
+    with mock.patch.object(cli, "_float_texts", spy):
+        yield handed
 
 
 def interf_grid_reference(dphis, phis):
@@ -399,10 +423,11 @@ def test_columns_repeating_out_of_run_order_are_written_cell_by_cell(fmt, rows_p
     # process; every cell must still be the text of its own value, with the
     # same bytes whether one process or two run the blocks.
     phases = [-0.0, 0.0, math.nan, *np.linspace(0.0, PI, 48).tolist(), math.inf]
-    with cache_sizes() as sizes:
+    with table_sizes() as sizes:
         assert_unitarity_scan(phases, REPEATING_PHIS, True, fmt, rows_per_block)
-    # A one-row block has no repeats to find.
-    assert any(sizes) == (rows_per_block > 1)
+    # A one-row block brings only new values: each output column leaves its
+    # table at once, and the axes' tables already hold their grids.
+    assert grew(sizes) == (rows_per_block > 1)
     argv = ["unitarity", *grid("reflection_phase", phases), *grid("phi", REPEATING_PHIS)]
     assert scan(argv + ["--workers", "2"], fmt, rows_per_block) == scan(argv, fmt,
                                                                          rows_per_block)
@@ -410,9 +435,9 @@ def test_columns_repeating_out_of_run_order_are_written_cell_by_cell(fmt, rows_p
     # dphi = 2 pi writes runs of 0.5; the other contrasts repeat each phase's ports.
     dphis = [0.0, 2 * PI, -0.0, math.nan, 0.5, 0.0, math.inf, -math.inf]
     argv = ["interf", *grid("dphi", dphis), *grid("phi", REPEATING_PHIS * 6)]
-    with cache_sizes() as sizes:
+    with table_sizes() as sizes:
         code, text = scan(argv, fmt, rows_per_block)
-    assert any(sizes) == (rows_per_block > 1)
+    assert grew(sizes) == (rows_per_block > 1)
     assert_artifact(code, text, fmt, ["dphi", "phi", "p_plus", "p_minus", "error"],
                     interf_grid_reference(dphis, REPEATING_PHIS * 6),
                     {"subcommand": "interf", "grids": {"dphi": dphis, "phi": REPEATING_PHIS * 6},
@@ -421,28 +446,31 @@ def test_columns_repeating_out_of_run_order_are_written_cell_by_cell(fmt, rows_p
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_cached_column_formats_each_value_by_its_bits(fmt):
+def test_table_cells_format_each_value_by_its_bits(fmt):
     # Keyed by value, -0.0 would take the cell of 0.0; every NaN is "nan"
     # (or NaN in JSON), whatever its sign and payload.
     writer = cli._Writer(("p",), fmt == "csv")
     values = np.array([0.0, -0.0, math.nan, math.nan, math.inf, -math.inf, 2.5, 5e-324] * 40)
     values[3::8] = np.copysign(math.nan, -1.0)
+    values[2::16] = np.array([0x7FF8_0000_0000_0001]).view(float)[0]
     np.random.default_rng(1).shuffle(values)
-    cells, cache = [], {}
+    cells, table = [], cli._table(writer, np.empty(0))
     for block in np.split(values, 8):
-        column, cache = cli._cached_column(writer, block, cache)
+        column, table = cli._table_cells(writer, block, table)
         cells += column
-    assert len(cache) == 8
+    assert table[0].size == 9
     assert cells == [writer.column([value])[0] for value in values.tolist()]
+    # A table of the whole array, as a repeating grid axis starts with.
+    assert cli._table_cells(writer, values, cli._table(writer, values)) == (cells, mock.ANY)
 
 
-def test_cached_column_stays_bounded(monkeypatch):
+def test_table_stays_bounded(monkeypatch):
     # A column whose first block repeats and whose later blocks bring only
-    # new values drops its cache at the first such block; one whose blocks
-    # each bring a few new values drops it where it would pass the cap.
+    # new values leaves its table at the first such block; one whose blocks
+    # each bring a few new values leaves it where it would pass the cap.
     # Either way its size does not grow with the rows.  Each block hands on
-    # the caches of p_plus and p_minus, in that order.
-    monkeypatch.setattr(cli, "_CACHED_CELLS", 100)
+    # the tables of phi, p_plus and p_minus, in that order.
+    monkeypatch.setattr(cli, "_TABLE_CELLS", 100)
     block, largest = 30, set()
     for later in (12, 48):
         fresh = np.linspace(0.01, 3.0, later * block).tolist()
@@ -450,24 +478,40 @@ def test_cached_column_stays_bounded(monkeypatch):
         few_new = [0.1 + 0.001 * (10 * k + j) for k in range(later) for _ in range(3)
                    for j in range(10)]
         for phis in ([0.5, 1.0, 1.5, 2.0, 2.5] * 6 + fresh, few_new):
-            with cache_sizes() as sizes:
+            with table_sizes() as sizes:
                 code, text = scan(["interf", *grid("phi", phis)], "csv", block)
             assert_artifact(code, text, "csv", ["phi", "p_plus", "p_minus", "error"],
                             [reference_row(interf_reference, phi) for phi in phis], {})
-            assert sizes[-2:] == [None, None]
-            largest.add(max(size or 0 for size in sizes))
-        assert sizes[:4] == [10, 10, 20, 20]
+            handed_on = [on for _, on in sizes]
+            assert handed_on[-3:] == [None, None, None]
+            largest.add(max(size or 0 for size in handed_on))
+        assert handed_on[:6] == [10, 10, 10, 20, 20, 20]
     assert largest == {5, 100}
 
 
-def test_a_process_of_one_block_takes_no_cache():
-    # Its repeats are those of one block, which no later block reuses.
+def test_a_process_of_one_block_formats_each_distinct_value_once():
+    # The table serves the repeats of its one block: seven phases (-0.0
+    # apart from 0.0) and three values of each port, the rows outside the
+    # domain evaluated at 0.0.
     phis = REPEATING_PHIS * 6
-    with cache_sizes() as sizes:
+    with formatted_values() as handed:
         code, text = scan(["interf", *grid("phi", phis)], "csv", len(phis))
-    assert sizes == [None, None]
+    assert len(handed) == 7 + 3 + 3
     assert_artifact(code, text, "csv", ["phi", "p_plus", "p_minus", "error"],
                     [reference_row(interf_reference, phi) for phi in phis], {})
-    with cache_sizes() as sizes:
-        scan(["interf", *grid("phi", phis)], "csv", len(phis) // 2)
-    assert sizes[:2] == [3, 3]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_repeating_axis_is_formatted_once_per_scan(fmt):
+    # 1 500 distinct phases on the inner axis of 3 x 1 500 rows: more than
+    # two thirds of each block's values are distinct, yet the axis's table,
+    # which starts with its whole grid, serves every block and the JSON
+    # spec list.  The outputs lie in [0, 1.1] and never take a phase's bits.
+    phis = np.linspace(2.0, 3.0, 1500)
+    argv = ["unitarity", *grid("reflection_phase", [0.1, 0.2, 0.3]), *grid("phi", phis.tolist())]
+    with formatted_values() as handed:
+        code, text = scan(argv, fmt, cli._BLOCK_ROWS)
+    assert code == 0
+    counts = collections.Counter(handed)
+    assert [counts[bits] for bits in phis.view(np.int64).tolist()] == [1] * phis.size
+    assert scan(argv + ["--workers", "2"], fmt, cli._BLOCK_ROWS) == (code, text)
